@@ -7,6 +7,7 @@ import scipy.special as sp
 
 from deformed_lindblad import (
     GridSpec,
+    MorseParams,
     aocs,
     bessel_k_complex_order,
     to_density,
@@ -14,6 +15,7 @@ from deformed_lindblad import (
     wigner_diagnostics,
     wigner_direct_oracle,
 )
+from deformed_lindblad import phasespace
 
 SMALL_GRID = GridSpec(n_r=21, n_p=21)
 
@@ -162,6 +164,48 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
     direct = wigner_direct_oracle(rho, params, SMALL_GRID)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(grid.values - direct.values)) < 1e-4 * scale
+    # every level's tensor is cached now; the refusal must not depend on that
+    with pytest.raises(BesselAccuracyError, match="stabilize"):
+        wigner_closed(rho, params, SMALL_GRID)
+
+
+def _cold(rho, params, grid, **kwargs):
+    phasespace._bessel_tensor.cache_clear()
+    return wigner_closed(rho, params, grid, **kwargs).values
+
+
+def test_warm_cache_is_bit_identical_to_cold(params, rho_docs):
+    cold = _cold(rho_docs, params, SMALL_GRID)
+    assert phasespace._bessel_tensor.cache_info().currsize > 0
+    warm = wigner_closed(rho_docs, params, SMALL_GRID).values
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_cache_key_separates_inputs(params, fock_state):
+    asymmetric = GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16)
+    small_ladder = MorseParams(10)
+    variants = [
+        (fock_state(1), params, asymmetric, {}),
+        (fock_state(1), params, SMALL_GRID, {"hbar": 0.5}),
+        (fock_state(1, dim=10), small_ladder, SMALL_GRID, {}),
+    ]
+    base = _cold(fock_state(1), params, SMALL_GRID)
+    warm = []
+    for rho, p, grid, kwargs in variants:
+        warm.append(wigner_closed(rho, p, grid, **kwargs).values)
+    # every variant was computed with the base key (and the earlier
+    # variants) in the cache; each must equal its own cold computation
+    for (rho, p, grid, kwargs), values in zip(variants, warm):
+        cold = _cold(rho, p, grid, **kwargs)
+        assert values.tobytes() == cold.tobytes()
+        assert not np.array_equal(values, base)
+
+
+def test_cached_arrays_are_read_only(params, fock_state):
+    wigner_closed(fock_state(0), params, SMALL_GRID)
+    for array in phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_default_window_clips_momentum_tail(params, fock_state):

@@ -160,6 +160,24 @@ def test_outputs_are_deterministic(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_rewrite_matches_fresh_write(tmp_path):
+    # the second write has shorter wigner files, so stale tail bytes from
+    # the first would show unless each file is replaced in full
+    samples = "t_samples = 0, 0.2\ndt = 2e-3\n"
+    wide = run_scenario(parse_config(samples))
+    narrow = run_scenario(parse_config(samples + "n_r = 9\nn_p = 9\n"))
+    reused = tmp_path / "reused"
+    fresh = tmp_path / "fresh"
+    write_outputs(wide, reused)
+    manifest = write_outputs(narrow, reused)
+    assert manifest == write_outputs(narrow, fresh)
+    assert sorted(p.name for p in reused.iterdir()) == sorted(
+        p.name for p in fresh.iterdir()
+    )
+    for name, _ in manifest:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text("t_samples = 0\ndt = 1e-2\n" + FAST_GRID)
