@@ -30,7 +30,6 @@ from .dissipator import (
     detailed_balance_populations,
     gamma_of_n,
     integrate,
-    liouvillian_apply,
     mean_occupation,
     planck_nbar,
     purity,

@@ -66,7 +66,7 @@ class SimulationConfig:
     scenario: str = "docs"
     target_mean_n: float = 2.0
     t_samples: tuple[float, ...] | None = None
-    dt: float = 1e-3
+    dt: float = 1e-3    # accepted and validated, unused: propagation is exact
     r_min: float = -2.0
     r_max: float = 10.0
     n_r: int = 121
@@ -280,6 +280,7 @@ def run_scenario(config: SimulationConfig) -> ScenarioResult:
         "downward gain terms carry the full sqrt((m+1)(n+1)) amplitude product; "
         "required for exact trace conservation"
     )
+    meta["propagation"] = "exact (coherence-order blocks, expm)"
     for key, value in evolution.diagnostics.items():
         meta[key] = f"{value:.6e}"
     result.metadata = meta

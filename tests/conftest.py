@@ -83,3 +83,31 @@ def fock_state():
         return rho
 
     return build
+
+
+def _rk4_propagate(gen, rho0, times, dt):
+    """Fixed-step classical RK4 from t = 0 through the sorted sample times.
+
+    The last step of each interval is trimmed so snapshots land on the
+    requested times.  An independent reference for the exact propagator.
+    """
+    rho = np.asarray(rho0, dtype=complex).copy()
+    states = []
+    t = 0.0
+    for target in times:
+        while target - t > 1e-12:
+            h = min(dt, target - t)
+            k1 = gen.apply(rho)
+            k2 = gen.apply(rho + 0.5 * h * k1)
+            k3 = gen.apply(rho + 0.5 * h * k2)
+            k4 = gen.apply(rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        t = target
+        states.append(rho.copy())
+    return states
+
+
+@pytest.fixture(scope="session")
+def rk4_oracle():
+    return _rk4_propagate

@@ -13,7 +13,6 @@ from deformed_lindblad import (
     gap_frequencies,
     harmonic_deformation,
     integrate,
-    liouvillian_apply,
     mean_occupation,
     planck_nbar,
     purity,
@@ -23,7 +22,7 @@ from deformed_lindblad import (
     steady_state,
     to_density,
 )
-from deformed_lindblad.dissipator import validate_density
+from deformed_lindblad.dissipator import build_generator, validate_density
 
 
 def random_density(dim, seed):
@@ -91,14 +90,15 @@ def test_rate_table_rejects_closed_gap():
 
 def test_generator_conserves_trace(model, rates, etas):
     rho = random_density(model.dim, 0)
-    derivative = liouvillian_apply(rho, model, rates, etas)
+    derivative = build_generator(model, rates, etas).apply(rho)
     assert abs(np.trace(derivative)) < 1e-12
 
 
 def test_generator_commutes_with_adjoint(model, rates, etas):
     rho = random_density(model.dim, 1)
-    lhs = liouvillian_apply(rho, model, rates, etas).conj().T
-    rhs = liouvillian_apply(rho.conj().T, model, rates, etas)
+    gen = build_generator(model, rates, etas)
+    lhs = gen.apply(rho).conj().T
+    rhs = gen.apply(rho.conj().T)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -123,7 +123,7 @@ def test_generator_matches_operator_form(model, rates, etas):
         + (up @ k3 + k3 @ up)
         + (down @ k4 + k4 @ down)
     )
-    got = liouvillian_apply(rho, model, rates, etas)
+    got = build_generator(model, rates, etas).apply(rho)
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
@@ -164,12 +164,12 @@ def test_generator_matches_literal_transcription(model, rates, etas, params):
                     * rho[m + 1, n + 1]
                 )
             expected[m, n] = acc
-    got = liouvillian_apply(rho, model, rates, etas)
+    got = build_generator(model, rates, etas).apply(rho)
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def test_generic_deformation_trace_conservation():
-    # the trace identity is structural, not Morse-specific
+def random_deformation_cases():
+    """Five random deformed ladders (8 levels) with rate tables and etas."""
     from deformed_lindblad import DeformationFunction
 
     rng = np.random.default_rng(12)
@@ -184,20 +184,82 @@ def test_generic_deformation_trace_conservation():
         model = OscillatorModel(1.0, 8, deformation)
         table = rate_table(model, ReservoirParams(theta=3.0, gamma_scale=0.7))
         etas = rng.uniform(0.2, 1.5, size=8)
+        yield trial, model, table, etas
+
+
+def test_generic_deformation_trace_conservation():
+    # the trace identity is structural, not Morse-specific
+    for trial, model, table, etas in random_deformation_cases():
         rho = random_density(8, 100 + trial)
-        derivative = liouvillian_apply(rho, model, table, etas)
+        derivative = build_generator(model, table, etas).apply(rho)
         assert abs(np.trace(derivative)) < 1e-13
 
 
-def test_integrate_off_grid_sample_times(model, rates, etas, rho_docs):
-    # sample times that are not multiples of dt land exactly via a trimmed step
-    result = integrate(
-        rho_docs, model, rates, etas, 0.0105, 1e-3, [0.0004, 0.0105]
+def assert_blocks_reassemble(model, table, etas, seed):
+    dim = model.dim
+    gen = build_generator(model, table, etas)
+    blocks = gen.blocks()
+    assert len(blocks) == 2 * dim - 1
+    covered = np.zeros((dim, dim), dtype=int)
+    for rows, cols, block in blocks:
+        assert block.shape == (len(rows), len(rows))
+        covered[rows, cols] += 1
+    assert np.all(covered == 1)
+
+    rng = np.random.default_rng(seed)
+    skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for rho in (random_density(dim, seed), skew / np.linalg.norm(skew)):
+        rebuilt = np.zeros_like(rho)
+        for rows, cols, block in blocks:
+            rebuilt[rows, cols] = block @ rho[rows, cols]
+        # relative to the largest entry: with shifts on, entries reach ~70
+        expected = gen.apply(rho)
+        assert np.max(np.abs(rebuilt - expected)) < 1e-14 * np.max(np.abs(expected))
+
+
+def test_blocks_reassemble_generator_morse(model, rates, etas):
+    assert_blocks_reassemble(model, rates, etas, 20)
+
+
+def test_blocks_reassemble_generator_harmonic(reservoir):
+    model = OscillatorModel(1.0, 30, harmonic_deformation())
+    assert_blocks_reassemble(model, rate_table(model, reservoir), np.ones(30), 21)
+
+
+def test_blocks_reassemble_generator_with_shifts(model, etas):
+    with_shifts = rate_table(
+        model,
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
     )
-    assert result.times == [0.0004, 0.0105]
+    assert build_generator(model, with_shifts, etas).shift_diff is not None
+    assert_blocks_reassemble(model, with_shifts, etas, 22)
+
+
+def test_blocks_reassemble_generator_random_deformations():
+    for trial, model, table, etas in random_deformation_cases():
+        assert_blocks_reassemble(model, table, etas, 30 + trial)
+
+
+def test_integrate_off_grid_sample_times(model, rates, etas, rho_docs, rk4_oracle):
+    # sample times need not relate to dt: each interval is bridged exactly
+    times = [0.0004, 0.0105]
+    result = integrate(rho_docs, model, rates, etas, 0.0105, 1e-3, times)
+    assert result.times == times
     assert result.diagnostics["max_trace_error"] < 1e-12
-    direct = integrate(rho_docs, model, rates, etas, 0.0105, 1e-4, [0.0105])
-    assert np.max(np.abs(result.states[-1] - direct.states[-1])) < 1e-10
+    reference = rk4_oracle(build_generator(model, rates, etas), rho_docs, times, 1e-4)
+    for got, want in zip(result.states, reference):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_integrate_matches_rk4_oracle(model, rates, etas, rho_docs, rho_aocs, rho_cat, rk4_oracle):
+    times = [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+    gen = build_generator(model, rates, etas)
+    for rho0 in (rho_docs, rho_aocs, rho_cat):
+        result = integrate(rho0, model, rates, etas, 4.0, 1e-3, times)
+        assert result.times == times
+        reference = rk4_oracle(gen, rho0, times, 1e-3)
+        for got, want in zip(result.states, reference):
+            assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_harmonic_mean_occupation_rate(reservoir):
@@ -210,7 +272,7 @@ def test_harmonic_mean_occupation_rate(reservoir):
     populations[-6:] = 0.0  # keep clear of the truncation edge
     populations /= populations.sum()
     rho = np.diag(populations).astype(complex)
-    derivative = liouvillian_apply(rho, model, table, ones)
+    derivative = build_generator(model, table, ones).apply(rho)
     got = float(np.dot(np.arange(30), np.diag(derivative).real))
     nbar = planck_nbar(1.0, reservoir)
     want = -reservoir.gamma_scale * (mean_occupation(rho) - nbar)
@@ -238,10 +300,13 @@ def test_harmonic_relaxation_analytic(reservoir):
 
 
 def test_step_halving_agreement(rho_docs, model, rates, etas):
+    # dt sets no step: halving it changes nothing, and halving the sample
+    # interval instead agrees to round-off (the propagator is a semigroup)
     coarse = integrate(rho_docs, model, rates, etas, 1.0, 1e-3, [1.0])
     fine = integrate(rho_docs, model, rates, etas, 1.0, 5e-4, [1.0])
-    diff = np.max(np.abs(coarse.states[0] - fine.states[0]))
-    assert diff < 1e-8
+    assert np.array_equal(coarse.states[0], fine.states[0])
+    split = integrate(rho_docs, model, rates, etas, 1.0, 1e-3, [0.5, 1.0])
+    assert np.max(np.abs(split.states[-1] - coarse.states[0])) < 1e-12
 
 
 def test_integrate_validates_input_shape(model, rates, etas):
@@ -257,6 +322,15 @@ def test_integrate_aborts_on_trace_breach(model, rates, etas, rho_docs):
     # a non-trace-preserving initial matrix must trip the drift abort
     with pytest.raises(IntegrationError, match="trace"):
         integrate(1.5 * rho_docs, model, rates, etas, 0.1, 1e-3, [0.1])
+
+
+def test_integrate_aborts_on_non_hermitian_start(model, rates, etas, rho_docs):
+    # every coherence order is propagated on its own, so a non-Hermitian
+    # start stays non-Hermitian and trips the check at the first snapshot
+    skewed = rho_docs.copy()
+    skewed[0, 3] += 1e-6
+    with pytest.raises(IntegrationError, match="Hermiticity"):
+        integrate(skewed, model, rates, etas, 0.5, 1e-3, [0.5])
 
 
 def test_unitary_limit_keeps_populations(model, etas, rho_docs):
@@ -308,9 +382,29 @@ def test_steady_state_requires_damping(model, etas):
         steady_state(model, frozen, etas)
 
 
-def test_steady_state_reports_nonconvergence(model, rates, etas):
-    with pytest.raises(RuntimeError, match="not converged"):
-        steady_state(model, rates, etas, max_time=1.0)
+def test_steady_state_reports_residual_breach(model, rates, etas, monkeypatch):
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        return solve(a, b) * (1.0 + 1e-6 * np.arange(len(b)))
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(RuntimeError, match=r"steady state residual \d\.\d+e-\d+"):
+        steady_state(model, rates, etas)
+
+
+def test_steady_state_matches_detailed_balance_per_level(model, rates, etas, reservoir):
+    harmonic = OscillatorModel(1.0, 12, harmonic_deformation())
+    cases = [
+        (model, rates, etas),
+        (harmonic, rate_table(harmonic, reservoir), np.ones(12)),
+    ]
+    for theta in (3.6, 4.4):
+        cases.append((model, rate_table(model, ReservoirParams(theta=theta)), etas))
+    for case_model, table, case_etas in cases:
+        populations = np.diag(steady_state(case_model, table, case_etas)).real
+        predicted = detailed_balance_populations(table)
+        assert np.max(np.abs(populations / predicted - 1.0)) <= 1e-12
 
 
 def test_purity_values(model, rates, etas, rho_docs):
@@ -381,9 +475,10 @@ def test_shifts_preserve_trace_and_hermiticity(model, etas):
     table = rate_table(model, reservoir)
     assert np.any(table.delta2)
     rho = random_density(model.dim, 9)
-    derivative = liouvillian_apply(rho, model, table, etas)
+    gen = build_generator(model, table, etas)
+    derivative = gen.apply(rho)
     assert abs(np.trace(derivative)) < 1e-12
-    back = liouvillian_apply(rho.conj().T, model, table, etas)
+    back = gen.apply(rho.conj().T)
     assert np.max(np.abs(derivative.conj().T - back)) < 1e-13
 
 
@@ -394,8 +489,8 @@ def test_shifts_leave_populations_untouched(model, etas):
     )
     without = rate_table(model, ReservoirParams(theta=4.0, gamma_scale=0.5))
     rho = random_density(model.dim, 10)
-    d_with = liouvillian_apply(rho, model, with_shifts, etas)
-    d_without = liouvillian_apply(rho, model, without, etas)
+    d_with = build_generator(model, with_shifts, etas).apply(rho)
+    d_without = build_generator(model, without, etas).apply(rho)
     assert np.max(np.abs(np.diag(d_with) - np.diag(d_without))) < 1e-14
 
 
