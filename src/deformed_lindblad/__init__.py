@@ -13,7 +13,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .coherent_states import (
-    StateVector,
     alpha_for_mean_n,
     aocs,
     docs,
@@ -23,18 +22,13 @@ from .coherent_states import (
     to_density,
 )
 from .dissipator import (
-    EvolutionResult,
     IntegrationError,
-    RateTable,
     ReservoirParams,
     detailed_balance_populations,
-    gamma_of_n,
     integrate,
     mean_occupation,
-    planck_nbar,
     purity,
     rate_table,
-    shift_sensitivity,
     shift_table,
     steady_state,
 )
@@ -43,14 +37,12 @@ from .fock_algebra import (
     OscillatorModel,
     eigenoperator_residual,
     gap_frequencies,
-    gap_frequency,
     hamiltonian,
     harmonic_deformation,
     ladder_pair,
 )
 from .morse import (
     MorseParams,
-    MorseWavefunctionTable,
     dipole_element,
     eta,
     eta_values,
@@ -63,8 +55,6 @@ from .morse import (
 from .phasespace import (
     BesselAccuracyError,
     GridSpec,
-    WignerDiagnostics,
-    WignerGrid,
     bessel_k_complex_order,
     wigner_closed,
     wigner_diagnostics,
@@ -72,9 +62,6 @@ from .phasespace import (
 )
 from .runner import (
     ConfigError,
-    SampleRecord,
-    ScenarioResult,
-    SimulationConfig,
     parse_config,
     run_scenario,
     write_outputs,

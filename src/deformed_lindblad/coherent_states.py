@@ -74,7 +74,7 @@ def aocs(alpha: complex, model: OscillatorModel) -> StateVector:
     c = np.zeros(model.dim, dtype=complex)
     c[0] = 1.0
     for n in range(1, model.dim):
-        fn = model.deformation.f(n)
+        fn = math.sqrt(model.f2[n])
         if fn == 0.0:
             raise ValueError(
                 f"deformation '{model.deformation.label}' vanishes at level {n}; "

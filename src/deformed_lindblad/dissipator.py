@@ -56,11 +56,8 @@ __all__ = [
     "RateTable",
     "IntegrationError",
     "EvolutionResult",
-    "planck_nbar",
-    "gamma_of_n",
     "rate_table",
     "shift_table",
-    "shift_sensitivity",
     "jump_amplitudes",
     "build_generator",
     "integrate",
@@ -145,22 +142,6 @@ class IntegrationError(RuntimeError):
         self.drift = drift
 
 
-def planck_nbar(omega: float, reservoir: ReservoirParams, omega0: float = 1.0) -> float:
-    """Planck occupation 1 / (exp(theta omega / omega0) - 1)."""
-    if not omega > 0.0:
-        raise ValueError(f"frequency must be positive, got {omega}")
-    with np.errstate(over="ignore"):
-        return float(1.0 / np.expm1(reservoir.theta * omega / omega0))
-
-
-def gamma_of_n(n: int, model: OscillatorModel, reservoir: ReservoirParams) -> float:
-    """Generalized decay rate gamma(n) = gamma_scale (Omega(n)/omega0)^3 omega0."""
-    from .fock_algebra import gap_frequency
-
-    gap = gap_frequency(model, n)
-    return reservoir.gamma_scale * (gap / model.omega0) ** 3 * model.omega0
-
-
 def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     """Build K1..K4 (and shifts, when enabled) for every level of the model."""
     dim = model.dim
@@ -225,12 +206,11 @@ def shift_table(
     (w^3 / Omega^3) occupancy(w) / (Omega - w); delta1/delta4 use the
     stimulated-plus-spontaneous weight (nbar + 1), delta2/delta3 the thermal
     weight nbar.  delta1 and delta3 at level n sit at the lower gap
-    Omega(n-1) and are zero at n = 0 where no lower gap exists.
+    Omega(n-1) and are zero at n = 0 where no lower gap exists.  Requires
+    shifts_enabled; with shifts off, rate_table fills the deltas with zeros.
     """
     if not reservoir.shifts_enabled:
-        dim = model.dim
-        z = np.zeros(dim)
-        return z, z.copy(), z.copy(), z.copy()
+        raise ValueError("shift_table requires shifts_enabled")
     cutoff = float(reservoir.shift_cutoff) * model.omega0
     gaps = gap_frequencies(model)
     if cutoff <= np.max(gaps):
@@ -265,32 +245,6 @@ def shift_table(
     return d1, d2, d3, d4
 
 
-def shift_sensitivity(
-    model: OscillatorModel, reservoir: ReservoirParams
-) -> dict[str, float]:
-    """Max |delta(2 cutoff) - delta(cutoff)| per coefficient.
-
-    The integrals are cutoff-dependent by construction, so this diagnostic is
-    expected to be non-negligible; it quantifies how much physics the cutoff
-    convention is absorbing.
-    """
-    if not reservoir.shifts_enabled:
-        raise ValueError("shift sensitivity requires shifts_enabled")
-    doubled = ReservoirParams(
-        theta=reservoir.theta,
-        gamma_scale=reservoir.gamma_scale,
-        shifts_enabled=True,
-        shift_cutoff=2.0 * reservoir.shift_cutoff,
-    )
-    base = shift_table(model, reservoir)
-    wide = shift_table(model, doubled)
-    names = ("delta1", "delta2", "delta3", "delta4")
-    return {
-        name: float(np.max(np.abs(w - b)))
-        for name, b, w in zip(names, base, wide)
-    }
-
-
 def jump_amplitudes(model: OscillatorModel, eta_values: Sequence[float]) -> np.ndarray:
     """Transition amplitudes g(n) = eta(n) f(n+1) sqrt(n+1) for n = 0..dim-1.
 
@@ -305,33 +259,28 @@ def jump_amplitudes(model: OscillatorModel, eta_values: Sequence[float]) -> np.n
         raise ValueError(
             f"need eta values for levels 0..{model.dim - 1}, got {len(etas)}"
         )
-    g = np.zeros(model.dim)
-    for n in range(model.dim - 1):
-        g[n] = etas[n] * model.deformation.f(n + 1) * np.sqrt(n + 1.0)
-    return g
+    n = np.arange(1, model.dim)
+    return np.append(etas[:model.dim - 1] * np.sqrt(model.f2[1:model.dim]) * np.sqrt(n), 0.0)
 
 
 @dataclass(frozen=True)
 class _Generator:
-    """Precomputed pieces of the number-basis generator."""
+    """The number-basis generator as three complex coefficient arrays.
 
-    omega_diff: np.ndarray      # (E_m - E_n), real dim x dim
-    loss: np.ndarray            # K1 g(.-1)^2 + K2 g(.)^2 per level
-    gain_up: np.ndarray         # (K3(m)+K3(n)) g(m-1) g(n-1), valid for m,n >= 1
-    gain_down: np.ndarray       # (K4(m)+K4(n)) g(m) g(n), valid for m,n <= dim-2
-    shift_diff: np.ndarray | None
-    shift_up: np.ndarray | None
-    shift_down: np.ndarray | None
+    d rho_mn/dt = same[m, n] rho_mn + below[m, n] rho_{m-1,n-1}
+                  + above[m, n] rho_{m+1,n+1},
+    with below read for m, n >= 1 and above for m, n <= dim-2.  The shift
+    terms are folded in at build time; they are zero without shifts.
+    """
+
+    same: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        loss = self.loss
-        out = (-1j * self.omega_diff - (loss[:, None] + loss[None, :])) * rho
-        out[1:, 1:] += self.gain_up[1:, 1:] * rho[:-1, :-1]
-        out[:-1, :-1] += self.gain_down[:-1, :-1] * rho[1:, 1:]
-        if self.shift_diff is not None:
-            out += -1j * self.shift_diff * rho
-            out[1:, 1:] += -1j * self.shift_up[1:, 1:] * rho[:-1, :-1]
-            out[:-1, :-1] += -1j * self.shift_down[:-1, :-1] * rho[1:, 1:]
+        out = self.same * rho
+        out[1:, 1:] += self.below[1:, 1:] * rho[:-1, :-1]
+        out[:-1, :-1] += self.above[:-1, :-1] * rho[1:, 1:]
         return out
 
     def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,20 +291,16 @@ class _Generator:
         own under a tridiagonal matrix L_k of size dim - |k|.  Returns
         (rows, cols, L_k) with d/dt rho[rows, cols] = L_k @ rho[rows, cols].
         """
-        index = np.arange(len(self.loss) - abs(k))
+        index = np.arange(len(self.same) - abs(k))
         rows, cols = index + max(k, 0), index + max(-k, 0)
-        diag = -1j * self.omega_diff[rows, cols] - (self.loss[rows] + self.loss[cols])
-        up = self.gain_up[rows[1:], cols[1:]].astype(complex)
-        down = self.gain_down[rows[:-1], cols[:-1]].astype(complex)
-        if self.shift_diff is not None:
-            diag -= 1j * self.shift_diff[rows, cols]
-            up -= 1j * self.shift_up[rows[1:], cols[1:]]
-            down -= 1j * self.shift_down[rows[:-1], cols[:-1]]
-        return rows, cols, np.diag(diag) + np.diag(up, -1) + np.diag(down, 1)
+        diag = self.same[rows, cols]
+        below = self.below[rows[1:], cols[1:]]
+        above = self.above[rows[:-1], cols[:-1]]
+        return rows, cols, np.diag(diag) + np.diag(below, -1) + np.diag(above, 1)
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """block(k) for every coherence order, k = -(dim-1) .. dim-1."""
-        dim = len(self.loss)
+        dim = len(self.same)
         return [self.block(k) for k in range(1 - dim, dim)]
 
 
@@ -371,27 +316,23 @@ def build_generator(
     g2 = g * g
     g2_below = np.concatenate(([0.0], g2[:-1]))   # g(n-1)^2 with g(-1) = 0
     g_below = np.concatenate(([0.0], g[:-1]))
+    pair_below = np.outer(g_below, g_below)        # g(m-1) g(n-1)
+    pair = np.outer(g, g)                          # g(m) g(n)
 
     energies = np.diag(hamiltonian(model))
     omega_diff = energies[:, None] - energies[None, :]
     loss = rates.K1 * g2_below + rates.K2 * g2
-    gain_up = (rates.K3[:, None] + rates.K3[None, :]) * np.outer(g_below, g_below)
-    gain_down = (rates.K4[:, None] + rates.K4[None, :]) * np.outer(g, g)
+    gain_up = (rates.K3[:, None] + rates.K3[None, :]) * pair_below
+    gain_down = (rates.K4[:, None] + rates.K4[None, :]) * pair
 
-    shift_diff = shift_up = shift_down = None
-    if np.any(rates.delta1) or np.any(rates.delta2) or np.any(rates.delta3) or np.any(rates.delta4):
-        level_shift = rates.delta1 * g2_below + rates.delta2 * g2
-        shift_diff = level_shift[:, None] - level_shift[None, :]
-        shift_up = (rates.delta3[:, None] - rates.delta3[None, :]) * np.outer(g_below, g_below)
-        shift_down = (rates.delta4[:, None] - rates.delta4[None, :]) * np.outer(g, g)
+    level_shift = rates.delta1 * g2_below + rates.delta2 * g2
+    shift_diff = level_shift[:, None] - level_shift[None, :]
+    shift_up = (rates.delta3[:, None] - rates.delta3[None, :]) * pair_below
+    shift_down = (rates.delta4[:, None] - rates.delta4[None, :]) * pair
     return _Generator(
-        omega_diff=omega_diff,
-        loss=loss,
-        gain_up=gain_up,
-        gain_down=gain_down,
-        shift_diff=shift_diff,
-        shift_up=shift_up,
-        shift_down=shift_down,
+        same=-1j * omega_diff - (loss[:, None] + loss[None, :]) - 1j * shift_diff,
+        below=gain_up - 1j * shift_up,
+        above=gain_down - 1j * shift_down,
     )
 
 
@@ -517,8 +458,10 @@ def steady_state(
     relative to their neighbours; without it they come out as differences
     of much larger fluxes and lose their relative accuracy.  The result is
     then checked: the generator residual ||d rho/dt||_max must fall below
-    residual_tol AND every diagonal relative rate |dp_n/dt| / p_n below
-    relative_tol, or RuntimeError names the residual reached.
+    residual_tol AND the relative rate |dp_n/dt| / p_n below relative_tol
+    on every level with p_n > 0, or RuntimeError names the residual reached.
+    Levels whose population underflows to zero (extreme cold) have no
+    relative rate; the absolute residual still covers them.
     """
     if not np.any(rates.K1[1:]) and not np.any(rates.K4[:-1]):
         raise ValueError("steady state requires nonzero damping")
@@ -533,7 +476,9 @@ def steady_state(
 
     derivative = gen.apply(rho)
     residual = float(np.max(np.abs(derivative)))
-    relative = float(np.max(np.abs(np.diag(derivative).real) / np.diag(rho).real))
+    p = np.diag(rho).real
+    occupied = p > 0.0
+    relative = float(np.max(np.abs(np.diag(derivative).real[occupied]) / p[occupied]))
     if not (residual < residual_tol and relative < relative_tol):
         raise RuntimeError(
             f"steady state residual {residual:.3e} (tolerance {residual_tol}), "

@@ -11,6 +11,12 @@ and the spacing between adjacent levels is the gap frequency
 
     Omega(n) = (omega0 / 2) * ((n + 2) f^2(n + 2) - n f^2(n)).
 
+f(n_hat) is diagonal in the number basis, so on the truncated ladder it is
+a table of numbers: OscillatorModel calls the deformation once per level
+n = 0..dim+1 when it is constructed (Omega(dim-1) reaches f^2(dim+1)),
+rejects negative f^2 on 0..dim, and keeps the values as the read-only array
+``model.f2``.  Everything below reads that table.
+
 Everything here is a dense float matrix over the first ``dim`` number states.
 The untruncated algebra satisfies [H, A] = -Omega(n_hat) A exactly; after
 truncation, identities that touch the top edge are only guaranteed on the
@@ -19,8 +25,7 @@ interior block (rows/columns 0..dim-2).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,7 +36,6 @@ __all__ = [
     "harmonic_deformation",
     "ladder_pair",
     "hamiltonian",
-    "gap_frequency",
     "gap_frequencies",
     "eigenoperator_residual",
 ]
@@ -50,18 +54,6 @@ class DeformationFunction:
     f_squared: Callable[[int], float]
     label: str = "custom"
 
-    def f2(self, n: int) -> float:
-        return float(self.f_squared(n))
-
-    def f(self, n: int) -> float:
-        value = self.f2(n)
-        if value < 0.0:
-            raise ValueError(
-                f"deformation '{self.label}': f^2({n}) = {value} is negative; "
-                "level lies outside the physical ladder"
-            )
-        return math.sqrt(value)
-
 
 def harmonic_deformation() -> DeformationFunction:
     """The undeformed case f^2(n) = 1, which contracts to the textbook oscillator."""
@@ -75,33 +67,29 @@ class OscillatorModel:
     ``dim`` is the number of retained number states (indices 0..dim-1).  For
     a Morse-like ladder with N bound states set dim = N.  Frequencies are in
     units of 1/time; the default simulation convention is omega0 = 1.
+    ``f2`` holds f^2(n) for n = 0..dim+1, read-only.
     """
 
     omega0: float
     dim: int
     deformation: DeformationFunction
+    f2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"model dimension must be >= 2, got {self.dim}")
         if not self.omega0 > 0.0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-
-    def f2_values(self, upto: int) -> np.ndarray:
-        """f^2(n) for n = 0..upto inclusive."""
-        return np.array([self.deformation.f2(n) for n in range(upto + 1)])
-
-
-def _require_physical(model: OscillatorModel, upto: int) -> np.ndarray:
-    values = model.f2_values(upto)
-    bad = np.flatnonzero(values < 0.0)
-    if bad.size:
-        n = int(bad[0])
-        raise ValueError(
-            f"deformation '{model.deformation.label}': f^2({n}) = {values[n]} "
-            f"is negative inside the truncation (dim = {model.dim})"
-        )
-    return values
+        f2 = np.array([float(self.deformation.f_squared(n)) for n in range(self.dim + 2)])
+        bad = np.flatnonzero(f2[: self.dim + 1] < 0.0)
+        if bad.size:
+            n = int(bad[0])
+            raise ValueError(
+                f"deformation '{self.deformation.label}': f^2({n}) = {f2[n]} "
+                f"is negative inside the truncation (dim = {self.dim})"
+            )
+        f2.flags.writeable = False
+        object.__setattr__(self, "f2", f2)
 
 
 def ladder_pair(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +100,8 @@ def ladder_pair(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
     amplitude f(dim) sqrt(dim) that would leak past the top level is never
     referenced.
     """
-    f2 = _require_physical(model, model.dim)
     n = np.arange(1, model.dim)
-    amplitudes = np.sqrt(f2[1:model.dim] * n)
+    amplitudes = np.sqrt(model.f2[1:model.dim] * n)
     a = np.zeros((model.dim, model.dim))
     a[n - 1, n] = amplitudes
     return a, a.T.copy()
@@ -123,32 +110,24 @@ def ladder_pair(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
 def hamiltonian(model: OscillatorModel) -> np.ndarray:
     """Diagonal Hamiltonian with H_nn = (omega0/2)((n+1) f^2(n+1) + n f^2(n)).
 
-    The top entry n = dim-1 evaluates f^2(dim) through the deformation
-    function directly.
+    The top entry n = dim-1 reads f^2(dim), one level past the truncation.
     """
-    f2 = _require_physical(model, model.dim)
-    n = np.arange(model.dim)
-    diag = 0.5 * model.omega0 * ((n + 1) * f2[1:] + n * f2[:-1])
+    f2, dim = model.f2, model.dim
+    n = np.arange(dim)
+    diag = 0.5 * model.omega0 * ((n + 1) * f2[1:dim + 1] + n * f2[:dim])
     return np.diag(diag)
 
 
-def gap_frequency(model: OscillatorModel, n: int) -> float:
-    """Energy spacing Omega(n) = (omega0/2)((n+2) f^2(n+2) - n f^2(n)).
+def gap_frequencies(model: OscillatorModel) -> np.ndarray:
+    """Omega(n) = (omega0/2)((n+2) f^2(n+2) - n f^2(n)) for n = 0..dim-1.
 
     Physically meaningful for 0 <= n <= dim-2 (the spacing between retained
-    levels n+1 and n); the value at n = dim-1 is computable from the
-    deformation function but refers to the first level beyond the truncation.
+    levels n+1 and n); the entry at n = dim-1 reads f^2(dim+1) and refers to
+    the first level beyond the truncation.
     """
-    if n < 0:
-        raise ValueError(f"level must be non-negative, got {n}")
-    f2n = model.deformation.f2(n)
-    f2n2 = model.deformation.f2(n + 2)
-    return 0.5 * model.omega0 * ((n + 2) * f2n2 - n * f2n)
-
-
-def gap_frequencies(model: OscillatorModel) -> np.ndarray:
-    """Omega(n) for n = 0..dim-1 as an array."""
-    return np.array([gap_frequency(model, n) for n in range(model.dim)])
+    f2, dim = model.f2, model.dim
+    n = np.arange(dim)
+    return 0.5 * model.omega0 * ((n + 2) * f2[2:dim + 2] - n * f2[:dim])
 
 
 def eigenoperator_residual(model: OscillatorModel) -> float:

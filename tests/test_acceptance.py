@@ -94,7 +94,7 @@ def test_criterion_2_harmonic_limit_oracle():
     rates = dl.rate_table(model, reservoir)
     rho0 = dl.to_density(dl.aocs(math.sqrt(2.0), model))
     n0 = dl.mean_occupation(rho0)
-    nbar = dl.planck_nbar(1.0, reservoir)
+    nbar = 1.0 / math.expm1(reservoir.theta)
     times = [0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0]
     result = dl.integrate(rho0, model, rates, np.ones(30), 40.0, 1e-3, times)
     worst = 0.0

@@ -6,7 +6,6 @@ from deformed_lindblad import (
     OscillatorModel,
     eigenoperator_residual,
     gap_frequencies,
-    gap_frequency,
     hamiltonian,
     harmonic_deformation,
     ladder_pair,
@@ -33,9 +32,36 @@ def test_raising_is_transpose(model):
 
 def test_negative_deformation_rejected():
     bad = DeformationFunction(lambda n: 1.0 - 0.3 * n, label="steep")
-    model = OscillatorModel(1.0, 6, bad)
     with pytest.raises(ValueError, match=r"f\^2\(4\)"):
-        ladder_pair(model)
+        OscillatorModel(1.0, 6, bad)
+
+
+def test_deformation_tabulated_once_per_level():
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return 1.0 - 0.01 * n
+
+    model = OscillatorModel(1.0, 7, DeformationFunction(counted, "counted"))
+    assert calls == list(range(9))
+    assert np.array_equal(model.f2, 1.0 - 0.01 * np.arange(9))
+    ladder_pair(model)
+    hamiltonian(model)
+    gap_frequencies(model)
+    eigenoperator_residual(model)
+    assert len(calls) == model.dim + 2
+    assert not model.f2.flags.writeable
+    with pytest.raises(ValueError):
+        model.f2[0] = 2.0
+
+
+def test_negative_f2_past_the_truncation_is_allowed():
+    # f^2(dim + 1) only enters the gap Omega(dim - 1) beyond the top level
+    steep = DeformationFunction(lambda n: 1.0 - 0.2 * n, label="steep")
+    model = OscillatorModel(1.0, 5, steep)
+    assert model.f2[-1] < 0.0
+    assert gap_frequencies(model)[-1] < 0.0
 
 
 def test_harmonic_hamiltonian_matches_textbook():
@@ -65,27 +91,25 @@ def test_hamiltonian_is_real_diagonal(model):
 
 def test_gap_frequency_harmonic():
     model = OscillatorModel(1.0, 10, harmonic_deformation())
-    for n in range(9):
-        assert gap_frequency(model, n) == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(gap_frequencies(model) - 1.0)) <= 1e-15
 
 
 def test_gap_frequency_morse(model):
-    assert gap_frequency(model, 0) == pytest.approx(29.0 / 31.0, abs=1e-14)
-    assert gap_frequency(model, 14) == pytest.approx(1.0 / 31.0, abs=1e-14)
+    gaps = gap_frequencies(model)
+    assert gaps[0] == pytest.approx(29.0 / 31.0, abs=1e-14)
+    assert gaps[14] == pytest.approx(1.0 / 31.0, abs=1e-14)
     # closed form omega0 (1 - 2 chi (n+1))
     chi = 1.0 / 31.0
-    for n in range(model.dim):
-        assert gap_frequency(model, n) == pytest.approx(
-            1.0 - 2.0 * chi * (n + 1), abs=1e-13
-        )
+    n = np.arange(model.dim)
+    assert np.max(np.abs(gaps - (1.0 - 2.0 * chi * (n + 1)))) <= 1e-13
 
 
 def test_commutator_identity_interior(model):
     a, ad = ladder_pair(model)
     comm = a @ ad - ad @ a
-    f2 = model.f2_values(model.dim)
+    f2 = model.f2
     n = np.arange(model.dim)
-    expected = (n + 1) * f2[1:] - n * f2[:-1]
+    expected = (n + 1) * f2[1:-1] - n * f2[:-2]
     interior = slice(0, model.dim - 1)
     assert np.max(np.abs(np.diag(comm)[interior] - expected[interior])) < 1e-13
 
@@ -112,9 +136,12 @@ def test_eigenoperator_residual_random_deformations():
 
 
 def test_gap_frequencies_vector(model):
+    # entry by entry from the f^2 table: (omega0/2)((n+2) f^2(n+2) - n f^2(n))
     gaps = gap_frequencies(model)
     assert len(gaps) == model.dim
-    assert gaps[0] == gap_frequency(model, 0)
+    for n in range(model.dim):
+        f2n, f2n2 = float(model.f2[n]), float(model.f2[n + 2])
+        assert gaps[n] == 0.5 * model.omega0 * ((n + 2) * f2n2 - n * f2n)
 
 
 def test_model_validation():

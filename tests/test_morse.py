@@ -7,9 +7,11 @@ from scipy.special import eval_genlaguerre
 
 from deformed_lindblad import (
     MorseParams,
+    OscillatorModel,
     dipole_element,
     eta,
     eta_values,
+    gap_frequencies,
     hamiltonian,
     morse_deformation,
     morse_energy,
@@ -29,20 +31,19 @@ def test_params_pin_chi():
         MorseParams(1)
 
 
-def test_deformation_values(params):
-    f = morse_deformation(params)
-    assert f.f2(0) == pytest.approx(1.0, abs=1e-15)
-    assert f.f2(14) == pytest.approx(17.0 / 31.0, abs=1e-15)
-    assert f.f2(31) == pytest.approx(0.0, abs=1e-15)
+def test_deformation_values(params, model):
+    assert model.f2[0] == pytest.approx(1.0, abs=1e-15)
+    assert model.f2[14] == pytest.approx(17.0 / 31.0, abs=1e-15)
+    # the zero at n = 2N + 1 lies past the truncation; a 30-level model reaches it
+    wide = OscillatorModel(1.0, 30, morse_deformation(params))
+    assert wide.f2[31] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_values(params, model):
     assert morse_energy(params, 0) == pytest.approx(0.5 - 0.25 / 31.0, abs=1e-15)
     # adjacent gap matches the algebraic gap frequency
-    from deformed_lindblad import gap_frequency
-
     assert morse_energy(params, 1) - morse_energy(params, 0) == pytest.approx(
-        gap_frequency(model, 0), abs=1e-14
+        gap_frequencies(model)[0], abs=1e-14
     )
     with pytest.raises(ValueError):
         morse_energy(params, 15)
@@ -78,15 +79,15 @@ def test_eta_harmonic_limit():
         assert eta(big, n) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_dipole_ratio_matches_eta_route(params):
+def test_dipole_ratio_matches_eta_route(params, model):
     # both routes realize the same coupling up to one global scale
-    f = morse_deformation(params)
+    f2 = model.f2
     base_d = dipole_element(params, 0)
-    base_e = eta(params, 0) * math.sqrt(f.f2(1))
+    base_e = eta(params, 0) * math.sqrt(f2[1])
     for n in range(14):
         ratio_d = dipole_element(params, n) / base_d
         ratio_e = (
-            eta(params, n) * math.sqrt(f.f2(n + 1) * (n + 1))
+            eta(params, n) * math.sqrt(f2[n + 1] * (n + 1))
         ) / base_e
         assert ratio_d == pytest.approx(ratio_e, abs=1e-9)
 
