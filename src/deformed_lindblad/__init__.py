@@ -50,7 +50,6 @@ from .morse import (
     morse_energy,
     morse_model,
     morse_wavefunction,
-    wavefunction_table,
 )
 from .phasespace import (
     BesselAccuracyError,

@@ -10,7 +10,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cli_selftest import run_selftest
 from .dissipator import IntegrationError
 from .phasespace import BesselAccuracyError
 from .runner import ConfigError, parse_config, run_scenario, write_outputs
@@ -31,17 +30,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="flat key = value config file")
     run.add_argument("--output-dir", default=None, help="override output directory")
     run.add_argument("--scenario", default=None, help="override the scenario name")
-
-    sub.add_parser("selftest", help="run the fast numerical invariant suite")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selftest":
-        ok = run_selftest()
-        return EXIT_OK if ok else EXIT_NUMERICAL
-
     try:
         source = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

@@ -32,12 +32,15 @@ A caution on positivity: this generator is Lindblad-like but not completely
 positive.  Its gain terms weight the sandwich F rho F^dag by the arithmetic
 mean of the rates at the two levels involved, where a completely positive
 generator would carry the geometric mean.  States with coherences therefore
-acquire a small transient negative eigenvalue, below 1e-3 in magnitude in
-the worst measured case (even cat, theta = 4, 15 levels, gamma_scale <= 2)
-and vanishing in the harmonic limit where the rates are level independent.
-Trace and Hermiticity are conserved exactly.  integrate aborts only
-when an eigenvalue falls below EIG_ABORT_FLOOR, which is set well outside
-that intrinsic band so it still catches genuine numerical breakage.
+acquire a transient negative eigenvalue that vanishes in the harmonic limit,
+where the rates are level independent.  At 15 levels it stays below 1e-3
+in magnitude in the worst measured case (even cat, theta = 4,
+gamma_scale <= 2).  That bound does not carry over to other ladders or to
+shifts: even cat at 10 levels reaches -1.153e-2 at t = 1, and aocs with
+shifts on (cutoff 40) reaches -2.329e-2 at t = 4, both at the default
+gamma_scale.  Trace and Hermiticity are conserved exactly.  integrate
+aborts when an eigenvalue falls below EIG_ABORT_FLOOR, which sits an order
+of magnitude outside the 15-level band, so those two runs abort.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ __all__ = [
 TRACE_TOL = 1e-9
 TRACE_ABORT = 1e-7
 HERMITICITY_TOL = 1e-10
-# Abort threshold for negative eigenvalues.  The generator itself produces
-# transient negativity up to about 1e-3 on coherent states (see the module
-# docstring), so the abort floor sits an order of magnitude below that band
-# rather than at round-off scale.
+# Abort threshold for negative eigenvalues.  At 15 levels the generator
+# itself produces transient negativity up to about 1e-3 on coherent states
+# (see the module docstring), so the abort floor sits an order of magnitude
+# below that band rather than at round-off scale.
 EIG_ABORT_FLOOR = -1e-2
 
 # Damping prefactor with every physical constant in the decay-rate

@@ -30,7 +30,6 @@ from .fock_algebra import DeformationFunction, OscillatorModel
 
 __all__ = [
     "MorseParams",
-    "MorseWavefunctionTable",
     "morse_deformation",
     "morse_model",
     "morse_energy",
@@ -38,7 +37,6 @@ __all__ = [
     "eta_values",
     "dipole_element",
     "morse_wavefunction",
-    "wavefunction_table",
 ]
 
 # exp() underflows to zero below this; used to short-circuit dead tails
@@ -197,49 +195,6 @@ def morse_wavefunction(params: MorseParams, n: int, r) -> np.ndarray | float:
         xi_a = xi[alive]
         psi[alive] = np.exp(log_env[alive]) * _laguerre(n, 2.0 * power, xi_a)
     return float(psi[0]) if scalar else psi
-
-
-@dataclass(frozen=True)
-class MorseWavefunctionTable:
-    """Sampled bound-state wavefunctions on a common position grid.
-
-    values[n] holds psi_n on grid_r.  Construction via wavefunction_table
-    checks that every level decays at both grid ends; orthonormality on the
-    grid is available as a residual for tests.
-    """
-
-    grid_r: np.ndarray
-    values: np.ndarray
-
-    def orthonormality_residual(self) -> float:
-        """Max |<psi_n|psi_m> - delta_nm| under trapezoid quadrature."""
-        overlaps = np.zeros((len(self.values), len(self.values)))
-        for i, vi in enumerate(self.values):
-            for j, vj in enumerate(self.values):
-                overlaps[i, j] = np.trapezoid(vi * vj, self.grid_r)
-        return float(np.max(np.abs(overlaps - np.eye(len(self.values)))))
-
-
-def wavefunction_table(
-    params: MorseParams, grid_r: np.ndarray, tail_fraction: float = 1e-8
-) -> MorseWavefunctionTable:
-    """Tabulate psi_0..psi_{N-1} on grid_r, verifying decay at both ends."""
-    grid_r = np.asarray(grid_r, dtype=float)
-    if grid_r.ndim != 1 or grid_r.size < 2 or np.any(np.diff(grid_r) <= 0):
-        raise ValueError("grid_r must be a strictly increasing 1-d array")
-    values = np.stack(
-        [morse_wavefunction(params, n, grid_r) for n in range(params.n_bound)]
-    )
-    peaks = np.max(np.abs(values), axis=1)
-    edges = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
-    bad = np.flatnonzero(edges > tail_fraction * peaks)
-    if bad.size:
-        n = int(bad[0])
-        raise ValueError(
-            f"grid too small: psi_{n} has edge magnitude {edges[n]:.3e} "
-            f"(> {tail_fraction:g} of peak {peaks[n]:.3e})"
-        )
-    return MorseWavefunctionTable(grid_r=grid_r, values=values)
 
 
 def _check_level(params: MorseParams, n: int, n_max: int) -> None:

@@ -226,6 +226,8 @@ def bessel_k_complex_order(
     """
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got x = {x}")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     nu = complex(nu)
     t_max = _tail_cutoff(x, nu.real)
     edges = _panel_edges(t_max, x, abs(nu.imag))
@@ -441,6 +443,8 @@ def wigner_closed(
     The Bessel tensor at each refinement level does not depend on rho; it is
     built once per (params, grid, hbar, level) and reused by later calls.
     """
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     grid = grid or GridSpec()
     big_n = params.n_bound
     rho = np.asarray(rho, dtype=complex)
@@ -527,6 +531,8 @@ def wigner_direct_oracle(
     wavefunction tails fall below 1e-12 of their peak.  Reference
     implementation for testing, not tuned for speed.
     """
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     grid = grid or GridSpec()
     big_n = params.n_bound
     rho = np.asarray(rho, dtype=complex)

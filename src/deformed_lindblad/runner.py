@@ -25,6 +25,7 @@ from .coherent_states import (
     to_density,
 )
 from .dissipator import (
+    DEFAULT_GAMMA_SCALE,
     ReservoirParams,
     integrate,
     purity,
@@ -62,7 +63,7 @@ class ConfigError(ValueError):
 class SimulationConfig:
     n_bound: int = 15
     theta: float = 4.0
-    gamma_scale: float = 4.0 / 3.0
+    gamma_scale: float = DEFAULT_GAMMA_SCALE
     scenario: str = "docs"
     target_mean_n: float = 2.0
     t_samples: tuple[float, ...] | None = None
@@ -83,6 +84,17 @@ class SimulationConfig:
             return self.t_samples
         return DEFAULT_T_SAMPLES[self.scenario]
 
+    def morse_params(self) -> MorseParams:
+        return MorseParams(n_bound=self.n_bound)
+
+    def reservoir(self) -> ReservoirParams:
+        return ReservoirParams(
+            theta=self.theta,
+            gamma_scale=self.gamma_scale,
+            shifts_enabled=self.shifts_enabled,
+            shift_cutoff=self.shift_cutoff,
+        )
+
     def grid(self) -> GridSpec:
         return GridSpec(
             r_min=self.r_min, r_max=self.r_max, n_r=self.n_r,
@@ -94,12 +106,12 @@ class SimulationConfig:
             raise ConfigError(
                 f"unknown scenario '{self.scenario}' (choose from {', '.join(SCENARIOS)})"
             )
-        if self.n_bound < 2:
-            raise ConfigError(f"n_bound must be >= 2, got {self.n_bound}")
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if self.gamma_scale < 0:
-            raise ConfigError(f"gamma_scale must be >= 0, got {self.gamma_scale}")
+        try:
+            self.morse_params()
+            self.reservoir()
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         samples = self.resolved_t_samples()
@@ -107,14 +119,13 @@ class SimulationConfig:
             raise ConfigError("t_samples must contain at least one time")
         if any(t < 0 for t in samples) or list(samples) != sorted(samples):
             raise ConfigError(f"t_samples must be sorted and non-negative: {samples}")
-        if self.shifts_enabled and self.shift_cutoff is None:
-            raise ConfigError("shift_cutoff is required when shifts_enabled = true")
+        # sorted samples put any two that share a file name side by side
+        names = [_snapshot_name(t) for t in samples]
+        for earlier, later in zip(names, names[1:]):
+            if earlier == later:
+                raise ConfigError(f"t_samples {samples} write {later} more than once")
         if self.scenario == "custom_rho" and not self.rho_path:
             raise ConfigError("scenario custom_rho requires rho_path")
-        try:
-            self.grid()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -206,7 +217,10 @@ def _initial_state(config: SimulationConfig, params: MorseParams, model):
     """Build the scenario's initial density matrix and its metadata entries."""
     meta: dict[str, str] = {}
     if config.scenario == "custom_rho":
-        rho = np.asarray(np.load(config.rho_path), dtype=complex)
+        try:
+            rho = np.asarray(np.load(config.rho_path), dtype=complex)
+        except (OSError, ValueError, EOFError) as exc:
+            raise ConfigError(f"cannot load rho_path {config.rho_path}: {exc}") from exc
         if rho.shape != (model.dim, model.dim):
             raise ConfigError(
                 f"rho from {config.rho_path} has shape {rho.shape}, "
@@ -236,16 +250,10 @@ def _initial_state(config: SimulationConfig, params: MorseParams, model):
 def run_scenario(config: SimulationConfig) -> ScenarioResult:
     """Run one scenario end to end; deterministic for identical configs."""
     config.validate()
-    params = MorseParams(n_bound=config.n_bound)
+    params = config.morse_params()
     model = morse_model(params)
     etas = eta_values(params)
-    reservoir = ReservoirParams(
-        theta=config.theta,
-        gamma_scale=config.gamma_scale,
-        shifts_enabled=config.shifts_enabled,
-        shift_cutoff=config.shift_cutoff,
-    )
-    rates = rate_table(model, reservoir)
+    rates = rate_table(model, config.reservoir())
     rho0, state_meta = _initial_state(config, params, model)
 
     samples = config.resolved_t_samples()
@@ -299,8 +307,8 @@ def _format_config_value(value) -> str:
     return str(value)
 
 
-def _format_time(t: float) -> str:
-    return f"{t:g}"
+def _snapshot_name(t: float) -> str:
+    return f"wigner_t{t:g}.csv"
 
 
 def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str, int]]:
@@ -327,7 +335,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
         for i, r in enumerate(grid.r_axis):
             for j, p in enumerate(grid.p_axis):
                 lines.append(f"{r:.12g},{p:.12g},{grid.values[i, j]:.12g}")
-        name = f"wigner_t{_format_time(grid.time)}.csv"
+        name = _snapshot_name(grid.time)
         manifest.append(_write_text(out / name, "\n".join(lines) + "\n"))
 
     meta_lines = [f"{key} = {value}" for key, value in sorted(result.metadata.items())]

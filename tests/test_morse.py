@@ -17,7 +17,6 @@ from deformed_lindblad import (
     morse_energy,
     morse_model,
     morse_wavefunction,
-    wavefunction_table,
 )
 from deformed_lindblad.morse import _laguerre
 
@@ -142,16 +141,15 @@ def test_wavefunction_deep_wall_underflows(params):
 
 
 def test_wavefunction_table_invariants(params):
-    table = wavefunction_table(params, np.linspace(-3.0, 30.0, 8001))
-    assert table.orthonormality_residual() < 1e-6
-    peaks = np.max(np.abs(table.values), axis=1)
-    edges = np.maximum(np.abs(table.values[:, 0]), np.abs(table.values[:, -1]))
+    # every bound state on one grid: trapezoid Gram matrix is the identity,
+    # and each state has decayed at both grid ends
+    r = np.linspace(-3.0, 30.0, 8001)
+    table = np.stack([morse_wavefunction(params, n, r) for n in range(params.n_bound)])
+    gram = np.trapezoid(table[:, None, :] * table[None, :, :], r, axis=-1)
+    assert np.max(np.abs(gram - np.eye(params.n_bound))) < 1e-6
+    peaks = np.max(np.abs(table), axis=1)
+    edges = np.maximum(np.abs(table[:, 0]), np.abs(table[:, -1]))
     assert np.all(edges < 1e-8 * peaks)
-
-
-def test_wavefunction_table_rejects_small_grid(params):
-    with pytest.raises(ValueError, match="grid too small"):
-        wavefunction_table(params, np.linspace(-1.0, 6.0, 400))
 
 
 def test_wavefunctions_solve_schroedinger(params):

@@ -77,6 +77,18 @@ def test_bessel_rejects_nonpositive_argument():
         bessel_k_complex_order(1.0, -2.0)
 
 
+def test_refinement_needs_at_least_one_level(params, fock_state):
+    rho = fock_state(0)
+    calls = [
+        lambda: bessel_k_complex_order(0.5, 1.0, max_levels=0),
+        lambda: wigner_closed(rho, params, SMALL_GRID, max_levels=0),
+        lambda: wigner_direct_oracle(rho, params, SMALL_GRID, max_levels=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="max_levels must be >= 1"):
+            call()
+
+
 def test_ground_state_closed_matches_oracle(params, fock_state):
     rho = fock_state(0)
     closed = wigner_closed(rho, params, SMALL_GRID)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ def test_validation_catches_bad_samples():
         parse_config("shifts_enabled = true")
     with pytest.raises(ConfigError, match="rho_path"):
         parse_config("scenario = custom_rho")
+
+
+@pytest.mark.parametrize(
+    "samples, name",
+    [
+        ("0, 1.0000001, 1.0000002", "wigner_t1.csv"),
+        ("0, 1, 1", "wigner_t1.csv"),
+        ("0, 2.5, 2.5000001, 4", "wigner_t2.5.csv"),
+    ],
+)
+def test_snapshot_file_collision_rejected(samples, name):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_config(f"t_samples = {samples}")
 
 
 def test_run_scenario_docs_fast():
@@ -217,7 +231,21 @@ def test_cli_numerical_breach_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(config_path)]) == 3
 
 
-def test_cli_selftest_passes(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+def test_cli_unloadable_rho_path_is_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.npy"
+    empty.write_bytes(b"")
+    for path in (tmp_path / "absent.npy", empty):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"scenario = custom_rho\nrho_path = {path}\nt_samples = 0\n" + FAST_GRID
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"cannot load rho_path {path}" in capsys.readouterr().err
+
+
+def test_cli_selftest_rejected(capsys):
+    # the invariant suite is pytest; there is no selftest subcommand
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
