@@ -33,14 +33,17 @@ positive.  Its gain terms weight the sandwich F rho F^dag by the arithmetic
 mean of the rates at the two levels involved, where a completely positive
 generator would carry the geometric mean.  States with coherences therefore
 acquire a transient negative eigenvalue that vanishes in the harmonic limit,
-where the rates are level independent.  At 15 levels it stays below 1e-3
-in magnitude in the worst measured case (even cat, theta = 4,
-gamma_scale <= 2).  That bound does not carry over to other ladders or to
-shifts: even cat at 10 levels reaches -1.153e-2 at t = 1, and aocs with
-shifts on (cutoff 40) reaches -2.329e-2 at t = 4, both at the default
-gamma_scale.  Trace and Hermiticity are conserved exactly.  integrate
-aborts when an eigenvalue falls below EIG_ABORT_FLOOR, which sits an order
-of magnitude outside the 15-level band, so those two runs abort.
+where the rates are level independent.  At 15 levels and theta = 4 it
+stays below 1e-3 in magnitude in the worst measured case (even cat,
+gamma_scale <= 2).  That bound carries over neither to other ladders, nor
+to colder reservoirs, nor to shifts.  At the default gamma_scale, even cat
+at 10 levels reaches -1.153e-2 at t = 1; the default docs run reaches
+-4.6e-3 at theta = 6, -9.8e-3 at theta = 10 and -1.014e-2 at t = 1 from
+theta = 18 on (theta = inf included); aocs with shifts on (cutoff 40)
+reaches -2.329e-2 at t = 4.  Trace and Hermiticity are conserved exactly.
+integrate aborts when an eigenvalue falls below EIG_ABORT_FLOOR, an order
+of magnitude outside the band at 15 levels and theta = 4, so the 10-level
+even cat, the shifted aocs and docs from theta = 12 on abort.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ __all__ = [
 TRACE_TOL = 1e-9
 TRACE_ABORT = 1e-7
 HERMITICITY_TOL = 1e-10
-# Abort threshold for negative eigenvalues.  At 15 levels the generator
-# itself produces transient negativity up to about 1e-3 on coherent states
-# (see the module docstring), so the abort floor sits an order of magnitude
-# below that band rather than at round-off scale.
+# Abort threshold for negative eigenvalues.  At 15 levels and theta = 4 the
+# generator itself produces transient negativity up to about 1e-3 on coherent
+# states (see the module docstring), so the abort floor sits an order of
+# magnitude below that band rather than at round-off scale.
 EIG_ABORT_FLOOR = -1e-2
 
 # Damping prefactor with every physical constant in the decay-rate
@@ -106,8 +109,10 @@ class ReservoirParams:
     def __post_init__(self) -> None:
         if not self.theta > 0.0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.gamma_scale < 0.0:
-            raise ValueError(f"gamma_scale must be >= 0, got {self.gamma_scale}")
+        if not 0.0 <= self.gamma_scale < np.inf:
+            raise ValueError(f"gamma_scale must be finite and >= 0, got {self.gamma_scale}")
+        if self.shift_cutoff is not None and not np.isfinite(self.shift_cutoff):
+            raise ValueError(f"shift_cutoff must be finite, got {self.shift_cutoff}")
         if self.shifts_enabled and self.shift_cutoff is None:
             raise ValueError("shift_cutoff is required when shifts_enabled")
 
@@ -398,13 +403,13 @@ def integrate(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
+    if not t_final >= 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     if sample_times is None:
         sample_times = [0.0, t_final] if t_final > 0.0 else [0.0]
     samples = [float(t) for t in sample_times]
-    if any(t < 0.0 for t in samples) or sorted(samples) != samples:
-        raise ValueError(f"sample times must be sorted and non-negative: {samples}")
+    if not all(0.0 <= t < np.inf for t in samples) or sorted(samples) != samples:
+        raise ValueError(f"sample times must be finite, sorted and non-negative: {samples}")
     if samples and samples[-1] > t_final + 1e-12:
         raise ValueError(
             f"last sample time {samples[-1]} exceeds t_final {t_final}"

@@ -9,7 +9,9 @@ Two independent routes to the same function:
 
       K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt,   x > 0,
 
-  which is valid for arbitrary complex order.
+  which is valid for arbitrary complex order.  The sum is linear in rho;
+  its term table and Bessel tensor do not depend on rho and are cached, so
+  a snapshot contracts rho with the table and the result with the tensor.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
@@ -288,97 +290,65 @@ def _k_tensor_level(
     return real, imag
 
 
-def _closed_coefficients(
-    rho: np.ndarray, params: MorseParams, xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order-resolved coefficients of the closed-form Bessel sum, per r point.
+# One read-only longdouble array of shape (N, N, n_r, N) per (params, grid),
+# 16 N^2 n_r N bytes: 6.2 MiB at the default, 21 MiB at 401 x 401, 50 MiB at N = 30.
+@functools.lru_cache(maxsize=2)
+def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
+    """Rho-independent weights of the closed-form Bessel sum, per r point.
 
-    For the ordered level pair (n, m) the inner sums run over j = 0..m and
-    k = 0..n with Bessel order D = (n - m) + s where s = j - k.  Along a
-    fixed anti-diagonal s the sign (-xi)^(j+k) = (-1)^s xi^(j+k) is constant,
-    so each group
+    terms[n, m, x, D] is the weight of rho_nm at Bessel order +D for
+    D = 0..N-1.  For the ordered level pair (n, m) the inner sums run over
+    j = 0..m and k = 0..n with Bessel order D = (n - m) + s where s = j - k.
+    Along a fixed anti-diagonal s the sign (-xi)^(j+k) = (-1)^s xi^(j+k) is
+    constant, so each group
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
     is a sum of positive terms built from exact integer combinatorics.
     Swapping (n, m) maps s to -s and negates D with identical magnitudes, so
-    only unordered pairs are walked; rho_mn rides along unconjugated so a
-    non-Hermitian input surfaces in the imaginary residue check rather than
-    being silently symmetrized.
+    the weight of rho_nm at order -D is the weight of rho_mn at +D: the
+    table holds D >= 0 only, and wigner_closed contracts it once with rho
+    and once with its transpose.  Both contractions reach column D = 0, so
+    it is halved (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
-    window, which exhausts double precision but leaves extended precision
-    with ten spare digits.  Longdouble range (1e4932) also removes any need
-    for log-space scaling of the xi powers.
-
-    Returns (c_pos, c_neg) of shape (len(xi), N), complex longdouble:
-    c_pos[x, D] collects orders +D, c_neg[x, D] orders -D (column 0 unused).
+    window, which leaves extended precision ten spare digits, and its range
+    (1e4932) removes any need for log-space scaling of the xi powers.
     """
+    xi = _closed_axes(params, grid, 1.0)[0]    # xi does not depend on hbar
     big_n = params.n_bound
     two_n = 2 * big_n
     k_total = params.k
-    n_x = len(xi)
 
     factorial = [math.factorial(i) for i in range(two_n + 1)]
     # norms[n] = N_n / sqrt(beta) = sqrt(n! (k - 2n - 1) / (k - n - 1)!)
     norms = [
-        np.sqrt(
-            _ld_int(factorial[n] * (k_total - 2 * n - 1)) / _ld_int(factorial[k_total - n - 1])
-        )
+        np.sqrt(_ld_int(factorial[n] * (k_total - 2 * n - 1)) / _ld_int(factorial[k_total - n - 1]))
         for n in range(big_n)
     ]
     beta_ld = _LD(params.beta)
 
-    c_pos = np.zeros((n_x, big_n), dtype=np.clongdouble)
-    c_neg = np.zeros((n_x, big_n), dtype=np.clongdouble)
+    terms = np.zeros((big_n, big_n, len(xi), big_n), dtype=_LD)
     xi_sq = xi * xi
-
     for n in range(big_n):
-        for m in range(n + 1):
-            rho_nm = rho[n, m]
-            rho_mn = rho[m, n]
-            if rho_nm == 0.0 and rho_mn == 0.0:
-                continue
+        for m in range(big_n):
             pair = beta_ld * norms[n] * norms[m] * xi ** _LD(two_n - n - m)
-            s_lo = -n if n > m else 0     # s < 0 on the diagonal mirrors s > 0
-            for s in range(s_lo, m + 1):
+            for s in range(m - n, m + 1):
                 k_start = max(0, -s)
-                k_stop = min(n, m - s)
-                if k_stop < k_start:
-                    continue
                 # Horner over k of the positive series G_s; exact integer
                 # weights C(2N-m, m-j) C(2N-n, n-k) / (j! k!) with j = s + k
-                value = np.zeros(n_x, dtype=_LD)
-                for k in range(k_stop, k_start - 1, -1):
+                value = np.zeros(len(xi), dtype=_LD)
+                for k in range(m - s, k_start - 1, -1):
                     coef = _ld_int(
                         math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k)
                     ) / _ld_int(factorial[s + k] * factorial[k])
                     value = value * xi_sq + coef
                 value *= xi ** _LD(s + 2 * k_start)
-                x = pair * value
-                if s % 2:
-                    x = -x
-                if n == m:
-                    c_pos[:, s] += rho_nm * x
-                    if s > 0:
-                        # G is symmetric in the sign of s on the diagonal;
-                        # reuse x so the +D and -D partners pair bitwise
-                        c_neg[:, s] += rho_nm * x
-                    continue
-                order = n - m + s
-                if order == 0:
-                    # conjugate partners summed before accumulating, so a
-                    # Hermitian rho keeps this column exactly real while a
-                    # broken one still shows up in the residue check
-                    c_pos[:, 0] += (rho_nm + rho_mn) * x
-                elif order > 0:
-                    c_pos[:, order] += rho_nm * x
-                    c_neg[:, order] += rho_mn * x
-                else:
-                    c_neg[:, -order] += rho_nm * x
-                    c_pos[:, -order] += rho_mn * x
-    return c_pos, c_neg
+                terms[n, m, :, n - m + s] = (-pair if s % 2 else pair) * value
+    terms[..., 0] *= 0.5
+    terms.setflags(write=False)
+    return terms
 
 
 def _closed_axes(
@@ -440,8 +410,8 @@ def wigner_closed(
     larger residue means the order pairing (or the input density matrix) is
     broken, and raises rather than being discarded.
 
-    The Bessel tensor at each refinement level does not depend on rho; it is
-    built once per (params, grid, hbar, level) and reused by later calls.
+    The term table (per params, grid) and the Bessel tensor (per params,
+    grid, hbar, level) do not depend on rho; later calls reuse them.
     """
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
@@ -451,9 +421,14 @@ def wigner_closed(
     if rho.shape != (big_n, big_n):
         raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
     r_axis, p_axis = grid.axes()
-    xi, _, inverse, negative_b, _ = _closed_axes(params, grid, hbar)
+    _, _, inverse, negative_b, _ = _closed_axes(params, grid, hbar)
 
-    c_pos, c_neg = _closed_coefficients(rho, params, xi)
+    # orders -D take the transpose of rho, not its conjugate: a Hermitian rho
+    # gives c_neg == conj(c_pos) bit for bit (same summation order), so W has
+    # no imaginary residue, while a non-Hermitian one still trips the check
+    terms = _closed_terms(params, grid)
+    c_pos = np.einsum("nm,nmxd->xd", rho, terms, optimize=False)
+    c_neg = np.einsum("nm,nmxd->xd", np.ascontiguousarray(rho.T), terms, optimize=False)
     prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
 
     def assemble(level: int) -> np.ndarray:

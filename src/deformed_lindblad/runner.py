@@ -117,8 +117,8 @@ class SimulationConfig:
         samples = self.resolved_t_samples()
         if not samples:
             raise ConfigError("t_samples must contain at least one time")
-        if any(t < 0 for t in samples) or list(samples) != sorted(samples):
-            raise ConfigError(f"t_samples must be sorted and non-negative: {samples}")
+        if not all(0 <= t < math.inf for t in samples) or list(samples) != sorted(samples):
+            raise ConfigError(f"t_samples must be finite, sorted and non-negative: {samples}")
         # sorted samples put any two that share a file name side by side
         names = [_snapshot_name(t) for t in samples]
         for earlier, later in zip(names, names[1:]):

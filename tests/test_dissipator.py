@@ -327,6 +327,26 @@ def test_integrate_validates_input_shape(model, rates, etas):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integrate_rejects_non_finite_sample_times(model, rates, etas, rho_docs, bad):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(rho_docs, model, rates, etas, 1.0, 1e-3, [0.0, bad])
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"gamma_scale": math.nan}, "gamma_scale"),
+        ({"gamma_scale": math.inf}, "gamma_scale"),
+        ({"shifts_enabled": True, "shift_cutoff": math.nan}, "shift_cutoff"),
+        ({"shifts_enabled": True, "shift_cutoff": math.inf}, "shift_cutoff"),
+    ],
+)
+def test_reservoir_rejects_non_finite_values(kwargs, key):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ReservoirParams(theta=4.0, **kwargs)
+
+
 def test_integrate_aborts_on_trace_breach(model, rates, etas, rho_docs):
     # a non-trace-preserving initial matrix must trip the drift abort
     with pytest.raises(IntegrationError, match="trace"):

@@ -10,6 +10,7 @@ from deformed_lindblad import (
     MorseParams,
     aocs,
     bessel_k_complex_order,
+    integrate,
     to_density,
     wigner_closed,
     wigner_diagnostics,
@@ -125,6 +126,17 @@ def test_closed_form_rejects_non_hermitian(params, fock_state):
         wigner_closed(rho, params, SMALL_GRID)
 
 
+@pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
+def test_hermitian_pairing_is_exact(request, params, model, rates, etas, state):
+    # the -D coefficients come from the transpose of rho through the same
+    # summation as the +D ones, so a Hermitian rho leaves no imaginary
+    # residue at all, at t = 0 and after evolution has dressed every order
+    rho0 = request.getfixturevalue(state)
+    evolved = integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states
+    for rho in evolved:
+        wigner_closed(rho, params, SMALL_GRID, imag_tol=0.0)
+
+
 def test_wigner_grid_metadata(params, fock_state):
     grid = wigner_closed(fock_state(0), params, SMALL_GRID, time=1.5)
     assert grid.time == 1.5
@@ -183,12 +195,14 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
 
 def _cold(rho, params, grid, **kwargs):
     phasespace._bessel_tensor.cache_clear()
+    phasespace._closed_terms.cache_clear()
     return wigner_closed(rho, params, grid, **kwargs).values
 
 
 def test_warm_cache_is_bit_identical_to_cold(params, rho_docs):
     cold = _cold(rho_docs, params, SMALL_GRID)
     assert phasespace._bessel_tensor.cache_info().currsize > 0
+    assert phasespace._closed_terms.cache_info().currsize == 1
     warm = wigner_closed(rho_docs, params, SMALL_GRID).values
     assert warm.tobytes() == cold.tobytes()
 
@@ -215,7 +229,8 @@ def test_cache_key_separates_inputs(params, fock_state):
 
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
-    for array in phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0):
+    k_re, k_im = phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0)
+    for array in (k_re, k_im, phasespace._closed_terms(params, SMALL_GRID)):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 

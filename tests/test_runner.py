@@ -6,6 +6,7 @@ import pytest
 
 from deformed_lindblad import (
     ConfigError,
+    IntegrationError,
     MorseParams,
     aocs,
     morse_model,
@@ -88,6 +89,36 @@ def test_validation_catches_bad_samples():
 def test_snapshot_file_collision_rejected(samples, name):
     with pytest.raises(ConfigError, match=re.escape(name)):
         parse_config(f"t_samples = {samples}")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("t_samples = 0, nan", "t_samples"),
+        ("t_samples = 0, inf", "t_samples"),
+        ("gamma_scale = nan", "gamma_scale"),
+        ("gamma_scale = inf", "gamma_scale"),
+        ("shifts_enabled = true\nshift_cutoff = nan", "shift_cutoff"),
+        ("shifts_enabled = true\nshift_cutoff = inf", "shift_cutoff"),
+    ],
+)
+def test_cli_non_finite_input_is_config_error(tmp_path, capsys, line, key):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(line + "\n" + FAST_GRID)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    assert re.search(f"{key}.* finite", capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+def test_cold_reservoir_aborts_loudly():
+    # the non-CP gain term's negativity grows as the reservoir cools and
+    # crosses the abort floor on the default docs run; it must stop, naming
+    # the eigenvalue and the time, rather than write outputs
+    config = parse_config("theta = 20\n" + FAST_GRID)
+    with pytest.raises(IntegrationError, match=r"negative eigenvalue -1\.01\de-02 .* at t = 1\.0") as exc:
+        run_scenario(config)
+    assert exc.value.time == 1.0
 
 
 def test_run_scenario_docs_fast():
