@@ -5,13 +5,16 @@ Two independent routes to the same function:
 * wigner_closed evaluates the analytic double sum obtained by inserting the
   bound-state wavefunctions into the Wigner integral.  Each term carries a
   modified Bessel function of the second kind at complex order
-  D - 2ip/(hbar beta) with integer D, evaluated here by panel quadrature of
+  D - 2ip/(hbar beta) with integer D.  Orders D = 0 and 1 come from panel
+  quadrature of
 
       K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt,   x > 0,
 
-  which is valid for arbitrary complex order.  The sum is linear in rho;
-  its term table and Bessel tensor do not depend on rho and are cached, so
-  a snapshot contracts rho with the table and the result with the tensor.
+  valid for arbitrary complex order (bessel_k_complex_order is one point of
+  the same kernel); higher D follow by the upward order recurrence.  The
+  sum is linear in rho; its term table and Bessel tensor do not depend on
+  rho and are cached, so a snapshot contracts rho with the table and the
+  result with the tensor.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
@@ -77,6 +80,9 @@ class GridSpec:
     n_p: int = 121
 
     def __post_init__(self) -> None:
+        for name in ("r_min", "r_max", "p_min", "p_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_r < 2 or self.n_p < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not (self.r_max > self.r_min and self.p_max > self.p_min):
@@ -119,34 +125,27 @@ def _ld_int(value: int) -> np.longdouble:
     return _ld_int(hi) * _LD(2**53) + _LD(lo)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] at longdouble precision.
 
     Double-precision seeds are polished with Newton steps on the longdouble
     Legendre recurrence; weights come from the standard derivative formula.
     """
-    cached = _GL_CACHE.get(n)
-    if cached is not None:
-        return cached
-    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
-    for _ in range(3):
+
+    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p_prev = np.ones_like(x)
         p_curr = x.copy()
         for i in range(2, n + 1):
             p_prev, p_curr = p_curr, ((2 * i - 1) * x * p_curr - (i - 1) * p_prev) / i
-        dp = n * (x * p_curr - p_prev) / (x * x - 1.0)
-        x = x - p_curr / dp
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
-    for i in range(2, n + 1):
-        p_prev, p_curr = p_curr, ((2 * i - 1) * x * p_curr - (i - 1) * p_prev) / i
-    dp = n * (x * p_curr - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    _GL_CACHE[n] = (x, w)
-    return x, w
+        return p_curr, n * (x * p_curr - p_prev) / (x * x - 1.0)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
+    for _ in range(3):
+        p_n, dp = legendre(x)
+        x = x - p_n / dp
+    dp = legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def _tail_cutoff(x: float, re_order: float) -> float:
@@ -198,7 +197,7 @@ def _panel_edges(t_max: float, x_large: float, b_max: float) -> np.ndarray:
 def _nodes_weights(
     edges: np.ndarray, level: int, dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes/weights after splitting each base panel 2^level times."""
+    """GL nodes/weights per (fine panel, node) after 2^level splits of each panel."""
     xg, wg = _gl_nodes()
     xg = xg.astype(dtype)
     wg = wg.astype(dtype)
@@ -209,9 +208,64 @@ def _nodes_weights(
     ).astype(dtype)
     a = fine[:-1][:, None]
     b = fine[1:][:, None]
-    nodes = (0.5 * (b - a) * xg[None, :] + 0.5 * (a + b)).ravel()
-    weights = (0.5 * (b - a) * wg[None, :]).ravel()
+    nodes = 0.5 * (b - a) * xg[None, :] + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * wg[None, :]
     return nodes, weights
+
+
+def _refine(evaluate, rtol: float, max_levels: int, failure):
+    """evaluate(level) for level = 0, 1, ... until two successive levels
+    agree to rtol of the largest |value|; returns the finer one.  Exhaustion
+    raises failure(last value, index of its largest change, that change
+    relative to the largest |value|, the change itself)."""
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    previous = evaluate(0)
+    for level in range(1, max_levels + 1):
+        current = evaluate(level)
+        scale = float(np.max(np.abs(current)))
+        diff = np.abs(current - previous).astype(float)
+        if float(np.max(diff)) <= rtol * max(scale, 1e-300):
+            return current
+        previous = current
+    worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    error = float(np.max(diff))
+    raise failure(current, worst, error / max(scale, 1e-300), error)
+
+
+def _k_quadrature(
+    xi: np.ndarray, b: np.ndarray, orders: np.ndarray, edges: np.ndarray, level: int
+) -> np.ndarray:
+    """K_{a - ib}(xi) for each real order a on the (xi, b) grid.
+
+    K_{a - ib}(xi) = int exp(-xi cosh t) (cosh(at) cos(bt) - i sinh(at)
+    sin(bt)) dt on the panels `edges` split 2^level times, as a clongdouble
+    array of shape (len(xi), len(b), len(orders)).  The two exponentials
+    exp(-xi cosh t +- a t) are kept together so neither overflows alone.
+    Panel sums are added pairwise, which holds the roundoff that the closed
+    form's conditioning amplifies near one ulp.  Chunked over xi for memory.
+    """
+    a = np.asarray(orders, dtype=_LD)
+    t, w = _nodes_weights(edges, level, _LD)
+    cosh_t = np.cosh(t)
+    cos_b = np.cos(b[:, None, None] * t) * w
+    sin_b = np.sin(b[:, None, None] * t) * w
+    n_x = len(xi)
+    k = np.empty((n_x, len(b), len(a)), dtype=np.clongdouble)
+    # about 24 MB of integrand and per-panel sums (16 bytes a value) per chunk
+    chunk = max(1, int(24e6 // (16 * len(a) * (t.size + len(b) * len(t)))))
+    for start in range(0, n_x, chunk):
+        sl = slice(start, min(start + chunk, n_x))
+        base = -xi[sl, None, None, None] * cosh_t
+        at = a[:, None, None] * t
+        plus = np.exp(base + at)
+        minus = np.exp(base - at)
+        even = 0.5 * (plus + minus)      # exp(-xi cosh t) cosh(a t)
+        odd = 0.5 * (plus - minus)       # exp(-xi cosh t) sinh(a t)
+        del plus, minus
+        k.real[sl] = np.einsum("xapn,bpn->xbap", even, cos_b, optimize=False).sum(-1)
+        k.imag[sl] = -np.einsum("xapn,bpn->xbap", odd, sin_b, optimize=False).sum(-1)
+    return k
 
 
 def bessel_k_complex_order(
@@ -219,75 +273,52 @@ def bessel_k_complex_order(
 ) -> complex:
     """K_nu(x) for arbitrary complex order by refinement-controlled quadrature.
 
-    The integrand is assembled as exp(-x cosh t + nu t)/2 + exp(-x cosh t
-    - nu t)/2 so the two exponentials never overflow individually even when
-    cosh(nu t) alone would.  Panels are refined (halved) until two successive
-    levels agree to rtol; exhaustion raises BesselAccuracyError carrying the
-    best estimate.  Designed for x >= 1e-6 and |Re nu| <= 35, where the
-    result itself stays inside double range.
+    One point of the extended-precision kernel that also builds the Wigner
+    Bessel tensor.  Panels are refined (halved) until two successive levels
+    agree to rtol; exhaustion raises BesselAccuracyError carrying the best
+    estimate.  Designed for x >= 1e-6 and |Re nu| <= 35, where the result
+    itself stays inside double range.
     """
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got x = {x}")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     nu = complex(nu)
     t_max = _tail_cutoff(x, nu.real)
     edges = _panel_edges(t_max, x, abs(nu.imag))
+    xi = np.array([x], dtype=_LD)
+    b = np.array([-nu.imag], dtype=_LD)
 
     def evaluate(level: int) -> complex:
-        t, w = _nodes_weights(edges, level)
-        base = -x * np.cosh(t)
-        integrand = 0.5 * (np.exp(base + nu * t) + np.exp(base - nu * t))
-        return complex(np.dot(w, integrand))
+        return complex(_k_quadrature(xi, b, np.array([nu.real]), edges, level)[0, 0, 0])
 
-    previous = evaluate(0)
-    for level in range(1, max_levels + 1):
-        current = evaluate(level)
-        diff = abs(current - previous)
-        if diff <= rtol * max(abs(current), 1e-300):
-            return current
-        previous = current
-    raise BesselAccuracyError(
-        f"K_nu quadrature did not reach rtol = {rtol} for nu = {nu}, x = {x} "
-        f"(achieved {diff / max(abs(current), 1e-300):.3e})",
-        estimate=current,
-        error=diff,
-    )
+    def failure(estimate, worst, residual, error):
+        return BesselAccuracyError(
+            f"K_nu quadrature did not reach rtol = {rtol} for nu = {nu}, x = {x} "
+            f"(achieved {residual:.3e})",
+            estimate=estimate,
+            error=error,
+        )
+
+    return _refine(evaluate, rtol, max_levels, failure)
 
 
 def _k_tensor_level(
     xi: np.ndarray, b_abs: np.ndarray, d_max: int, edges: np.ndarray, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of K_{D - i b}(xi) for D = 0..d_max on the (xi, b) grid.
+) -> np.ndarray:
+    """K_{D - i b}(xi) for D = 0..d_max on the (xi, b) grid.
 
-    Returns two longdouble arrays of shape (len(xi), len(b_abs), d_max + 1).
-    The two exponentials exp(-xi cosh t +- D t) are kept together so neither
-    factor overflows on its own.  Work is chunked over xi to bound memory.
+    Returns a clongdouble array of shape (len(xi), len(b_abs), d_max + 1).
+    Only orders 0 and 1 come from the quadrature; the rest follow by the
+    upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / xi) K_nu at nu = D - ib
+    (DLMF 10.29.1), the stable direction for K, which grows with the order.
     No convergence control here: the caller compares successive levels on
     the quantity it assembles.
     """
-    d = np.arange(d_max + 1).astype(_LD)
-    t, w = _nodes_weights(edges, level, dtype=_LD)
-    cosh_t = np.cosh(t)
-    cos_b = np.cos(np.outer(b_abs, t)) * w
-    sin_b = np.sin(np.outer(b_abs, t)) * w
-    n_x = len(xi)
-    real = np.empty((n_x, len(b_abs), d_max + 1), dtype=_LD)
-    imag = np.empty_like(real)
-    chunk = max(1, int(24e6 // ((d_max + 1) * len(t) * 16)))
-    for start in range(0, n_x, chunk):
-        sl = slice(start, min(start + chunk, n_x))
-        base = -xi[sl, None, None] * cosh_t[None, None, :]
-        dt = d[None, :, None] * t[None, None, :]
-        plus = np.exp(base + dt)
-        minus = np.exp(base - dt)
-        even = 0.5 * (plus + minus)      # exp(-xi cosh t) cosh(D t)
-        odd = 0.5 * (plus - minus)       # exp(-xi cosh t) sinh(D t)
-        del plus, minus
-        # K_{D - ib} = int exp(-xi cosh t) (cosh(Dt) cos(bt) - i sinh(Dt) sin(bt)) dt
-        real[sl] = np.einsum("xdt,bt->xbd", even, cos_b, optimize=False)
-        imag[sl] = -np.einsum("xdt,bt->xbd", odd, sin_b, optimize=False)
-    return real, imag
+    k = np.empty((len(xi), len(b_abs), d_max + 1), dtype=np.clongdouble)
+    k[..., :2] = _k_quadrature(xi, b_abs, np.arange(min(d_max, 1) + 1), edges, level)
+    two_over_xi = (2.0 / xi)[:, None]
+    for d in range(2, d_max + 1):
+        k[..., d] = k[..., d - 2] + two_over_xi * ((d - 1) - 1j * b_abs) * k[..., d - 1]
+    return k
 
 
 # One read-only longdouble array of shape (N, N, n_r, N) per (params, grid),
@@ -359,35 +390,34 @@ def _closed_axes(
     Returns (xi, b_abs, inverse, negative_b, edges): the Bessel argument per
     r point, the distinct |b| = 2|p|/(hbar beta) values, the index mapping
     each p point to its |b|, the mask of negative b, and the panel edges of
-    the Bessel quadrature.
+    the Bessel quadrature, which runs at orders 0 and 1 only.
     """
     r_axis, p_axis = grid.axes()
     xi = _ld_int(params.k) * np.exp(-_LD(params.beta) * r_axis.astype(_LD))
     b = 2.0 * p_axis.astype(_LD) / (_LD(hbar) * _LD(params.beta))
     b_abs, inverse = np.unique(np.abs(b), return_inverse=True)
     negative_b = b < 0.0
-    t_max = _tail_cutoff(float(np.min(xi)), float(params.n_bound - 1))
+    t_max = _tail_cutoff(float(np.min(xi)), 1.0)
     edges = _panel_edges(t_max, float(np.max(xi)), float(np.max(b_abs, initial=0.0)))
     return xi, b_abs, inverse, negative_b, edges
 
 
 # One entry per refinement level: enough for one (params, grid, hbar) key
 # through every level wigner_closed's default max_levels = 6 can reach.
-# Each entry holds two longdouble arrays of shape (n_r, n_unique_b, N),
+# Each entry holds one clongdouble array of shape (n_r, n_unique_b, N),
 # 32 n_r n_unique_b N bytes: 3.5 MB for the default 121 x 121 window at
 # N = 15, 39 MB for a 401 x 401 window.
 @functools.lru_cache(maxsize=7)
 def _bessel_tensor(
     params: MorseParams, grid: GridSpec, hbar: float, level: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """_k_tensor_level cached per (params, grid, hbar, level).  The tensor
     does not depend on rho, so every snapshot with the same key reuses it;
-    the arrays are read-only because they are shared."""
+    the array is read-only because it is shared."""
     xi, b_abs, _, _, edges = _closed_axes(params, grid, hbar)
-    k_re, k_im = _k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level)
-    k_re.setflags(write=False)
-    k_im.setflags(write=False)
-    return k_re, k_im
+    k = _k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level)
+    k.setflags(write=False)
+    return k
 
 
 def wigner_closed(
@@ -413,8 +443,6 @@ def wigner_closed(
     The term table (per params, grid) and the Bessel tensor (per params,
     grid, hbar, level) do not depend on rho; later calls reuse them.
     """
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     grid = grid or GridSpec()
     big_n = params.n_bound
     rho = np.asarray(rho, dtype=complex)
@@ -432,33 +460,22 @@ def wigner_closed(
     prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
 
     def assemble(level: int) -> np.ndarray:
-        k_re, k_im = _bessel_tensor(params, grid, hbar, level)
-        k_re = k_re[:, inverse, :]
-        k_im = k_im[:, inverse, :]
-        k_im[:, negative_b, :] = -k_im[:, negative_b, :]
-        k_all = k_re + 1j * k_im
+        k_all = _bessel_tensor(params, grid, hbar, level)[:, inverse, :]
+        k_all[:, negative_b, :] = np.conj(k_all[:, negative_b, :])
         w = np.einsum("xd,xbd->xb", c_pos, k_all, optimize=False)
         w += np.einsum("xd,xbd->xb", c_neg, np.conj(k_all), optimize=False)
         return w * prefactor
 
-    previous = assemble(0)
-    for level in range(1, max_levels + 1):
-        w_complex = assemble(level)
-        scale = float(np.max(np.abs(w_complex)))
-        diff = np.abs(w_complex - previous).astype(float)
-        if float(np.max(diff)) <= rtol * max(scale, 1e-300):
-            break
-        previous = w_complex
-    else:
-        idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        raise BesselAccuracyError(
+    def failure(estimate, worst, residual, error):
+        return BesselAccuracyError(
             f"Wigner quadrature at t = {time} did not stabilize to rtol = "
-            f"{rtol}; worst grid point r = {r_axis[idx[0]]:.4g}, "
-            f"p = {p_axis[idx[1]]:.4g} "
-            f"(residual {float(np.max(diff)) / max(scale, 1e-300):.3e})",
-            estimate=np.asarray(w_complex, dtype=complex),
-            error=float(np.max(diff)),
+            f"{rtol}; worst grid point r = {r_axis[worst[0]]:.4g}, "
+            f"p = {p_axis[worst[1]]:.4g} (residual {residual:.3e})",
+            estimate=np.asarray(estimate, dtype=complex),
+            error=error,
         )
+
+    w_complex = _refine(assemble, rtol, max_levels, failure)
 
     real = np.asarray(w_complex.real, dtype=float)
     imag = np.asarray(w_complex.imag, dtype=float)
@@ -506,8 +523,6 @@ def wigner_direct_oracle(
     wavefunction tails fall below 1e-12 of their peak.  Reference
     implementation for testing, not tuned for speed.
     """
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     grid = grid or GridSpec()
     big_n = params.n_bound
     rho = np.asarray(rho, dtype=complex)
@@ -529,46 +544,30 @@ def wigner_direct_oracle(
     n_panels = max(8, int(math.ceil(2.0 * y_max / cap)))
     edges = np.linspace(-y_max, y_max, n_panels + 1)
 
+    def psi(half_y: np.ndarray) -> np.ndarray:
+        """Every bound state at r + half_y, shaped (N, len(half_y), n_r)."""
+        points = (r_axis[None, :] + half_y[:, None]).ravel()
+        return np.stack(
+            [morse_wavefunction(params, n, points).reshape(len(half_y), -1) for n in range(big_n)]
+        )
+
     def evaluate(level: int) -> np.ndarray:
-        y, w = _nodes_weights(edges, level)
-        psi_plus = np.stack(
-            [
-                morse_wavefunction(
-                    params, n, (r_axis[None, :] + 0.5 * y[:, None]).ravel()
-                ).reshape(len(y), -1)
-                for n in range(big_n)
-            ]
-        )
-        psi_minus = np.stack(
-            [
-                morse_wavefunction(
-                    params, n, (r_axis[None, :] - 0.5 * y[:, None]).ravel()
-                ).reshape(len(y), -1)
-                for n in range(big_n)
-            ]
-        )
-        kernel = np.einsum("nyx,nm,myx->yx", psi_plus, rho, psi_minus, optimize=False)
+        y, w = (v.ravel() for v in _nodes_weights(edges, level))
+        kernel = np.einsum("nyx,nm,myx->yx", psi(0.5 * y), rho, psi(-0.5 * y), optimize=False)
         phases = np.exp(-1j * np.outer(y, p_axis) / hbar) * w[:, None]
         return np.einsum("yx,yp->xp", kernel, phases, optimize=False) / (
             2.0 * math.pi * hbar
         )
 
-    previous = evaluate(0)
-    for level in range(1, max_levels + 1):
-        current = evaluate(level)
-        scale = float(np.max(np.abs(current)))
-        diff = np.abs(current - previous)
-        if float(np.max(diff)) <= rtol * max(scale, 1e-300):
-            return WignerGrid(
-                r_axis=r_axis, p_axis=p_axis, values=current.real, time=time
-            )
-        previous = current
-    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    raise RuntimeError(
-        f"direct Wigner quadrature did not converge to rtol = {rtol}; worst "
-        f"grid point r = {r_axis[idx[0]]:.4g}, p = {p_axis[idx[1]]:.4g} "
-        f"(residual {float(np.max(diff)) / max(scale, 1e-300):.3e})"
-    )
+    def failure(estimate, worst, residual, error):
+        return RuntimeError(
+            f"direct Wigner quadrature did not converge to rtol = {rtol}; worst "
+            f"grid point r = {r_axis[worst[0]]:.4g}, p = {p_axis[worst[1]]:.4g} "
+            f"(residual {residual:.3e})"
+        )
+
+    values = _refine(evaluate, rtol, max_levels, failure).real
+    return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:

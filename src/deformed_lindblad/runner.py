@@ -112,6 +112,12 @@ class SimulationConfig:
             self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the alpha solver reaches means in [0, n_bound - 1) only
+        if self.scenario != "custom_rho" and not 0.0 <= self.target_mean_n < self.n_bound - 1:
+            raise ConfigError(
+                f"target_mean_n must be finite and in [0, {self.n_bound - 1}), "
+                f"got {self.target_mean_n}"
+            )
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         samples = self.resolved_t_samples()

@@ -8,9 +8,12 @@ import scipy.special as sp
 from deformed_lindblad import (
     GridSpec,
     MorseParams,
+    alpha_for_mean_n,
     aocs,
     bessel_k_complex_order,
+    docs_from_alpha,
     integrate,
+    morse_model,
     to_density,
     wigner_closed,
     wigner_diagnostics,
@@ -78,6 +81,24 @@ def test_bessel_rejects_nonpositive_argument():
         bessel_k_complex_order(1.0, -2.0)
 
 
+def test_bessel_tensor_against_mpmath():
+    # orders 0 and 1 come from the quadrature and the rest from the upward
+    # order recurrence; check both kinds at the corners of the default window
+    params = MorseParams(n_bound=15)
+    grid = GridSpec()
+    xi, b_abs, _, _, _ = phasespace._closed_axes(params, grid, 1.0)
+    tensor = phasespace._bessel_tensor(params, grid, 1.0, 1)
+    assert b_abs[0] == 0.0
+    mpmath.mp.dps = 40
+    for x in (int(np.argmin(xi)), int(np.argmax(xi))):
+        for b in (0, len(b_abs) - 1):
+            for d in (0, 1, 7, 14):
+                nu = mpmath.mpc(d, -float(b_abs[b]))
+                ref = complex(mpmath.besselk(nu, mpmath.mpf(float(xi[x]))))
+                got = complex(tensor[x, b, d])
+                assert abs(got - ref) <= 1e-9 * abs(ref), (x, b, d)
+
+
 def test_refinement_needs_at_least_one_level(params, fock_state):
     rho = fock_state(0)
     calls = [
@@ -117,6 +138,23 @@ def test_asymmetric_momentum_window(params, model):
     direct = wigner_direct_oracle(rho, params, grid)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(closed.values - direct.values)) < 1e-7 * scale
+
+
+@pytest.mark.parametrize("n_bound", [10, 15, 20, 30])
+def test_closed_matches_oracle_across_ladder_sizes(n_bound):
+    # the closed form loses digits as N grows (about 4e-14 of max |W| at
+    # N = 10, 3e-7 at N = 30); the oracle gate must hold across the sweep
+    params = MorseParams(n_bound)
+    cap = (math.pi / 2 - 1e-9) / params.chi
+    alpha = alpha_for_mean_n(
+        2.0, lambda a, m: docs_from_alpha(a, params), morse_model(params), alpha_max=cap
+    )
+    rho = to_density(docs_from_alpha(alpha, params))
+    grid = GridSpec(n_r=41, n_p=41)
+    closed = wigner_closed(rho, params, grid)
+    direct = wigner_direct_oracle(rho, params, grid)
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(closed.values - direct.values)) < 1e-6 * scale
 
 
 def test_closed_form_rejects_non_hermitian(params, fock_state):
@@ -229,8 +267,8 @@ def test_cache_key_separates_inputs(params, fock_state):
 
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
-    k_re, k_im = phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0)
-    for array in (k_re, k_im, phasespace._closed_terms(params, SMALL_GRID)):
+    tensor = phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0)
+    for array in (tensor, phasespace._closed_terms(params, SMALL_GRID)):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -264,6 +302,10 @@ def test_grid_spec_validation():
         GridSpec(n_r=1)
     with pytest.raises(ValueError):
         GridSpec(r_min=3.0, r_max=-1.0)
+    with pytest.raises(ValueError, match="p_max must be finite"):
+        GridSpec(p_max=math.inf)
+    with pytest.raises(ValueError, match="r_min must be finite"):
+        GridSpec(r_min=-math.inf)
 
 
 def test_closed_form_shape_check(params):

@@ -20,6 +20,13 @@ from deformed_lindblad.cli import main as cli_main
 FAST_GRID = "r_min = -2\nr_max = 10\nn_r = 31\np_min = -6\np_max = 6\nn_p = 31\n"
 
 
+def with_fast_grid(lines):
+    """The given config lines plus every FAST_GRID key they do not set."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    grid = [line for line in FAST_GRID.splitlines() if line.split("=")[0].strip() not in keys]
+    return lines + "\n" + "\n".join(grid) + "\n"
+
+
 def fast_config(extra=""):
     return parse_config(
         "t_samples = 0, 0.2\ndt = 2e-3\n" + FAST_GRID + extra
@@ -100,14 +107,38 @@ def test_snapshot_file_collision_rejected(samples, name):
         ("gamma_scale = inf", "gamma_scale"),
         ("shifts_enabled = true\nshift_cutoff = nan", "shift_cutoff"),
         ("shifts_enabled = true\nshift_cutoff = inf", "shift_cutoff"),
+        ("p_max = inf", "p_max"),
+        ("r_min = -inf", "r_min"),
     ],
 )
 def test_cli_non_finite_input_is_config_error(tmp_path, capsys, line, key):
     config_path = tmp_path / "run.cfg"
-    config_path.write_text(line + "\n" + FAST_GRID)
+    config_path.write_text(with_fast_grid(line))
     out_dir = tmp_path / "out"
     assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
     assert re.search(f"{key}.* finite", capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "target_mean_n = nan",
+        "target_mean_n = inf",
+        "target_mean_n = -1",
+        "n_bound = 2",
+        "scenario = aocs\ntarget_mean_n = 14",
+        "scenario = even_cat\nn_bound = 2",
+    ],
+)
+def test_cli_unreachable_target_mean_is_config_error(tmp_path, capsys, lines):
+    # the alpha solver reaches means in [0, n_bound - 1) only; anything else
+    # is a bad input, not a numerical breach
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(with_fast_grid(lines))
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    assert re.search(r"target_mean_n .*\[0, \d+\)", capsys.readouterr().err)
     assert not out_dir.exists()
 
 
