@@ -13,8 +13,9 @@ Two independent routes to the same function:
   valid for arbitrary complex order (bessel_k_complex_order is one point of
   the same kernel); higher D follow by the upward order recurrence.  The
   sum is linear in rho; its term table and Bessel tensor do not depend on
-  rho and are cached, so a snapshot contracts rho with the table and the
-  result with the tensor.
+  rho and are cached, so a snapshot maps the Hermitian part of rho as
+  2 Re(c K): one real product with the table gives c, and each level
+  contracts it with the tensor on the distinct |p| columns.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
@@ -338,9 +339,10 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     is a sum of positive terms built from exact integer combinatorics.
     Swapping (n, m) maps s to -s and negates D with identical magnitudes, so
     the weight of rho_nm at order -D is the weight of rho_mn at +D: the
-    table holds D >= 0 only, and wigner_closed contracts it once with rho
-    and once with its transpose.  Both contractions reach column D = 0, so
-    it is halved (exact in binary).
+    table holds D >= 0 only.  For a Hermitian rho the -D half of the sum is
+    then the complex conjugate of the +D half, and wigner_closed assembles
+    2 Re of the +D half.  Both halves reach column D = 0, so it is halved
+    (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
@@ -434,11 +436,13 @@ def wigner_closed(
 
     The Bessel panel quadrature is refined until the assembled W values
     stabilize to rtol of the grid maximum; exhaustion raises
-    BesselAccuracyError naming the worst grid point.  The full complex sum
-    is evaluated, including both Bessel-order signs, and the imaginary
-    residue must stay below imag_tol relative to the largest real value; a
-    larger residue means the order pairing (or the input density matrix) is
-    broken, and raises rather than being discarded.
+    BesselAccuracyError naming the worst grid point.  With h = (rho +
+    rho^H)/2 and a = (rho - rho^H)/2i, W = W[h] + i W[a] and both maps are
+    real, each 2 Re(c K) of the +D half of the sum.  W[a] is assembled only
+    when a is not exactly zero; this imaginary residue must stay below
+    imag_tol relative to the largest real value, else the input is not
+    Hermitian and it raises rather than being discarded.  A non-finite
+    entry in rho raises ValueError before any quadrature.
 
     The term table (per params, grid) and the Bessel tensor (per params,
     grid, hbar, level) do not depend on rho; later calls reuse them.
@@ -448,23 +452,35 @@ def wigner_closed(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (big_n, big_n):
         raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
+    bad = np.argwhere(~np.isfinite(rho))
+    if len(bad):
+        n, m = bad[0]
+        raise ValueError(f"density matrix entry ({n}, {m}) is not finite: {rho[n, m]}")
     r_axis, p_axis = grid.axes()
     _, _, inverse, negative_b, _ = _closed_axes(params, grid, hbar)
 
-    # orders -D take the transpose of rho, not its conjugate: a Hermitian rho
-    # gives c_neg == conj(c_pos) bit for bit (same summation order), so W has
-    # no imaginary residue, while a non-Hermitian one still trips the check
+    # rows: Re and Im of 2h, then of 2a when rho is not Hermitian.  A
+    # Hermitian M has c_neg = conj(c_pos), so W[M] = 2 Re(c_pos K) needs only
+    # Re c and Im c of the +D half, from one real product with the table
+    re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
+    rows = [re + re.T, im - im.T]
+    anti = [im + im.T, re.T - re]
+    if np.any(anti[0]) or np.any(anti[1]):
+        rows += anti
     terms = _closed_terms(params, grid)
-    c_pos = np.einsum("nm,nmxd->xd", rho, terms, optimize=False)
-    c_neg = np.einsum("nm,nmxd->xd", np.ascontiguousarray(rho.T), terms, optimize=False)
+    coef = np.reshape(rows, (len(rows), -1)) @ terms.reshape(big_n * big_n, -1)
+    coef = coef.reshape(len(rows), len(r_axis), big_n)
     prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
+    # negative-b columns take conj(K), which flips the sign of Im K
+    sign = np.where(negative_b, _LD(-1.0), _LD(1.0))
 
     def assemble(level: int) -> np.ndarray:
-        k_all = _bessel_tensor(params, grid, hbar, level)[:, inverse, :]
-        k_all[:, negative_b, :] = np.conj(k_all[:, negative_b, :])
-        w = np.einsum("xd,xbd->xb", c_pos, k_all, optimize=False)
-        w += np.einsum("xd,xbd->xb", c_neg, np.conj(k_all), optimize=False)
-        return w * prefactor
+        k = _bessel_tensor(params, grid, hbar, level)
+        # Re c Re K - Im c Im K on the unique |b| columns, then out to p
+        re_k = np.einsum("rxd,xbd->rxb", coef[0::2], k.real, optimize=False)
+        im_k = np.einsum("rxd,xbd->rxb", coef[1::2], k.imag, optimize=False)
+        w = (re_k[:, :, inverse] - sign * im_k[:, :, inverse]) * prefactor
+        return w[0] if len(w) == 1 else w[0] + 1j * w[1]
 
     def failure(estimate, worst, residual, error):
         return BesselAccuracyError(

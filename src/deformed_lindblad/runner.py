@@ -232,6 +232,8 @@ def _initial_state(config: SimulationConfig, params: MorseParams, model):
                 f"rho from {config.rho_path} has shape {rho.shape}, "
                 f"expected ({model.dim}, {model.dim})"
             )
+        if not np.all(np.isfinite(rho)):
+            raise ConfigError(f"rho from {config.rho_path} must be finite everywhere")
         validate_density(rho)
         return rho, meta
 
@@ -337,10 +339,14 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
     manifest.append(_write_text(out / "series.csv", "\n".join(lines) + "\n"))
 
     for grid in result.grids:
-        lines = ["r,p,w"]
-        for i, r in enumerate(grid.r_axis):
-            for j, p in enumerate(grid.p_axis):
-                lines.append(f"{r:.12g},{p:.12g},{grid.values[i, j]:.12g}")
+        # each axis value is formatted once, not once per grid point
+        r_text = [f"{r:.12g}" for r in grid.r_axis.tolist()]
+        p_text = [f"{p:.12g}" for p in grid.p_axis.tolist()]
+        lines = ["r,p,w"] + [
+            f"{r},{p},{w:.12g}"
+            for r, row in zip(r_text, grid.values.tolist())
+            for p, w in zip(p_text, row)
+        ]
         name = _snapshot_name(grid.time)
         manifest.append(_write_text(out / name, "\n".join(lines) + "\n"))
 

@@ -166,13 +166,50 @@ def test_closed_form_rejects_non_hermitian(params, fock_state):
 
 @pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
 def test_hermitian_pairing_is_exact(request, params, model, rates, etas, state):
-    # the -D coefficients come from the transpose of rho through the same
-    # summation as the +D ones, so a Hermitian rho leaves no imaginary
-    # residue at all, at t = 0 and after evolution has dressed every order
+    # a Hermitian rho has no anti-Hermitian part, so only its real map
+    # 2 Re(c K) is assembled and W has no imaginary residue at all, at t = 0
+    # and after evolution has dressed every order
     rho0 = request.getfixturevalue(state)
     evolved = integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states
     for rho in evolved:
         wigner_closed(rho, params, SMALL_GRID, imag_tol=0.0)
+
+
+def test_anti_hermitian_part_only_reaches_the_residue(params, model, rates, etas, rho_docs, rho_cat):
+    # rho = h + i eps S with S real symmetric has anti-Hermitian part eps S:
+    # it must leave the real map W[h] bit for bit and show only in the
+    # residue.  S is full on the real docs state; on the evolved cat state
+    # (complex coherences) it is diagonal, where adding i eps S rounds nothing
+    rng = np.random.default_rng(3)
+    full = rng.normal(size=(15, 15))
+    full = full + full.T
+    evolved = integrate(rho_cat, model, rates, etas, 1.0, 1e-3, [1.0]).states[-1]
+    for h, s in ((rho_docs, full), (evolved, np.diag(np.diag(full)))):
+        expected = wigner_closed(h, params, SMALL_GRID).values
+        got = wigner_closed(h + 1e-9j * s, params, SMALL_GRID, imag_tol=1.0).values
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="residue"):
+            wigner_closed(h + 1e-4j * s, params, SMALL_GRID)
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0])
+def test_evolved_cat_closed_matches_oracle(params, model, rates, etas, rho_cat, t):
+    # the evolved cat is mixed with complex coherences in every order: the
+    # snapshots where the imaginary rows of the contraction weigh most
+    rho = integrate(rho_cat, model, rates, etas, t, 1e-3, [t]).states[-1]
+    closed = wigner_closed(rho, params, SMALL_GRID)
+    direct = wigner_direct_oracle(rho, params, SMALL_GRID)
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(closed.values - direct.values)) < 1e-7 * scale
+
+
+def test_closed_form_rejects_non_finite_before_quadrature(params, fock_state):
+    rho = fock_state(0)
+    rho[3, 1] = np.nan
+    builds = (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info())
+    with pytest.raises(ValueError, match=r"entry \(3, 1\) is not finite"):
+        wigner_closed(rho, params, SMALL_GRID)
+    assert (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info()) == builds
 
 
 def test_wigner_grid_metadata(params, fock_state):

@@ -16,6 +16,8 @@ from deformed_lindblad import (
     write_outputs,
 )
 from deformed_lindblad.cli import main as cli_main
+from deformed_lindblad.phasespace import WignerGrid
+from deformed_lindblad.runner import ScenarioResult, SimulationConfig
 
 FAST_GRID = "r_min = -2\nr_max = 10\nn_r = 31\np_min = -6\np_max = 6\nn_p = 31\n"
 
@@ -226,6 +228,24 @@ def test_write_outputs_schema(tmp_path):
     assert "alpha = " in meta
 
 
+def test_wigner_csv_matches_per_point_format(tmp_path):
+    # pins the snapshot bytes to one f"{r},{p},{w}" line per grid point at
+    # 12 significant digits, p varying fastest, on a non-square grid
+    r_axis = np.array([-0.0, 1.5])
+    p_axis = np.array([-2.0, 1e-13, 123456789012.345])
+    values = np.array([[-0.0, 1e-13, 123456789012.345], [1e16, 0.123456789012, -7.5e-300]])
+    result = ScenarioResult(
+        config=SimulationConfig(), metadata={},
+        grids=[WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=0.5)],
+    )
+    write_outputs(result, tmp_path)
+    expected = ["r,p,w"] + [
+        f"{r_axis[i]:.12g},{p_axis[j]:.12g},{values[i, j]:.12g}"
+        for i in range(2) for j in range(3)
+    ]
+    assert (tmp_path / "wigner_t0.5.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_outputs_are_deterministic(tmp_path):
     config = fast_config()
     first = tmp_path / "a"
@@ -303,6 +323,19 @@ def test_cli_unloadable_rho_path_is_config_error(tmp_path, capsys):
         )
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert f"cannot load rho_path {path}" in capsys.readouterr().err
+
+
+def test_cli_non_finite_rho_is_config_error(tmp_path, capsys):
+    rho = to_density(aocs(1.0, morse_model(MorseParams(15))))
+    rho[2, 5] = np.nan
+    path = tmp_path / "rho.npy"
+    np.save(path, rho)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"scenario = custom_rho\nrho_path = {path}\nt_samples = 0\n" + FAST_GRID
+    )
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    assert f"rho from {path} must be finite" in capsys.readouterr().err
 
 
 def test_cli_selftest_rejected(capsys):
