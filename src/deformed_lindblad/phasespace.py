@@ -322,17 +322,20 @@ def _k_tensor_level(
     return k
 
 
-# One read-only longdouble array of shape (N, N, n_r, N) per (params, grid),
-# 16 N^2 n_r N bytes: 6.2 MiB at the default, 21 MiB at 401 x 401, 50 MiB at N = 30.
+# One read-only, C-contiguous longdouble array of shape (n_r N, N^2) per
+# (params, grid), 16 N^2 n_r N bytes: 6.2 MiB at the default, 21 MiB at
+# 401 x 401, 50 MiB at N = 30.
 @functools.lru_cache(maxsize=2)
 def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     """Rho-independent weights of the closed-form Bessel sum, per r point.
 
-    terms[n, m, x, D] is the weight of rho_nm at Bessel order +D for
-    D = 0..N-1.  For the ordered level pair (n, m) the inner sums run over
-    j = 0..m and k = 0..n with Bessel order D = (n - m) + s where s = j - k.
-    Along a fixed anti-diagonal s the sign (-xi)^(j+k) = (-1)^s xi^(j+k) is
-    constant, so each group
+    terms[x N + D, n N + m] is the weight of rho_nm at r point x and Bessel
+    order +D for D = 0..N-1: row (x, D) holds every rho_nm in row-major
+    (n, m) order, so the product with the rows of rho reads the table
+    contiguously, one row at a time.  For the ordered level pair (n, m)
+    the inner sums run over j = 0..m and k = 0..n with Bessel order
+    D = (n - m) + s where s = j - k.  Along a fixed anti-diagonal s the sign
+    (-xi)^(j+k) = (-1)^s xi^(j+k) is constant, so each group
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
@@ -341,8 +344,8 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     the weight of rho_nm at order -D is the weight of rho_mn at +D: the
     table holds D >= 0 only.  For a Hermitian rho the -D half of the sum is
     then the complex conjugate of the +D half, and wigner_closed assembles
-    2 Re of the +D half.  Both halves reach column D = 0, so it is halved
-    (exact in binary).
+    2 Re of the +D half.  Both halves reach order D = 0, so its rows are
+    halved (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
@@ -362,7 +365,9 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     ]
     beta_ld = _LD(params.beta)
 
-    terms = np.zeros((big_n, big_n, len(xi), big_n), dtype=_LD)
+    terms = np.zeros((len(xi) * big_n, big_n * big_n), dtype=_LD)
+    # a view of the same memory indexed [x, D, n, m]; filled in place
+    view = terms.reshape(len(xi), big_n, big_n, big_n)
     xi_sq = xi * xi
     for n in range(big_n):
         for m in range(big_n):
@@ -378,16 +383,19 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
                     ) / _ld_int(factorial[s + k] * factorial[k])
                     value = value * xi_sq + coef
                 value *= xi ** _LD(s + 2 * k_start)
-                terms[n, m, :, n - m + s] = (-pair if s % 2 else pair) * value
-    terms[..., 0] *= 0.5
+                view[:, n - m + s, n, m] = (-pair if s % 2 else pair) * value
+    view[:, 0] *= 0.5
     terms.setflags(write=False)
     return terms
 
 
+# O(n_r + n_p) values per (params, grid, hbar), as many keys as the tensor
+# cache can hold.
+@functools.lru_cache(maxsize=7)
 def _closed_axes(
     params: MorseParams, grid: GridSpec, hbar: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rho-independent axes of the closed form.
+    """The rho-independent axes of the closed form, cached and read-only.
 
     Returns (xi, b_abs, inverse, negative_b, edges): the Bessel argument per
     r point, the distinct |b| = 2|p|/(hbar beta) values, the index mapping
@@ -401,7 +409,10 @@ def _closed_axes(
     negative_b = b < 0.0
     t_max = _tail_cutoff(float(np.min(xi)), 1.0)
     edges = _panel_edges(t_max, float(np.max(xi)), float(np.max(b_abs, initial=0.0)))
-    return xi, b_abs, inverse, negative_b, edges
+    axes = (xi, b_abs, inverse, negative_b, edges)
+    for array in axes:
+        array.setflags(write=False)
+    return axes
 
 
 # One entry per refinement level: enough for one (params, grid, hbar) key
@@ -467,8 +478,11 @@ def wigner_closed(
     anti = [im + im.T, re.T - re]
     if np.any(anti[0]) or np.any(anti[1]):
         rows += anti
+    rows = np.reshape(rows, (len(rows), -1))
     terms = _closed_terms(params, grid)
-    coef = np.reshape(rows, (len(rows), -1)) @ terms.reshape(big_n * big_n, -1)
+    # one sequential sum over (n, m) per table row (x, D), read contiguously;
+    # coef goes back to (row, x, D) order, the layout the contraction reads
+    coef = np.ascontiguousarray(np.dot(terms, rows.T).T)
     coef = coef.reshape(len(rows), len(r_axis), big_n)
     prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
     # negative-b columns take conj(K), which flips the sign of Im K
@@ -483,10 +497,20 @@ def wigner_closed(
         return w[0] if len(w) == 1 else w[0] + 1j * w[1]
 
     def failure(estimate, worst, residual, error):
+        # conditioning at the worst point: the largest single term
+        # |row . term . K| of its sum against the largest assembled |W|
+        x, p = worst
+        k = _bessel_tensor(params, grid, hbar, max_levels)[x, inverse[p]]
+        block = terms[x * big_n:(x + 1) * big_n]
+        largest = np.max(np.abs(rows).max(axis=0) * np.abs(block) * np.abs(k)[:, None])
+        ratio = float(largest * prefactor) / max(float(np.max(np.abs(estimate))), 1e-300)
+        mantissa = -math.log10(float(np.finfo(_LD).eps))
         return BesselAccuracyError(
             f"Wigner quadrature at t = {time} did not stabilize to rtol = "
-            f"{rtol}; worst grid point r = {r_axis[worst[0]]:.4g}, "
-            f"p = {p_axis[worst[1]]:.4g} (residual {residual:.3e})",
+            f"{rtol}; worst grid point r = {r_axis[x]:.4g}, p = {p_axis[p]:.4g} "
+            f"(residual {residual:.3e}); its largest single term is {ratio:.3e} "
+            f"x max |W|, which leaves {mantissa - math.log10(ratio):.1f} of the "
+            f"{mantissa:.1f} digits of the longdouble mantissa",
             estimate=np.asarray(estimate, dtype=complex),
             error=error,
         )

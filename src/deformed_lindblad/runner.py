@@ -322,7 +322,10 @@ def _snapshot_name(t: float) -> str:
 def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str, int]]:
     """Write series.csv, one wigner_t{T}.csv per sample, and metadata.txt.
 
-    Numbers are decimal text with 12 significant digits.  Returns the file
+    Numbers are decimal text with 12 significant digits.  A Wigner CSV is
+    one '%' template per (r, p) axis pair, "r,p,w" and then a line
+    "{r},{p},%.12g" per grid point with p varying fastest, filled with the
+    grid's values; grids on the same axes share it.  Returns the file
     manifest as (name, byte count) pairs.
     """
     out = Path(out_dir)
@@ -338,17 +341,19 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
         lines.append(",".join(f"{value:.12g}" for value in row))
     manifest.append(_write_text(out / "series.csv", "\n".join(lines) + "\n"))
 
+    templates: dict[tuple[bytes, bytes], str] = {}
     for grid in result.grids:
-        # each axis value is formatted once, not once per grid point
-        r_text = [f"{r:.12g}" for r in grid.r_axis.tolist()]
-        p_text = [f"{p:.12g}" for p in grid.p_axis.tolist()]
-        lines = ["r,p,w"] + [
-            f"{r},{p},{w:.12g}"
-            for r, row in zip(r_text, grid.values.tolist())
-            for p, w in zip(p_text, row)
-        ]
+        key = (grid.r_axis.tobytes(), grid.p_axis.tobytes())
+        if key not in templates:
+            # formatted floats hold no '%', so only the value fields are live
+            r_text = [f"{r:.12g}" for r in grid.r_axis.tolist()]
+            p_text = [f"{p:.12g}" for p in grid.p_axis.tolist()]
+            templates[key] = "r,p,w\n" + "".join(
+                f"{r},{p},%.12g\n" for r in r_text for p in p_text
+            )
         name = _snapshot_name(grid.time)
-        manifest.append(_write_text(out / name, "\n".join(lines) + "\n"))
+        content = templates[key] % tuple(grid.values.ravel().tolist())
+        manifest.append(_write_text(out / name, content))
 
     meta_lines = [f"{key} = {value}" for key, value in sorted(result.metadata.items())]
     manifest.append(_write_text(out / "metadata.txt", "\n".join(meta_lines) + "\n"))

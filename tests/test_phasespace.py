@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -257,8 +259,15 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
     from deformed_lindblad import BesselAccuracyError
 
     rho = fock_state(14)
-    with pytest.raises(BesselAccuracyError, match="stabilize"):
+    with pytest.raises(BesselAccuracyError, match="stabilize") as exc:
         wigner_closed(rho, params, SMALL_GRID)
+    # the message names the cause: one term of the sum is about 1e12 x max |W|
+    # (measured 1.06e12), which leaves fewer digits than rtol = 1e-8 needs
+    found = re.search(r"largest single term is (\S+) x max \|W\|, which leaves (\S+) of",
+                      str(exc.value))
+    assert found, str(exc.value)
+    assert float(found.group(1)) > 1e10
+    assert float(found.group(2)) < 8.0
     grid = wigner_closed(rho, params, SMALL_GRID, rtol=1e-4)
     direct = wigner_direct_oracle(rho, params, SMALL_GRID)
     scale = np.max(np.abs(direct.values))
@@ -271,6 +280,7 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
 def _cold(rho, params, grid, **kwargs):
     phasespace._bessel_tensor.cache_clear()
     phasespace._closed_terms.cache_clear()
+    phasespace._closed_axes.cache_clear()
     return wigner_closed(rho, params, grid, **kwargs).values
 
 
@@ -305,9 +315,65 @@ def test_cache_key_separates_inputs(params, fock_state):
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
     tensor = phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0)
-    for array in (tensor, phasespace._closed_terms(params, SMALL_GRID)):
+    axes = phasespace._closed_axes(params, SMALL_GRID, 1.0)
+    for array in (tensor, phasespace._closed_terms(params, SMALL_GRID), *axes):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+    assert phasespace._closed_axes(params, SMALL_GRID, 1.0) is axes
+
+
+def _term_reference(params, r, n, m, d):
+    """Weight of rho_nm at r and Bessel order +d from the G_s formula of the
+    _closed_terms docstring: exact combinatorics, 50-digit xi powers."""
+    if d > n:
+        return mpmath.mpf(0)
+    mpmath.mp.dps = 50
+    two_n, k_total = 2 * params.n_bound, params.k
+    s = d - n + m
+    xi = k_total * mpmath.exp(-mpmath.mpf(params.beta) * mpmath.mpf(r))
+    g_s = mpmath.mpf(0)
+    for k in range(max(0, -s), m - s + 1):
+        c = Fraction(
+            math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k),
+            math.factorial(s + k) * math.factorial(k),
+        )
+        g_s += mpmath.mpf(c.numerator) / c.denominator * xi ** (s + 2 * k)
+
+    def norm(level):
+        # N_level / sqrt(beta) = sqrt(level! (k - 2 level - 1) / (k - level - 1)!)
+        top = math.factorial(level) * (k_total - 2 * level - 1)
+        return mpmath.sqrt(mpmath.mpf(top) / math.factorial(k_total - level - 1))
+
+    entry = (-1) ** s * params.beta * norm(n) * norm(m) * xi ** (two_n - n - m) * g_s
+    return entry / 2 if d == 0 else entry
+
+
+def test_term_table_layout_against_exact_reference(params):
+    # row (x, D) of the table holds the weights of every rho_nm in row-major
+    # (n, m) order, stored C-contiguously so the product reads it row by row
+    terms = phasespace._closed_terms(params, SMALL_GRID)
+    big_n = params.n_bound
+    assert terms.shape == (SMALL_GRID.n_r * big_n, big_n * big_n)
+    assert terms.flags.c_contiguous
+    r_axis = SMALL_GRID.axes()[0]
+    cases = [
+        (0, 0, 0, 0),       # halved D = 0
+        (3, 5, 4, 0),       # halved D = 0, n < m
+        (7, 2, 10, 3),
+        (5, 11, 6, 5),      # D = n, the top order of the pair
+        (12, 4, 15, 8),
+        (14, 14, 20, 9),
+        (9, 13, 17, 4),
+        (2, 6, 7, 5),       # D > n: exactly zero
+        (6, 1, 3, 14),      # D > n: exactly zero
+    ]
+    for n, m, x, d in cases:
+        got = terms[x * big_n + d, n * big_n + m]
+        ref = _term_reference(params, float(r_axis[x]), n, m, d)
+        if ref == 0:
+            assert got == 0.0, (n, m, x, d)
+        else:
+            assert abs(mpmath.mpf(float(got)) / ref - 1) < 1e-15, (n, m, x, d)
 
 
 def test_default_window_clips_momentum_tail(params, fock_state):

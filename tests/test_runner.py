@@ -246,6 +246,30 @@ def test_wigner_csv_matches_per_point_format(tmp_path):
     assert (tmp_path / "wigner_t0.5.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
+def test_wigner_csv_template_per_axis_pair(tmp_path):
+    # grids on two axis pairs, interleaved: one symmetric square pair, one
+    # with the same r axis but an asymmetric, longer p axis.  Each file must
+    # come from its own pair's template, byte for byte
+    r_axis = np.array([-2.0, 0.5, 3.25])
+    square_p = np.array([-1.5, 0.0, 1.5])
+    skew_p = np.array([-0.75, 0.1, 2.0, 6.5])
+    rng = np.random.default_rng(5)
+    pairs = [(r_axis, square_p), (r_axis, skew_p), (r_axis, square_p), (r_axis, skew_p)]
+    grids = [
+        WignerGrid(r_axis=r, p_axis=p, values=rng.normal(size=(len(r), len(p))), time=t)
+        for t, (r, p) in zip((0.0, 0.5, 1.0, 2.5), pairs)
+    ]
+    result = ScenarioResult(config=SimulationConfig(), metadata={}, grids=grids)
+    write_outputs(result, tmp_path)
+    for grid in grids:
+        expected = ["r,p,w"] + [
+            f"{r:.12g},{p:.12g},{grid.values[i, j]:.12g}"
+            for i, r in enumerate(grid.r_axis) for j, p in enumerate(grid.p_axis)
+        ]
+        written = (tmp_path / f"wigner_t{grid.time:g}.csv").read_bytes()
+        assert written == ("\n".join(expected) + "\n").encode()
+
+
 def test_outputs_are_deterministic(tmp_path):
     config = fast_config()
     first = tmp_path / "a"
