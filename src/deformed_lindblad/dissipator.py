@@ -27,6 +27,8 @@ Optional frequency-shift coefficients delta1..delta4 (Stark and Lamb type)
 enter as commutator terms that perturb off-diagonal elements only.  They are
 principal-value integrals that diverge without an ultraviolet cutoff, so
 they are disabled by default and require an explicit cutoff when enabled.
+Like the gain terms below, the shift commutators are not in completely
+positive form either.
 
 A caution on positivity: this generator is Lindblad-like but not completely
 positive.  Its gain terms weight the sandwich F rho F^dag by the arithmetic
@@ -74,7 +76,6 @@ __all__ = [
     "validate_density",
 ]
 
-TRACE_TOL = 1e-9
 TRACE_ABORT = 1e-7
 HERMITICITY_TOL = 1e-10
 # Abort threshold for negative eigenvalues.  At 15 levels and theta = 4 the
@@ -82,6 +83,9 @@ HERMITICITY_TOL = 1e-10
 # states (see the module docstring), so the abort floor sits an order of
 # magnitude below that band rather than at round-off scale.
 EIG_ABORT_FLOOR = -1e-2
+# steady_state's bounds on ||d rho/dt||_max and on |dp_n/dt| / p_n, p_n > 0
+STEADY_RESIDUAL_TOL = 1e-12
+STEADY_RELATIVE_TOL = 1e-9
 
 # Damping prefactor with every physical constant in the decay-rate
 # expression set to one (the convention of the source model), which makes
@@ -344,30 +348,38 @@ def build_generator(
     )
 
 
-def validate_density(
-    rho: np.ndarray,
-    time: float = 0.0,
-    trace_abort: float = TRACE_ABORT,
-    herm_tol: float = HERMITICITY_TOL,
-    eig_floor: float = EIG_ABORT_FLOOR,
-) -> dict[str, float]:
-    """Check Hermiticity, trace, and positivity; raise IntegrationError on breach."""
+def validate_density(rho: np.ndarray, time: float = 0.0) -> dict[str, float]:
+    """Check finiteness, trace, Hermiticity and positivity of rho at time.
+
+    A non-finite entry raises IntegrationError naming it, before any
+    arithmetic on rho.  Then |Tr rho - 1| must stay within TRACE_ABORT,
+    max |rho - rho^H| within HERMITICITY_TOL (wigner_closed's bound too)
+    and the least eigenvalue of the Hermitian part above EIG_ABORT_FLOOR,
+    or IntegrationError names the breach and the time.
+    """
+    bad = np.argwhere(~np.isfinite(rho))
+    if len(bad):
+        n, m = bad[0]
+        raise IntegrationError(
+            f"density matrix entry ({n}, {m}) is not finite ({rho[n, m]}) at t = {time}",
+            time=time, drift=float(abs(rho[n, m])),
+        )
     trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if trace_err > trace_abort:
+    if trace_err > TRACE_ABORT:
         raise IntegrationError(
-            f"trace drift {trace_err:.3e} exceeds {trace_abort} at t = {time}",
+            f"trace drift {trace_err:.3e} exceeds {TRACE_ABORT} at t = {time}",
             time=time, drift=trace_err,
         )
-    if herm_err > herm_tol:
+    if herm_err > HERMITICITY_TOL:
         raise IntegrationError(
-            f"Hermiticity deviation {herm_err:.3e} exceeds {herm_tol} at t = {time}",
+            f"Hermiticity deviation {herm_err:.3e} exceeds {HERMITICITY_TOL} at t = {time}",
             time=time, drift=herm_err,
         )
-    if min_eig < eig_floor:
+    if min_eig < EIG_ABORT_FLOOR:
         raise IntegrationError(
-            f"negative eigenvalue {min_eig:.3e} below {eig_floor} at t = {time}",
+            f"negative eigenvalue {min_eig:.3e} below {EIG_ABORT_FLOOR} at t = {time}",
             time=time, drift=min_eig,
         )
     return {"trace_error": trace_err, "hermiticity_error": herm_err, "min_eigenvalue": min_eig}
@@ -452,8 +464,6 @@ def steady_state(
     model: OscillatorModel,
     rates: RateTable,
     eta_values: Sequence[float],
-    residual_tol: float = 1e-12,
-    relative_tol: float = 1e-9,
 ) -> np.ndarray:
     """Stationary state: the null vector of the population block.
 
@@ -466,10 +476,10 @@ def steady_state(
     relative to their neighbours; without it they come out as differences
     of much larger fluxes and lose their relative accuracy.  The result is
     then checked: the generator residual ||d rho/dt||_max must fall below
-    residual_tol AND the relative rate |dp_n/dt| / p_n below relative_tol
-    on every level with p_n > 0, or RuntimeError names the residual reached.
-    Levels whose population underflows to zero (extreme cold) have no
-    relative rate; the absolute residual still covers them.
+    STEADY_RESIDUAL_TOL AND the relative rate |dp_n/dt| / p_n below
+    STEADY_RELATIVE_TOL on every level with p_n > 0, or RuntimeError names
+    the residual reached.  Levels whose population underflows to zero
+    (extreme cold) have no relative rate; the absolute residual covers them.
     """
     if not np.any(rates.K1[1:]) and not np.any(rates.K4[:-1]):
         raise ValueError("steady state requires nonzero damping")
@@ -487,10 +497,10 @@ def steady_state(
     p = np.diag(rho).real
     occupied = p > 0.0
     relative = float(np.max(np.abs(np.diag(derivative).real[occupied]) / p[occupied]))
-    if not (residual < residual_tol and relative < relative_tol):
+    if not (residual < STEADY_RESIDUAL_TOL and relative < STEADY_RELATIVE_TOL):
         raise RuntimeError(
-            f"steady state residual {residual:.3e} (tolerance {residual_tol}), "
-            f"relative rate {relative:.3e} (tolerance {relative_tol})"
+            f"steady state residual {residual:.3e} (tolerance {STEADY_RESIDUAL_TOL}), "
+            f"relative rate {relative:.3e} (tolerance {STEADY_RELATIVE_TOL})"
         )
     return rho
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dissipator import HERMITICITY_TOL
 from .morse import MorseParams, morse_wavefunction
 
 __all__ = [
@@ -440,20 +441,17 @@ def wigner_closed(
     time: float = 0.0,
     hbar: float = 1.0,
     rtol: float = 1e-8,
-    imag_tol: float = 1e-10,
     max_levels: int = 6,
 ) -> WignerGrid:
     """Wigner function from the analytic bound-state sum.
 
     The Bessel panel quadrature is refined until the assembled W values
     stabilize to rtol of the grid maximum; exhaustion raises
-    BesselAccuracyError naming the worst grid point.  With h = (rho +
-    rho^H)/2 and a = (rho - rho^H)/2i, W = W[h] + i W[a] and both maps are
-    real, each 2 Re(c K) of the +D half of the sum.  W[a] is assembled only
-    when a is not exactly zero; this imaginary residue must stay below
-    imag_tol relative to the largest real value, else the input is not
-    Hermitian and it raises rather than being discarded.  A non-finite
-    entry in rho raises ValueError before any quadrature.
+    BesselAccuracyError naming the worst grid point.  The map is W[h] =
+    2 Re(c K) of the +D half of the sum, with h = (rho + rho^H)/2.  Before
+    any quadrature, a non-finite entry in rho raises ValueError, and so
+    does an anti-Hermitian residue max |rho - rho^H| above
+    HERMITICITY_TOL, the bound validate_density holds every state to.
 
     The term table (per params, grid) and the Bessel tensor (per params,
     grid, hbar, level) do not depend on rho; later calls reuse them.
@@ -467,23 +465,25 @@ def wigner_closed(
     if len(bad):
         n, m = bad[0]
         raise ValueError(f"density matrix entry ({n}, {m}) is not finite: {rho[n, m]}")
+    skew = np.abs(rho - rho.conj().T)
+    n, m = np.unravel_index(int(np.argmax(skew)), skew.shape)
+    if skew[n, m] > HERMITICITY_TOL:
+        raise ValueError(
+            f"anti-Hermitian residue |rho - rho^H| = {skew[n, m]:.3e} at entry "
+            f"({n}, {m}) exceeds {HERMITICITY_TOL}; rho is not Hermitian"
+        )
     r_axis, p_axis = grid.axes()
     _, _, inverse, negative_b, _ = _closed_axes(params, grid, hbar)
 
-    # rows: Re and Im of 2h, then of 2a when rho is not Hermitian.  A
-    # Hermitian M has c_neg = conj(c_pos), so W[M] = 2 Re(c_pos K) needs only
-    # Re c and Im c of the +D half, from one real product with the table
+    # rows: Re and Im of 2h.  A Hermitian h has c_neg = conj(c_pos), so
+    # W[h] = 2 Re(c_pos K) needs only Re c and Im c of the +D half, from one
+    # real product with the table
     re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
-    rows = [re + re.T, im - im.T]
-    anti = [im + im.T, re.T - re]
-    if np.any(anti[0]) or np.any(anti[1]):
-        rows += anti
-    rows = np.reshape(rows, (len(rows), -1))
+    rows = np.reshape([re + re.T, im - im.T], (2, -1))
     terms = _closed_terms(params, grid)
     # one sequential sum over (n, m) per table row (x, D), read contiguously;
-    # coef goes back to (row, x, D) order, the layout the contraction reads
-    coef = np.ascontiguousarray(np.dot(terms, rows.T).T)
-    coef = coef.reshape(len(rows), len(r_axis), big_n)
+    # Re c and Im c go back to (x, D) order, the layout the contraction reads
+    re_c, im_c = np.ascontiguousarray(np.dot(terms, rows.T).T).reshape(2, len(r_axis), big_n)
     prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
     # negative-b columns take conj(K), which flips the sign of Im K
     sign = np.where(negative_b, _LD(-1.0), _LD(1.0))
@@ -491,10 +491,9 @@ def wigner_closed(
     def assemble(level: int) -> np.ndarray:
         k = _bessel_tensor(params, grid, hbar, level)
         # Re c Re K - Im c Im K on the unique |b| columns, then out to p
-        re_k = np.einsum("rxd,xbd->rxb", coef[0::2], k.real, optimize=False)
-        im_k = np.einsum("rxd,xbd->rxb", coef[1::2], k.imag, optimize=False)
-        w = (re_k[:, :, inverse] - sign * im_k[:, :, inverse]) * prefactor
-        return w[0] if len(w) == 1 else w[0] + 1j * w[1]
+        re_k = np.einsum("xd,xbd->xb", re_c, k.real, optimize=False)
+        im_k = np.einsum("xd,xbd->xb", im_c, k.imag, optimize=False)
+        return (re_k[:, inverse] - sign * im_k[:, inverse]) * prefactor
 
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
@@ -511,23 +510,12 @@ def wigner_closed(
             f"(residual {residual:.3e}); its largest single term is {ratio:.3e} "
             f"x max |W|, which leaves {mantissa - math.log10(ratio):.1f} of the "
             f"{mantissa:.1f} digits of the longdouble mantissa",
-            estimate=np.asarray(estimate, dtype=complex),
+            estimate=np.asarray(estimate, dtype=float),
             error=error,
         )
 
-    w_complex = _refine(assemble, rtol, max_levels, failure)
-
-    real = np.asarray(w_complex.real, dtype=float)
-    imag = np.asarray(w_complex.imag, dtype=float)
-    scale = float(np.max(np.abs(real)))
-    residue = float(np.max(np.abs(imag)))
-    if scale > 0.0 and residue > imag_tol * scale:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds {imag_tol:g} x max |W| "
-            f"= {imag_tol * scale:.3e} at t = {time}; order pairing or input "
-            "Hermiticity is broken"
-        )
-    return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=real, time=time)
+    values = np.asarray(_refine(assemble, rtol, max_levels, failure), dtype=float)
+    return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 
 def _support_bounds(params: MorseParams, tail: float = 1e-12) -> tuple[float, float]:

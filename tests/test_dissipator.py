@@ -597,7 +597,7 @@ def test_shifts_leave_populations_untouched(model, etas):
     assert np.max(np.abs(np.diag(d_with) - np.diag(d_without))) < 1e-14
 
 
-def test_validate_density_raises(model):
+def test_validate_density_raises(model, rates, etas):
     good = np.eye(15, dtype=complex) / 15
     checks = validate_density(good)
     assert checks["trace_error"] < 1e-14
@@ -607,3 +607,11 @@ def test_validate_density_raises(model):
     lopsided[0, 3] = 1e-6
     with pytest.raises(IntegrationError, match="Hermiticity"):
         validate_density(lopsided)
+    # a non-finite entry is named, with the time, before any arithmetic on
+    # rho (which would end in a LinAlgError after RuntimeWarnings)
+    broken = good.copy()
+    broken[2, 3] = np.nan
+    with pytest.raises(IntegrationError, match=r"entry \(2, 3\) is not finite .* at t = 0\.5"):
+        validate_density(broken, time=0.5)
+    with pytest.raises(IntegrationError, match=r"entry \(2, 3\) is not finite .* at t = 0\.0"):
+        integrate(broken, model, rates, etas, 1.0, 1e-3)

@@ -22,6 +22,7 @@ from deformed_lindblad import (
     wigner_direct_oracle,
 )
 from deformed_lindblad import phasespace
+from deformed_lindblad.dissipator import HERMITICITY_TOL
 
 SMALL_GRID = GridSpec(n_r=21, n_p=21)
 
@@ -168,27 +169,30 @@ def test_closed_form_rejects_non_hermitian(params, fock_state):
 
 @pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
 def test_hermitian_pairing_is_exact(request, params, model, rates, etas, state):
-    # a Hermitian rho has no anti-Hermitian part, so only its real map
-    # 2 Re(c K) is assembled and W has no imaginary residue at all, at t = 0
-    # and after evolution has dressed every order
+    # the states the runner maps are exactly Hermitian, at t = 0 and after
+    # evolution has dressed every order, so they pass the check on rho with
+    # no anti-Hermitian residue at all
     rho0 = request.getfixturevalue(state)
     evolved = integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states
     for rho in evolved:
-        wigner_closed(rho, params, SMALL_GRID, imag_tol=0.0)
+        assert np.array_equal(rho, rho.conj().T)
+        wigner_closed(rho, params, SMALL_GRID)
 
 
 def test_anti_hermitian_part_only_reaches_the_residue(params, model, rates, etas, rho_docs, rho_cat):
-    # rho = h + i eps S with S real symmetric has anti-Hermitian part eps S:
-    # it must leave the real map W[h] bit for bit and show only in the
-    # residue.  S is full on the real docs state; on the evolved cat state
-    # (complex coherences) it is diagonal, where adding i eps S rounds nothing
+    # rho = h + i eps S with S real symmetric has anti-Hermitian residue
+    # |rho - rho^H| = 2 eps |S|: below HERMITICITY_TOL it must leave the real
+    # map W[h] bit for bit, above it the check on rho rejects the input.  S
+    # is full on the real docs state; on the evolved cat state (complex
+    # coherences) it is diagonal, where adding i eps S rounds nothing
     rng = np.random.default_rng(3)
     full = rng.normal(size=(15, 15))
     full = full + full.T
     evolved = integrate(rho_cat, model, rates, etas, 1.0, 1e-3, [1.0]).states[-1]
+    assert 2e-12 * np.max(np.abs(full)) < HERMITICITY_TOL
     for h, s in ((rho_docs, full), (evolved, np.diag(np.diag(full)))):
         expected = wigner_closed(h, params, SMALL_GRID).values
-        got = wigner_closed(h + 1e-9j * s, params, SMALL_GRID, imag_tol=1.0).values
+        got = wigner_closed(h + 1e-12j * s, params, SMALL_GRID).values
         assert got.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="residue"):
             wigner_closed(h + 1e-4j * s, params, SMALL_GRID)
@@ -206,12 +210,19 @@ def test_evolved_cat_closed_matches_oracle(params, model, rates, etas, rho_cat, 
 
 
 def test_closed_form_rejects_non_finite_before_quadrature(params, fock_state):
-    rho = fock_state(0)
-    rho[3, 1] = np.nan
-    builds = (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info())
-    with pytest.raises(ValueError, match=r"entry \(3, 1\) is not finite"):
-        wigner_closed(rho, params, SMALL_GRID)
-    assert (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info()) == builds
+    # a non-finite and a non-Hermitian rho both raise before any table or
+    # tensor is built, naming the offending entry
+    non_finite = fock_state(0)
+    non_finite[3, 1] = np.nan
+    lopsided = fock_state(0)
+    lopsided[2, 4] = 1e-6     # no conjugate partner
+    cases = ((non_finite, r"entry \(3, 1\) is not finite"),
+             (lopsided, r"residue .* at entry \(2, 4\)"))
+    for rho, message in cases:
+        builds = (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info())
+        with pytest.raises(ValueError, match=message):
+            wigner_closed(rho, params, SMALL_GRID)
+        assert (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info()) == builds
 
 
 def test_wigner_grid_metadata(params, fock_state):

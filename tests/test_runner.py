@@ -16,6 +16,7 @@ from deformed_lindblad import (
     write_outputs,
 )
 from deformed_lindblad.cli import main as cli_main
+from deformed_lindblad.dissipator import HERMITICITY_TOL
 from deformed_lindblad.phasespace import WignerGrid
 from deformed_lindblad.runner import ScenarioResult, SimulationConfig
 
@@ -189,6 +190,31 @@ def test_run_scenario_custom_rho(tmp_path):
     result = run_scenario(config)
     assert result.samples[0].purity == pytest.approx(1.0, abs=1e-10)
     assert "alpha" not in result.metadata
+
+
+def test_custom_rho_within_hermiticity_tol_runs(tmp_path, rho_docs):
+    # rho = h + i eps S with S real symmetric has anti-Hermitian residue
+    # 2 eps max|S| below HERMITICITY_TOL: the density check on load and the
+    # Wigner map's check on rho use the same measure and bound, so the run
+    # goes through and the t = 0 map of the Hermitian part h is unchanged,
+    # byte for byte.  Evolution mixes i eps S into the rounding of h's
+    # coherences, so the evolved map agrees with h's to round-off only
+    assert not np.any(rho_docs.imag)
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(15, 15))
+    s = s + s.T
+    eps = 1e-12
+    assert 2 * eps * np.max(np.abs(s)) < HERMITICITY_TOL
+    results = []
+    for name, rho in (("h", rho_docs), ("skewed", rho_docs + 1j * eps * s)):
+        np.save(tmp_path / f"{name}.npy", rho)
+        config = fast_config(f"scenario = custom_rho\nrho_path = {tmp_path / name}.npy\n")
+        results.append(run_scenario(config))
+        write_outputs(results[-1], tmp_path / name)
+    expected = (tmp_path / "h" / "wigner_t0.csv").read_bytes()
+    assert (tmp_path / "skewed" / "wigner_t0.csv").read_bytes() == expected
+    plain, skewed = (result.grids[-1].values for result in results)
+    assert np.max(np.abs(skewed - plain)) < 1e-11 * np.max(np.abs(plain))
 
 
 def test_custom_rho_shape_mismatch(tmp_path):
