@@ -20,7 +20,7 @@ from deformed_lindblad import (
 
 params = MorseParams(15)
 model = morse_model(params)
-harmonic = OscillatorModel(1.0, 15, harmonic_deformation())
+harmonic = OscillatorModel(15, harmonic_deformation())
 
 print(f"Morse-like ladder with N = {params.n_bound} bound states, "
       f"chi = 1/{params.k} = {params.chi:.5f}\n")

@@ -40,27 +40,26 @@ __all__ = [
     "to_density",
 ]
 
+# |<n>(alpha) - target| at which alpha_for_mean_n's bisection stops
+MEAN_N_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm complex amplitudes over the truncated number basis."""
 
     amplitudes: np.ndarray
-    label: str
 
     @property
     def dim(self) -> int:
         return len(self.amplitudes)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _normalized(amplitudes: np.ndarray, label: str) -> StateVector:
     norm = np.linalg.norm(amplitudes)
     if not norm > 0.0:
         raise ValueError(f"cannot normalize a zero {label} state")
-    return StateVector(amplitudes=amplitudes / norm, label=label)
+    return StateVector(amplitudes=amplitudes / norm)
 
 
 def aocs(alpha: complex, model: OscillatorModel) -> StateVector:
@@ -132,12 +131,12 @@ def alpha_for_mean_n(
     builder: Callable[[float, OscillatorModel], StateVector],
     model: OscillatorModel,
     alpha_max: float | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Solve <n>(alpha) = target for real alpha >= 0 by bracketing + bisection.
 
     The map alpha -> <n> is monotone increasing for all three constructors,
-    so a doubling search brackets the target and bisection pins it down.
+    so a doubling search brackets the target and bisection pins it down to
+    MEAN_N_TOL.
     Raises if the target is not reachable on the truncated ladder (the
     bracket saturates below target), reporting the best attainable mean.
     """
@@ -172,7 +171,7 @@ def alpha_for_mean_n(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         value = mean_at(mid)
-        if abs(value - target) <= tol:
+        if abs(value - target) <= MEAN_N_TOL:
             return mid
         if value < target:
             lo = mid

@@ -9,8 +9,11 @@ amplitude g(n) = eta(n) f(n+1) sqrt(n+1) and level-dependent rates
     K3(n) = gamma(n-1)/2  nbar(Omega(n-1))          gain, upward
     K4(n) = gamma(n)/2   (nbar(Omega(n)) + 1)       gain, downward
 
-with gamma(n) = gamma_scale (Omega(n)/omega0)^3 omega0 and nbar the Planck
-occupation at dimensionless inverse temperature theta.  In the number basis,
+with gamma(n) = gamma_scale Omega(n)^3 and nbar(w) = 1/(exp(theta w) - 1)
+the Planck occupation at the dimensionless inverse temperature
+theta = hbar omega0 / (k_B T).  Units are those of the source model,
+hbar = omega0 = 1, so frequencies, rates and energies are in units of
+omega0.  In the number basis,
 
     d rho_mn/dt = -i (E_m - E_n) rho_mn
                   - (K1(m) g(m-1)^2 + K2(m) g(m)^2
@@ -98,8 +101,8 @@ class ReservoirParams:
     """Thermal reservoir: inverse temperature and damping strength.
 
     theta is hbar omega0 / (k_B T); gamma_scale is the dimensionless damping
-    prefactor multiplying (Omega(n)/omega0)^3.  The default 4/3 corresponds
-    to setting every physical constant in the dipole decay rate to one.
+    prefactor multiplying Omega(n)^3.  The default 4/3 corresponds to
+    setting every physical constant in the dipole decay rate to one.
     shift_cutoff (in units of omega0) is required only when shifts_enabled,
     because the shift integrals grow without bound as the upper limit
     increases.
@@ -146,12 +149,16 @@ class RateTable:
 
 
 class IntegrationError(RuntimeError):
-    """A density-matrix invariant broke during time evolution."""
+    """A density-matrix invariant broke during time evolution.
 
-    def __init__(self, message: str, time: float, drift: float):
+    invariant names it: "finite", "trace", "hermiticity" or "eigenvalue".
+    """
+
+    def __init__(self, message: str, time: float, drift: float, invariant: str):
         super().__init__(message)
         self.time = time
         self.drift = drift
+        self.invariant = invariant
 
 
 def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
@@ -165,9 +172,9 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
             f"non-positive gap Omega({n}) = {gaps[n]} inside the ladder; "
             "rates undefined"
         )
-    half_gamma = 0.5 * reservoir.gamma_scale * (gaps / model.omega0) ** 3 * model.omega0
+    half_gamma = 0.5 * reservoir.gamma_scale * gaps**3
     with np.errstate(over="ignore"):
-        nbar = 1.0 / np.expm1(reservoir.theta * gaps / model.omega0)
+        nbar = 1.0 / np.expm1(reservoir.theta * gaps)
 
     k1 = np.zeros(dim)
     k2 = half_gamma * nbar
@@ -223,15 +230,15 @@ def shift_table(
     """
     if not reservoir.shifts_enabled:
         raise ValueError("shift_table requires shifts_enabled")
-    cutoff = float(reservoir.shift_cutoff) * model.omega0
+    cutoff = float(reservoir.shift_cutoff)
     gaps = gap_frequencies(model)
     if cutoff <= np.max(gaps):
         raise ValueError(
             f"shift_cutoff {reservoir.shift_cutoff} omega0 lies below the "
-            f"largest gap {np.max(gaps) / model.omega0} omega0"
+            f"largest gap {np.max(gaps)} omega0"
         )
-    theta = reservoir.theta / model.omega0
-    half_gamma = 0.5 * reservoir.gamma_scale * (gaps / model.omega0) ** 3 * model.omega0
+    theta = reservoir.theta
+    half_gamma = 0.5 * reservoir.gamma_scale * gaps**3
 
     def spontaneous(w):
         return w**3 * (1.0 / np.expm1(theta * w) + 1.0)
@@ -362,7 +369,7 @@ def validate_density(rho: np.ndarray, time: float = 0.0) -> dict[str, float]:
         n, m = bad[0]
         raise IntegrationError(
             f"density matrix entry ({n}, {m}) is not finite ({rho[n, m]}) at t = {time}",
-            time=time, drift=float(abs(rho[n, m])),
+            time=time, drift=float(abs(rho[n, m])), invariant="finite",
         )
     trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
@@ -370,17 +377,17 @@ def validate_density(rho: np.ndarray, time: float = 0.0) -> dict[str, float]:
     if trace_err > TRACE_ABORT:
         raise IntegrationError(
             f"trace drift {trace_err:.3e} exceeds {TRACE_ABORT} at t = {time}",
-            time=time, drift=trace_err,
+            time=time, drift=trace_err, invariant="trace",
         )
     if herm_err > HERMITICITY_TOL:
         raise IntegrationError(
             f"Hermiticity deviation {herm_err:.3e} exceeds {HERMITICITY_TOL} at t = {time}",
-            time=time, drift=herm_err,
+            time=time, drift=herm_err, invariant="hermiticity",
         )
     if min_eig < EIG_ABORT_FLOOR:
         raise IntegrationError(
             f"negative eigenvalue {min_eig:.3e} below {EIG_ABORT_FLOOR} at t = {time}",
-            time=time, drift=min_eig,
+            time=time, drift=min_eig, invariant="eigenvalue",
         )
     return {"trace_error": trace_err, "hermiticity_error": herm_err, "min_eigenvalue": min_eig}
 
@@ -481,7 +488,7 @@ def steady_state(
     the residual reached.  Levels whose population underflows to zero
     (extreme cold) have no relative rate; the absolute residual covers them.
     """
-    if not np.any(rates.K1[1:]) and not np.any(rates.K4[:-1]):
+    if not np.any(rates.K4[:-1]):
         raise ValueError("steady state requires nonzero damping")
     gen = build_generator(model, rates, eta_values)
     _, _, chain = gen.block(0)
@@ -513,7 +520,6 @@ def detailed_balance_populations(rates: RateTable) -> np.ndarray:
     gap.  This is an independent cross-check route for the evolved steady
     state, not a substitute for it.
     """
-    dim = rates.dim
     ratios = rates.K2[:-1] / rates.K1[1:]
     log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
     p = np.exp(log_p - np.max(log_p))

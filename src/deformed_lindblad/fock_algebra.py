@@ -3,13 +3,15 @@
 A deformed oscillator is a harmonic oscillator whose ladder operators are
 rescaled by a level-dependent function f, so that the lowering operator acts
 as A|n> = f(n) sqrt(n) |n-1> and the raising operator as its conjugate
-transpose.  The Hamiltonian is diagonal in the number basis with
+transpose.  In the units of the model (hbar = omega0 = 1, so energies and
+frequencies are in units of the harmonic quantum) the Hamiltonian is
+diagonal in the number basis with
 
-    H_nn = (omega0 / 2) * ((n + 1) f^2(n + 1) + n f^2(n))        (hbar = 1)
+    H_nn = ((n + 1) f^2(n + 1) + n f^2(n)) / 2
 
 and the spacing between adjacent levels is the gap frequency
 
-    Omega(n) = (omega0 / 2) * ((n + 2) f^2(n + 2) - n f^2(n)).
+    Omega(n) = ((n + 2) f^2(n + 2) - n f^2(n)) / 2.
 
 f(n_hat) is diagonal in the number basis, so on the truncated ladder it is
 a table of numbers: OscillatorModel calls the deformation once per level
@@ -62,15 +64,14 @@ def harmonic_deformation() -> DeformationFunction:
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Truncated deformed oscillator: base frequency, dimension, deformation.
+    """Truncated deformed oscillator: dimension and deformation.
 
     ``dim`` is the number of retained number states (indices 0..dim-1).  For
-    a Morse-like ladder with N bound states set dim = N.  Frequencies are in
-    units of 1/time; the default simulation convention is omega0 = 1.
-    ``f2`` holds f^2(n) for n = 0..dim+1, read-only.
+    a Morse-like ladder with N bound states set dim = N.  The harmonic
+    frequency is the unit of frequency.  ``f2`` holds f^2(n) for
+    n = 0..dim+1, read-only.
     """
 
-    omega0: float
     dim: int
     deformation: DeformationFunction
     f2: np.ndarray = field(init=False, repr=False, compare=False)
@@ -78,8 +79,6 @@ class OscillatorModel:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"model dimension must be >= 2, got {self.dim}")
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
         f2 = np.array([float(self.deformation.f_squared(n)) for n in range(self.dim + 2)])
         bad = np.flatnonzero(f2[: self.dim + 1] < 0.0)
         if bad.size:
@@ -108,18 +107,18 @@ def ladder_pair(model: OscillatorModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hamiltonian(model: OscillatorModel) -> np.ndarray:
-    """Diagonal Hamiltonian with H_nn = (omega0/2)((n+1) f^2(n+1) + n f^2(n)).
+    """Diagonal Hamiltonian with H_nn = ((n+1) f^2(n+1) + n f^2(n)) / 2.
 
     The top entry n = dim-1 reads f^2(dim), one level past the truncation.
     """
     f2, dim = model.f2, model.dim
     n = np.arange(dim)
-    diag = 0.5 * model.omega0 * ((n + 1) * f2[1:dim + 1] + n * f2[:dim])
+    diag = 0.5 * ((n + 1) * f2[1:dim + 1] + n * f2[:dim])
     return np.diag(diag)
 
 
 def gap_frequencies(model: OscillatorModel) -> np.ndarray:
-    """Omega(n) = (omega0/2)((n+2) f^2(n+2) - n f^2(n)) for n = 0..dim-1.
+    """Omega(n) = ((n+2) f^2(n+2) - n f^2(n)) / 2 for n = 0..dim-1.
 
     Physically meaningful for 0 <= n <= dim-2 (the spacing between retained
     levels n+1 and n); the entry at n = dim-1 reads f^2(dim+1) and refers to
@@ -127,7 +126,7 @@ def gap_frequencies(model: OscillatorModel) -> np.ndarray:
     """
     f2, dim = model.f2, model.dim
     n = np.arange(dim)
-    return 0.5 * model.omega0 * ((n + 2) * f2[2:dim + 2] - n * f2[:dim])
+    return 0.5 * ((n + 2) * f2[2:dim + 2] - n * f2[:dim])
 
 
 def eigenoperator_residual(model: OscillatorModel) -> float:

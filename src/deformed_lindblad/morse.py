@@ -3,9 +3,11 @@
 The deformation f^2(n) = 1 - chi * n with chi = 1/(2N + 1) reproduces the
 bound-state spectrum of a one-dimensional Morse well with N bound states,
 
-    E_n = omega0 (n + 1/2) - (omega0 / (2N + 1)) (n + 1/2)^2,
+    E_n = (n + 1/2) - (n + 1/2)^2 / (2N + 1),
 
-up to a constant offset of -chi/4 * omega0.  This module supplies that
+up to a constant offset of -chi/4.  Units are those of the source model:
+hbar = omega0 = 1, and the well's range parameter beta (1/length) is one
+too, so positions are in units of 1/beta.  This module supplies that
 deformation together with the quantities the dissipative model needs:
 
 * eta(n), the level-dependent dipole coupling entering the jump operators,
@@ -13,7 +15,7 @@ deformation together with the quantities the dissipative model needs:
 * the adjacent-level dipole matrix elements <n+1|r|n>, used as an
   independent consistency route to eta;
 * the bound-state wavefunctions psi_n(r) in the Morse variable
-  xi(r) = (2N + 1) exp(-beta r), needed by the phase-space transforms.
+  xi(r) = (2N + 1) exp(-r), needed by the phase-space transforms.
 
 Gamma functions appear as log-gamma throughout: with k = 2N + 1 = 31 already,
 Gamma(k - 1) overflows naive evaluation.
@@ -45,30 +47,21 @@ _LOG_TINY = -745.0
 
 @dataclass(frozen=True)
 class MorseParams:
-    """Morse ladder parameters.
+    """Morse ladder parameters: the number of bound states N.
 
-    n_bound is the number of bound states N; the anharmonicity is pinned to
-    chi = 1/(2N + 1).  beta is the range parameter of the well (1/length);
-    the simulation convention is beta = 1, omega0 = 1.
+    The anharmonicity is pinned to chi = 1/(2N + 1).
     """
 
     n_bound: int
-    omega0: float = 1.0
-    beta: float = 1.0
-    chi: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_bound < 2:
             raise ValueError(f"n_bound must be >= 2, got {self.n_bound}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.chi is None:
-            object.__setattr__(self, "chi", 1.0 / (2 * self.n_bound + 1))
-        elif abs(self.chi * (2 * self.n_bound + 1) - 1.0) > 1e-12:
-            raise ValueError(
-                f"chi = {self.chi} inconsistent with n_bound = {self.n_bound}; "
-                "expected chi = 1/(2 n_bound + 1)"
-            )
+
+    @property
+    def chi(self) -> float:
+        """The anharmonicity 1/(2N + 1)."""
+        return 1.0 / (2 * self.n_bound + 1)
 
     @property
     def k(self) -> int:
@@ -90,16 +83,14 @@ def morse_deformation(params: MorseParams) -> DeformationFunction:
 
 def morse_model(params: MorseParams) -> OscillatorModel:
     """Oscillator model truncated at the bound-state count (dim = N)."""
-    return OscillatorModel(
-        omega0=params.omega0, dim=params.n_bound, deformation=morse_deformation(params)
-    )
+    return OscillatorModel(dim=params.n_bound, deformation=morse_deformation(params))
 
 
 def morse_energy(params: MorseParams, n: int) -> float:
-    """Bound-state energy E_n = omega0 (n + 1/2) - (omega0 chi) (n + 1/2)^2."""
+    """Bound-state energy E_n = (n + 1/2) - chi (n + 1/2)^2."""
     _check_level(params, n, params.n_bound - 1)
     x = n + 0.5
-    return params.omega0 * (x - params.chi * x * x)
+    return x - params.chi * x * x
 
 
 def eta(params: MorseParams, n: int) -> float:
@@ -124,11 +115,10 @@ def eta_values(params: MorseParams) -> np.ndarray:
 
 
 def _log_wavefunction_norm(params: MorseParams, n: int) -> float:
-    # N_n = [beta n! (k - 2n - 1) / Gamma(k - n)]^(1/2), in log space
+    # N_n = [n! (k - 2n - 1) / Gamma(k - n)]^(1/2), in log space
     k = params.k
     return 0.5 * (
-        np.log(params.beta)
-        + gammaln(n + 1)
+        gammaln(n + 1)
         + np.log(k - 2 * n - 1.0)
         - gammaln(k - n)
     )
@@ -139,7 +129,7 @@ def dipole_element(params: MorseParams, n: int) -> float:
 
     Evaluates (with k = 2N + 1)
 
-        <n+1|r|n> = beta^{-2} N_n N_{n+1} Gamma(k - n - 1) / ((k - 2n - 2) n!)
+        <n+1|r|n> = N_n N_{n+1} Gamma(k - n - 1) / ((k - 2n - 2) n!)
 
     entirely in log space.  This is an independent route to the coupling:
     the ratio dipole_element(n) / dipole_element(0) must match the ratio of
@@ -148,8 +138,7 @@ def dipole_element(params: MorseParams, n: int) -> float:
     _check_level(params, n, params.n_bound - 2)
     k = params.k
     log_value = (
-        -2.0 * np.log(params.beta)
-        + _log_wavefunction_norm(params, n)
+        _log_wavefunction_norm(params, n)
         + _log_wavefunction_norm(params, n + 1)
         + gammaln(k - n - 1)
         - np.log(k - 2.0 * n - 2.0)
@@ -177,7 +166,7 @@ def _laguerre(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
 def morse_wavefunction(params: MorseParams, n: int, r) -> np.ndarray | float:
     """Bound-state wavefunction psi_n(r) = N_n exp(-xi/2) xi^(N-n) L_n^(2N-2n)(xi).
 
-    xi(r) = (2N + 1) exp(-beta r).  The exponential prefactor is assembled in
+    xi(r) = (2N + 1) exp(-r).  The exponential prefactor is assembled in
     log space so the deep repulsive wall (xi large) underflows cleanly to
     zero instead of producing inf * 0.
     """
@@ -186,7 +175,7 @@ def morse_wavefunction(params: MorseParams, n: int, r) -> np.ndarray | float:
     scalar = r_arr.ndim == 0
     r_arr = np.atleast_1d(r_arr)
 
-    xi = params.k * np.exp(-params.beta * r_arr)
+    xi = params.k * np.exp(-r_arr)
     power = params.n_bound - n
     log_env = _log_wavefunction_norm(params, n) - 0.5 * xi + power * np.log(xi)
     alive = log_env > _LOG_TINY

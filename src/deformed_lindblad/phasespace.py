@@ -4,9 +4,8 @@ Two independent routes to the same function:
 
 * wigner_closed evaluates the analytic double sum obtained by inserting the
   bound-state wavefunctions into the Wigner integral.  Each term carries a
-  modified Bessel function of the second kind at complex order
-  D - 2ip/(hbar beta) with integer D.  Orders D = 0 and 1 come from panel
-  quadrature of
+  modified Bessel function of the second kind at complex order D - 2ip
+  with integer D.  Orders D = 0 and 1 come from panel quadrature of
 
       K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt,   x > 0,
 
@@ -20,6 +19,9 @@ Two independent routes to the same function:
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
   deliberately free of the combinatorics the closed form relies on.
+
+Units are those of the source model: hbar = omega0 = 1, and positions are
+in units of 1/beta, the Morse range parameter.
 
 A note on precision: the closed-form expansion is ill conditioned.  For
 states with coherences between distant levels, the individual Bessel-
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import HERMITICITY_TOL
+from .dissipator import HERMITICITY_TOL, purity
 from .morse import MorseParams, morse_wavefunction
 
 __all__ = [
@@ -59,6 +61,12 @@ _LD = np.longdouble
 
 # log-integrand drop below the peak at which the Bessel integral is truncated
 _TAIL_DROP = 45.0
+# Refinement budgets: bessel_k_complex_order halves its panels up to
+# K_MAX_LEVELS times until two levels agree to K_RTOL; each Wigner route
+# refines up to WIGNER_MAX_LEVELS times
+K_MAX_LEVELS = 8
+K_RTOL = 1e-9
+WIGNER_MAX_LEVELS = 6
 
 
 class BesselAccuracyError(RuntimeError):
@@ -215,15 +223,13 @@ def _nodes_weights(
     return nodes, weights
 
 
-def _refine(evaluate, rtol: float, max_levels: int, failure):
-    """evaluate(level) for level = 0, 1, ... until two successive levels
-    agree to rtol of the largest |value|; returns the finer one.  Exhaustion
-    raises failure(last value, index of its largest change, that change
-    relative to the largest |value|, the change itself)."""
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+def _refine(evaluate, rtol: float, levels: int, failure):
+    """evaluate(level) for level = 0, 1, ..., levels until two successive
+    levels agree to rtol of the largest |value|; returns the finer one.
+    Exhaustion raises failure(last value, index of its largest change, that
+    change relative to the largest |value|, the change itself)."""
     previous = evaluate(0)
-    for level in range(1, max_levels + 1):
+    for level in range(1, levels + 1):
         current = evaluate(level)
         scale = float(np.max(np.abs(current)))
         diff = np.abs(current - previous).astype(float)
@@ -270,16 +276,15 @@ def _k_quadrature(
     return k
 
 
-def bessel_k_complex_order(
-    nu: complex, x: float, rtol: float = 1e-9, max_levels: int = 8
-) -> complex:
+def bessel_k_complex_order(nu: complex, x: float) -> complex:
     """K_nu(x) for arbitrary complex order by refinement-controlled quadrature.
 
     One point of the extended-precision kernel that also builds the Wigner
     Bessel tensor.  Panels are refined (halved) until two successive levels
-    agree to rtol; exhaustion raises BesselAccuracyError carrying the best
-    estimate.  Designed for x >= 1e-6 and |Re nu| <= 35, where the result
-    itself stays inside double range.
+    agree to K_RTOL; exhaustion after K_MAX_LEVELS raises
+    BesselAccuracyError carrying the best estimate.  Designed for
+    x >= 1e-6 and |Re nu| <= 35, where the result itself stays inside
+    double range.
     """
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got x = {x}")
@@ -294,13 +299,13 @@ def bessel_k_complex_order(
 
     def failure(estimate, worst, residual, error):
         return BesselAccuracyError(
-            f"K_nu quadrature did not reach rtol = {rtol} for nu = {nu}, x = {x} "
+            f"K_nu quadrature did not reach rtol = {K_RTOL} for nu = {nu}, x = {x} "
             f"(achieved {residual:.3e})",
             estimate=estimate,
             error=error,
         )
 
-    return _refine(evaluate, rtol, max_levels, failure)
+    return _refine(evaluate, K_RTOL, K_MAX_LEVELS, failure)
 
 
 def _k_tensor_level(
@@ -353,18 +358,17 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     window, which leaves extended precision ten spare digits, and its range
     (1e4932) removes any need for log-space scaling of the xi powers.
     """
-    xi = _closed_axes(params, grid, 1.0)[0]    # xi does not depend on hbar
+    xi = _closed_axes(params, grid)[0]
     big_n = params.n_bound
     two_n = 2 * big_n
     k_total = params.k
 
     factorial = [math.factorial(i) for i in range(two_n + 1)]
-    # norms[n] = N_n / sqrt(beta) = sqrt(n! (k - 2n - 1) / (k - n - 1)!)
+    # norms[n] = N_n = sqrt(n! (k - 2n - 1) / (k - n - 1)!)
     norms = [
         np.sqrt(_ld_int(factorial[n] * (k_total - 2 * n - 1)) / _ld_int(factorial[k_total - n - 1]))
         for n in range(big_n)
     ]
-    beta_ld = _LD(params.beta)
 
     terms = np.zeros((len(xi) * big_n, big_n * big_n), dtype=_LD)
     # a view of the same memory indexed [x, D, n, m]; filled in place
@@ -372,7 +376,7 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     xi_sq = xi * xi
     for n in range(big_n):
         for m in range(big_n):
-            pair = beta_ld * norms[n] * norms[m] * xi ** _LD(two_n - n - m)
+            pair = norms[n] * norms[m] * xi ** _LD(two_n - n - m)
             for s in range(m - n, m + 1):
                 k_start = max(0, -s)
                 # Horner over k of the positive series G_s; exact integer
@@ -390,22 +394,22 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     return terms
 
 
-# O(n_r + n_p) values per (params, grid, hbar), as many keys as the tensor
-# cache can hold.
+# O(n_r + n_p) values per (params, grid), as many keys as the tensor cache
+# can hold.
 @functools.lru_cache(maxsize=7)
 def _closed_axes(
-    params: MorseParams, grid: GridSpec, hbar: float
+    params: MorseParams, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rho-independent axes of the closed form, cached and read-only.
 
     Returns (xi, b_abs, inverse, negative_b, edges): the Bessel argument per
-    r point, the distinct |b| = 2|p|/(hbar beta) values, the index mapping
+    r point, the distinct |b| = 2|p| values, the index mapping
     each p point to its |b|, the mask of negative b, and the panel edges of
     the Bessel quadrature, which runs at orders 0 and 1 only.
     """
     r_axis, p_axis = grid.axes()
-    xi = _ld_int(params.k) * np.exp(-_LD(params.beta) * r_axis.astype(_LD))
-    b = 2.0 * p_axis.astype(_LD) / (_LD(hbar) * _LD(params.beta))
+    xi = _ld_int(params.k) * np.exp(-r_axis.astype(_LD))
+    b = 2.0 * p_axis.astype(_LD)
     b_abs, inverse = np.unique(np.abs(b), return_inverse=True)
     negative_b = b < 0.0
     t_max = _tail_cutoff(float(np.min(xi)), 1.0)
@@ -416,19 +420,17 @@ def _closed_axes(
     return axes
 
 
-# One entry per refinement level: enough for one (params, grid, hbar) key
-# through every level wigner_closed's default max_levels = 6 can reach.
+# One entry per refinement level: enough for one (params, grid) key through
+# every level up to WIGNER_MAX_LEVELS = 6.
 # Each entry holds one clongdouble array of shape (n_r, n_unique_b, N),
 # 32 n_r n_unique_b N bytes: 3.5 MB for the default 121 x 121 window at
 # N = 15, 39 MB for a 401 x 401 window.
 @functools.lru_cache(maxsize=7)
-def _bessel_tensor(
-    params: MorseParams, grid: GridSpec, hbar: float, level: int
-) -> np.ndarray:
-    """_k_tensor_level cached per (params, grid, hbar, level).  The tensor
-    does not depend on rho, so every snapshot with the same key reuses it;
-    the array is read-only because it is shared."""
-    xi, b_abs, _, _, edges = _closed_axes(params, grid, hbar)
+def _bessel_tensor(params: MorseParams, grid: GridSpec, level: int) -> np.ndarray:
+    """_k_tensor_level cached per (params, grid, level).  The tensor does not
+    depend on rho, so every snapshot with the same key reuses it; the array
+    is read-only because it is shared."""
+    xi, b_abs, _, _, edges = _closed_axes(params, grid)
     k = _k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level)
     k.setflags(write=False)
     return k
@@ -439,22 +441,21 @@ def wigner_closed(
     params: MorseParams,
     grid: GridSpec | None = None,
     time: float = 0.0,
-    hbar: float = 1.0,
     rtol: float = 1e-8,
-    max_levels: int = 6,
 ) -> WignerGrid:
     """Wigner function from the analytic bound-state sum.
 
     The Bessel panel quadrature is refined until the assembled W values
-    stabilize to rtol of the grid maximum; exhaustion raises
-    BesselAccuracyError naming the worst grid point.  The map is W[h] =
-    2 Re(c K) of the +D half of the sum, with h = (rho + rho^H)/2.  Before
+    stabilize to rtol of the grid maximum; exhaustion after
+    WIGNER_MAX_LEVELS raises BesselAccuracyError naming the worst grid
+    point.  The map is W[h] = 2 Re(c K) of the +D half of the sum, with
+    h = (rho + rho^H)/2.  Before
     any quadrature, a non-finite entry in rho raises ValueError, and so
     does an anti-Hermitian residue max |rho - rho^H| above
     HERMITICITY_TOL, the bound validate_density holds every state to.
 
     The term table (per params, grid) and the Bessel tensor (per params,
-    grid, hbar, level) do not depend on rho; later calls reuse them.
+    grid, level) do not depend on rho; later calls reuse them.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
@@ -473,7 +474,7 @@ def wigner_closed(
             f"({n}, {m}) exceeds {HERMITICITY_TOL}; rho is not Hermitian"
         )
     r_axis, p_axis = grid.axes()
-    _, _, inverse, negative_b, _ = _closed_axes(params, grid, hbar)
+    _, _, inverse, negative_b, _ = _closed_axes(params, grid)
 
     # rows: Re and Im of 2h.  A Hermitian h has c_neg = conj(c_pos), so
     # W[h] = 2 Re(c_pos K) needs only Re c and Im c of the +D half, from one
@@ -484,12 +485,12 @@ def wigner_closed(
     # one sequential sum over (n, m) per table row (x, D), read contiguously;
     # Re c and Im c go back to (x, D) order, the layout the contraction reads
     re_c, im_c = np.ascontiguousarray(np.dot(terms, rows.T).T).reshape(2, len(r_axis), big_n)
-    prefactor = _LD(2.0) / (_LD(math.pi) * _LD(hbar) * _LD(params.beta))
+    prefactor = _LD(2.0) / _LD(math.pi)
     # negative-b columns take conj(K), which flips the sign of Im K
     sign = np.where(negative_b, _LD(-1.0), _LD(1.0))
 
     def assemble(level: int) -> np.ndarray:
-        k = _bessel_tensor(params, grid, hbar, level)
+        k = _bessel_tensor(params, grid, level)
         # Re c Re K - Im c Im K on the unique |b| columns, then out to p
         re_k = np.einsum("xd,xbd->xb", re_c, k.real, optimize=False)
         im_k = np.einsum("xd,xbd->xb", im_c, k.imag, optimize=False)
@@ -499,7 +500,7 @@ def wigner_closed(
         # conditioning at the worst point: the largest single term
         # |row . term . K| of its sum against the largest assembled |W|
         x, p = worst
-        k = _bessel_tensor(params, grid, hbar, max_levels)[x, inverse[p]]
+        k = _bessel_tensor(params, grid, WIGNER_MAX_LEVELS)[x, inverse[p]]
         block = terms[x * big_n:(x + 1) * big_n]
         largest = np.max(np.abs(rows).max(axis=0) * np.abs(block) * np.abs(k)[:, None])
         ratio = float(largest * prefactor) / max(float(np.max(np.abs(estimate))), 1e-300)
@@ -514,7 +515,7 @@ def wigner_closed(
             error=error,
         )
 
-    values = np.asarray(_refine(assemble, rtol, max_levels, failure), dtype=float)
+    values = np.asarray(_refine(assemble, rtol, WIGNER_MAX_LEVELS, failure), dtype=float)
     return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 
@@ -539,17 +540,15 @@ def wigner_direct_oracle(
     params: MorseParams,
     grid: GridSpec | None = None,
     time: float = 0.0,
-    hbar: float = 1.0,
     rtol: float = 1e-8,
-    max_levels: int = 6,
 ) -> WignerGrid:
     """Wigner function by direct Fourier transform of the coordinate kernel.
 
     Builds rho(r + y/2, r - y/2) from the wavefunctions and integrates
-    against exp(-i p y / hbar), refining the y-quadrature until two levels
-    agree to rtol of the grid maximum.  The y-range is truncated where the
-    wavefunction tails fall below 1e-12 of their peak.  Reference
-    implementation for testing, not tuned for speed.
+    against exp(-i p y), refining the y-quadrature until two levels agree
+    to rtol of the grid maximum, within WIGNER_MAX_LEVELS.  The y-range is
+    truncated where the wavefunction tails fall below 1e-12 of their peak.
+    Reference implementation for testing, not tuned for speed.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
@@ -567,8 +566,8 @@ def wigner_direct_oracle(
 
     # panel width set by the fastest oscillation: the Fourier phase plus the
     # highest wavefunction momentum content (about sqrt(2N+1) at the bottom)
-    p_scale = max(1.0, float(np.max(np.abs(p_axis))) / hbar)
-    cap = 6.0 / (p_scale + 0.5 * math.sqrt(2.0 * params.k) * params.beta)
+    p_scale = max(1.0, float(np.max(np.abs(p_axis))))
+    cap = 6.0 / (p_scale + 0.5 * math.sqrt(2.0 * params.k))
     n_panels = max(8, int(math.ceil(2.0 * y_max / cap)))
     edges = np.linspace(-y_max, y_max, n_panels + 1)
 
@@ -582,10 +581,8 @@ def wigner_direct_oracle(
     def evaluate(level: int) -> np.ndarray:
         y, w = (v.ravel() for v in _nodes_weights(edges, level))
         kernel = np.einsum("nyx,nm,myx->yx", psi(0.5 * y), rho, psi(-0.5 * y), optimize=False)
-        phases = np.exp(-1j * np.outer(y, p_axis) / hbar) * w[:, None]
-        return np.einsum("yx,yp->xp", kernel, phases, optimize=False) / (
-            2.0 * math.pi * hbar
-        )
+        phases = np.exp(-1j * np.outer(y, p_axis)) * w[:, None]
+        return np.einsum("yx,yp->xp", kernel, phases, optimize=False) / (2.0 * math.pi)
 
     def failure(estimate, worst, residual, error):
         return RuntimeError(
@@ -594,7 +591,7 @@ def wigner_direct_oracle(
             f"(residual {residual:.3e})"
         )
 
-    values = _refine(evaluate, rtol, max_levels, failure).real
+    values = _refine(evaluate, rtol, WIGNER_MAX_LEVELS, failure).real
     return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 
@@ -605,15 +602,13 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-def wigner_diagnostics(
-    grid: WignerGrid, rho: np.ndarray, hbar: float = 1.0
-) -> WignerDiagnostics:
+def wigner_diagnostics(grid: WignerGrid, rho: np.ndarray) -> WignerDiagnostics:
     """Normalization, the two purity routes, and the grid minimum."""
     w_r = _trapezoid_weights(grid.r_axis)
     w_p = _trapezoid_weights(grid.p_axis)
     norm = float(w_r @ grid.values @ w_p)
-    purity_w = float(2.0 * math.pi * hbar * (w_r @ grid.values**2 @ w_p))
-    purity_m = float(np.einsum("ij,ji->", rho, rho).real)
+    purity_w = float(2.0 * math.pi * (w_r @ grid.values**2 @ w_p))
+    purity_m = purity(rho)
     flat_min = int(np.argmin(grid.values))
     i, j = np.unravel_index(flat_min, grid.values.shape)
     return WignerDiagnostics(

@@ -26,6 +26,7 @@ from .coherent_states import (
 )
 from .dissipator import (
     DEFAULT_GAMMA_SCALE,
+    IntegrationError,
     ReservoirParams,
     integrate,
     purity,
@@ -234,7 +235,16 @@ def _initial_state(config: SimulationConfig, params: MorseParams, model):
             )
         if not np.all(np.isfinite(rho)):
             raise ConfigError(f"rho from {config.rho_path} must be finite everywhere")
-        validate_density(rho)
+        try:
+            validate_density(rho)
+        except IntegrationError as exc:
+            # unit trace and Hermiticity define a density matrix; a negative
+            # eigenvalue stays numerical, judged against the abort floor
+            if exc.invariant == "eigenvalue":
+                raise
+            raise ConfigError(
+                f"rho_path {config.rho_path} is not a density matrix: {exc}"
+            ) from exc
         return rho, meta
 
     target = config.target_mean_n

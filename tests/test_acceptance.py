@@ -89,7 +89,7 @@ def test_criterion_1_trace_hermiticity_positivity(morse, initial_states):
 
 def test_criterion_2_harmonic_limit_oracle():
     """Criterion 2: <n>(t) against the analytic relaxation law, 1e-4 relative."""
-    model = dl.OscillatorModel(1.0, 30, dl.harmonic_deformation())
+    model = dl.OscillatorModel(30, dl.harmonic_deformation())
     reservoir = dl.ReservoirParams(theta=4.0, gamma_scale=0.1)
     rates = dl.rate_table(model, reservoir)
     rho0 = dl.to_density(dl.aocs(math.sqrt(2.0), model))

@@ -25,7 +25,7 @@ def test_aocs_vacuum(model):
 
 
 def test_aocs_harmonic_limit_matches_glauber():
-    model = OscillatorModel(1.0, 30, harmonic_deformation())
+    model = OscillatorModel(30, harmonic_deformation())
     state = aocs(1.0, model)
     n = np.arange(30)
     glauber = np.exp(-0.5 - 0.5 * gammaln(n + 1))  # |alpha| = 1
@@ -44,7 +44,7 @@ def test_aocs_rejects_vanishing_deformation():
     from deformed_lindblad import DeformationFunction
 
     dead = DeformationFunction(lambda n: max(0.0, 1.0 - 0.5 * n), label="pinch")
-    model = OscillatorModel(1.0, 5, dead)
+    model = OscillatorModel(5, dead)
     with pytest.raises(ValueError, match="level 2"):
         aocs(1.0, model)
 

@@ -33,9 +33,9 @@ def random_density(dim, seed):
 
 def test_planck_values(model, reservoir):
     # K2 = gamma/2 nbar and K4 = gamma/2 (nbar + 1) with the Planck occupation
-    # nbar = 1 / expm1(theta Omega / omega0); every harmonic gap is omega0.
+    # nbar = 1 / expm1(theta Omega); every harmonic gap is 1.
     # A non-positive gap is rejected by test_rate_table_rejects_closed_gap.
-    harmonic = OscillatorModel(1.0, 10, harmonic_deformation())
+    harmonic = OscillatorModel(10, harmonic_deformation())
     half_gamma = 0.5 * reservoir.gamma_scale
     nbar = 1.0 / (math.e**4 - 1.0)
     table = rate_table(harmonic, reservoir)
@@ -50,8 +50,8 @@ def test_planck_values(model, reservoir):
 
 
 def test_decay_rate_values(model, reservoir):
-    # gamma(n) = gamma_scale (Omega(n)/omega0)^3 omega0 = 2 (K4(n) - K2(n))
-    harmonic = OscillatorModel(1.0, 10, harmonic_deformation())
+    # gamma(n) = gamma_scale Omega(n)^3 = 2 (K4(n) - K2(n))
+    harmonic = OscillatorModel(10, harmonic_deformation())
     table = rate_table(harmonic, reservoir)
     gamma = 2.0 * (table.K4 - table.K2)
     assert np.max(np.abs(gamma / reservoir.gamma_scale - 1.0)) <= 1e-14
@@ -92,7 +92,7 @@ def test_rate_table_rejects_closed_gap():
     from deformed_lindblad import DeformationFunction
 
     collapsing = DeformationFunction(lambda n: max(0.0, 1.0 - 0.12 * n), "collapse")
-    bad = OscillatorModel(1.0, 6, collapsing)
+    bad = OscillatorModel(6, collapsing)
     with pytest.raises(ValueError, match="Omega"):
         rate_table(bad, ReservoirParams(theta=4.0))
 
@@ -151,7 +151,7 @@ def test_generator_matches_literal_transcription(model, rates, etas, params):
     expected = np.zeros_like(rho)
     for m in range(dim):
         for n in range(dim):
-            acc = -1j * model.omega0 * (m - n) * (1 - chi * (m + n + 1)) * rho[m, n]
+            acc = -1j * (m - n) * (1 - chi * (m + n + 1)) * rho[m, n]
             acc -= k1[m] * eta_at(m - 1) ** 2 * (1 - chi * m) * m * rho[m, n]
             acc -= k1[n] * eta_at(n - 1) ** 2 * (1 - chi * n) * n * rho[m, n]
             acc -= k2[m] * eta_at(m) ** 2 * (1 - chi * (m + 1)) * (m + 1) * rho[m, n]
@@ -190,7 +190,7 @@ def random_deformation_cases():
         deformation = DeformationFunction(
             lambda n, v=f2: float(v[n]) if n < len(v) else 1.0, f"random-{trial}"
         )
-        model = OscillatorModel(1.0, 8, deformation)
+        model = OscillatorModel(8, deformation)
         table = rate_table(model, ReservoirParams(theta=3.0, gamma_scale=0.7))
         etas = rng.uniform(0.2, 1.5, size=8)
         yield trial, model, table, etas
@@ -231,7 +231,7 @@ def test_blocks_reassemble_generator_morse(model, rates, etas):
 
 
 def test_blocks_reassemble_generator_harmonic(reservoir):
-    model = OscillatorModel(1.0, 30, harmonic_deformation())
+    model = OscillatorModel(30, harmonic_deformation())
     assert_blocks_reassemble(model, rate_table(model, reservoir), np.ones(30), 21)
 
 
@@ -294,7 +294,7 @@ def test_integrate_matches_rk4_oracle(model, rates, etas, rho_docs, rho_aocs, rh
 
 def test_harmonic_mean_occupation_rate(reservoir):
     # d<n>/dt = -gamma (<n> - nbar) for the undeformed ladder
-    model = OscillatorModel(1.0, 30, harmonic_deformation())
+    model = OscillatorModel(30, harmonic_deformation())
     table = rate_table(model, reservoir)
     ones = np.ones(30)
     rng = np.random.default_rng(5)
@@ -316,7 +316,7 @@ def test_integrate_zero_time(rho_docs, model, rates, etas):
 
 
 def test_harmonic_relaxation_analytic(reservoir):
-    model = OscillatorModel(1.0, 30, harmonic_deformation())
+    model = OscillatorModel(30, harmonic_deformation())
     weak = ReservoirParams(theta=4.0, gamma_scale=0.1)
     table = rate_table(model, weak)
     rho0 = to_density(aocs(math.sqrt(2.0), model))
@@ -393,19 +393,19 @@ def test_unitary_limit_keeps_populations(model, etas, rho_docs):
 
 
 def test_unitary_limit_phases_match_spectrum(model, params, etas, rho_docs):
-    # coherences rotate with omega0 (m-n)(1 - chi (m+n+1)) t
+    # coherences rotate with (m-n)(1 - chi (m+n+1)) t
     frozen = rate_table(model, ReservoirParams(theta=4.0, gamma_scale=0.0))
     t = 0.7
     result = integrate(rho_docs, model, frozen, etas, t, 1e-3, [t])
     rho_t = result.states[0]
     m, n = 3, 1
-    phase = -model.omega0 * (m - n) * (1.0 - params.chi * (m + n + 1)) * t
+    phase = -(m - n) * (1.0 - params.chi * (m + n + 1)) * t
     expected = rho_docs[m, n] * np.exp(1j * phase)
     assert rho_t[m, n] == pytest.approx(expected, abs=1e-9)
 
 
 def test_steady_state_harmonic_is_boltzmann(reservoir):
-    model = OscillatorModel(1.0, 12, harmonic_deformation())
+    model = OscillatorModel(12, harmonic_deformation())
     table = rate_table(model, reservoir)
     stationary = steady_state(model, table, np.ones(12))
     populations = np.diag(stationary).real
@@ -444,7 +444,7 @@ def test_steady_state_reports_residual_breach(model, rates, etas, monkeypatch):
 
 
 def test_steady_state_matches_detailed_balance_per_level(model, rates, etas, reservoir):
-    harmonic = OscillatorModel(1.0, 12, harmonic_deformation())
+    harmonic = OscillatorModel(12, harmonic_deformation())
     cases = [
         (model, rates, etas),
         (harmonic, rate_table(harmonic, reservoir), np.ones(12)),

@@ -15,7 +15,6 @@ from deformed_lindblad import (
     hamiltonian,
     morse_deformation,
     morse_energy,
-    morse_model,
     morse_wavefunction,
 )
 from deformed_lindblad.morse import _laguerre
@@ -24,8 +23,6 @@ from deformed_lindblad.morse import _laguerre
 def test_params_pin_chi():
     p = MorseParams(15)
     assert p.chi * 31 == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError, match="chi"):
-        MorseParams(15, chi=0.05)
     with pytest.raises(ValueError, match="n_bound"):
         MorseParams(1)
 
@@ -34,7 +31,7 @@ def test_deformation_values(params, model):
     assert model.f2[0] == pytest.approx(1.0, abs=1e-15)
     assert model.f2[14] == pytest.approx(17.0 / 31.0, abs=1e-15)
     # the zero at n = 2N + 1 lies past the truncation; a 30-level model reaches it
-    wide = OscillatorModel(1.0, 30, morse_deformation(params))
+    wide = OscillatorModel(30, morse_deformation(params))
     assert wide.f2[31] == pytest.approx(0.0, abs=1e-15)
 
 

@@ -89,8 +89,8 @@ def test_bessel_tensor_against_mpmath():
     # order recurrence; check both kinds at the corners of the default window
     params = MorseParams(n_bound=15)
     grid = GridSpec()
-    xi, b_abs, _, _, _ = phasespace._closed_axes(params, grid, 1.0)
-    tensor = phasespace._bessel_tensor(params, grid, 1.0, 1)
+    xi, b_abs, _, _, _ = phasespace._closed_axes(params, grid)
+    tensor = phasespace._bessel_tensor(params, grid, 1)
     assert b_abs[0] == 0.0
     mpmath.mp.dps = 40
     for x in (int(np.argmin(xi)), int(np.argmax(xi))):
@@ -100,18 +100,6 @@ def test_bessel_tensor_against_mpmath():
                 ref = complex(mpmath.besselk(nu, mpmath.mpf(float(xi[x]))))
                 got = complex(tensor[x, b, d])
                 assert abs(got - ref) <= 1e-9 * abs(ref), (x, b, d)
-
-
-def test_refinement_needs_at_least_one_level(params, fock_state):
-    rho = fock_state(0)
-    calls = [
-        lambda: bessel_k_complex_order(0.5, 1.0, max_levels=0),
-        lambda: wigner_closed(rho, params, SMALL_GRID, max_levels=0),
-        lambda: wigner_direct_oracle(rho, params, SMALL_GRID, max_levels=-1),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="max_levels must be >= 1"):
-            call()
 
 
 def test_ground_state_closed_matches_oracle(params, fock_state):
@@ -288,11 +276,11 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
         wigner_closed(rho, params, SMALL_GRID)
 
 
-def _cold(rho, params, grid, **kwargs):
+def _cold(rho, params, grid):
     phasespace._bessel_tensor.cache_clear()
     phasespace._closed_terms.cache_clear()
     phasespace._closed_axes.cache_clear()
-    return wigner_closed(rho, params, grid, **kwargs).values
+    return wigner_closed(rho, params, grid).values
 
 
 def test_warm_cache_is_bit_identical_to_cold(params, rho_docs):
@@ -307,30 +295,29 @@ def test_cache_key_separates_inputs(params, fock_state):
     asymmetric = GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16)
     small_ladder = MorseParams(10)
     variants = [
-        (fock_state(1), params, asymmetric, {}),
-        (fock_state(1), params, SMALL_GRID, {"hbar": 0.5}),
-        (fock_state(1, dim=10), small_ladder, SMALL_GRID, {}),
+        (fock_state(1), params, asymmetric),
+        (fock_state(1, dim=10), small_ladder, SMALL_GRID),
     ]
     base = _cold(fock_state(1), params, SMALL_GRID)
     warm = []
-    for rho, p, grid, kwargs in variants:
-        warm.append(wigner_closed(rho, p, grid, **kwargs).values)
+    for rho, p, grid in variants:
+        warm.append(wigner_closed(rho, p, grid).values)
     # every variant was computed with the base key (and the earlier
     # variants) in the cache; each must equal its own cold computation
-    for (rho, p, grid, kwargs), values in zip(variants, warm):
-        cold = _cold(rho, p, grid, **kwargs)
+    for (rho, p, grid), values in zip(variants, warm):
+        cold = _cold(rho, p, grid)
         assert values.tobytes() == cold.tobytes()
         assert not np.array_equal(values, base)
 
 
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
-    tensor = phasespace._bessel_tensor(params, SMALL_GRID, 1.0, 0)
-    axes = phasespace._closed_axes(params, SMALL_GRID, 1.0)
+    tensor = phasespace._bessel_tensor(params, SMALL_GRID, 0)
+    axes = phasespace._closed_axes(params, SMALL_GRID)
     for array in (tensor, phasespace._closed_terms(params, SMALL_GRID), *axes):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert phasespace._closed_axes(params, SMALL_GRID, 1.0) is axes
+    assert phasespace._closed_axes(params, SMALL_GRID) is axes
 
 
 def _term_reference(params, r, n, m, d):
@@ -341,7 +328,7 @@ def _term_reference(params, r, n, m, d):
     mpmath.mp.dps = 50
     two_n, k_total = 2 * params.n_bound, params.k
     s = d - n + m
-    xi = k_total * mpmath.exp(-mpmath.mpf(params.beta) * mpmath.mpf(r))
+    xi = k_total * mpmath.exp(-mpmath.mpf(r))
     g_s = mpmath.mpf(0)
     for k in range(max(0, -s), m - s + 1):
         c = Fraction(
@@ -351,11 +338,11 @@ def _term_reference(params, r, n, m, d):
         g_s += mpmath.mpf(c.numerator) / c.denominator * xi ** (s + 2 * k)
 
     def norm(level):
-        # N_level / sqrt(beta) = sqrt(level! (k - 2 level - 1) / (k - level - 1)!)
+        # N_level = sqrt(level! (k - 2 level - 1) / (k - level - 1)!)
         top = math.factorial(level) * (k_total - 2 * level - 1)
         return mpmath.sqrt(mpmath.mpf(top) / math.factorial(k_total - level - 1))
 
-    entry = (-1) ** s * params.beta * norm(n) * norm(m) * xi ** (two_n - n - m) * g_s
+    entry = (-1) ** s * norm(n) * norm(m) * xi ** (two_n - n - m) * g_s
     return entry / 2 if d == 0 else entry
 
 

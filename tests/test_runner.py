@@ -1,5 +1,6 @@
-import math
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from deformed_lindblad import (
 from deformed_lindblad.cli import main as cli_main
 from deformed_lindblad.dissipator import HERMITICITY_TOL
 from deformed_lindblad.phasespace import WignerGrid
-from deformed_lindblad.runner import ScenarioResult, SimulationConfig
+from deformed_lindblad.runner import _PARSERS, ScenarioResult, SimulationConfig
 
 FAST_GRID = "r_min = -2\nr_max = 10\nn_r = 31\np_min = -6\np_max = 6\nn_p = 31\n"
 
@@ -43,6 +44,22 @@ def test_defaults():
     assert config.scenario == "docs"
     assert config.resolved_t_samples() == (0.0, 1.0, 2.0, 4.0)
     assert config.gamma_scale == pytest.approx(4.0 / 3.0)
+
+
+def test_readme_config_block_parses_to_defaults():
+    # the README's "All keys and defaults" block is a valid config that
+    # lists every key and sets each to its default; t_samples shows the
+    # docs samples, which the default None resolves to per scenario
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("All keys and defaults", 1)[1].split("```")[1]
+    listed = {line.lstrip("# ").split(" =")[0] for line in block.splitlines() if line}
+    assert listed == set(_PARSERS)
+    config = parse_config(block)
+    defaults = SimulationConfig()
+    for field in dataclasses.fields(SimulationConfig):
+        if field.name != "t_samples":
+            assert getattr(config, field.name) == getattr(defaults, field.name), field.name
+    assert config.t_samples == defaults.resolved_t_samples()
 
 
 def test_scenario_default_samples():
@@ -375,9 +392,20 @@ def test_cli_unloadable_rho_path_is_config_error(tmp_path, capsys):
         assert f"cannot load rho_path {path}" in capsys.readouterr().err
 
 
-def test_cli_non_finite_rho_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry, delta, message",
+    [
+        ((2, 5), np.nan, "rho from {path} must be finite"),
+        ((0, 0), 1.0, "rho_path {path} is not a density matrix: trace drift"),
+        ((2, 5), 1e-2j, "rho_path {path} is not a density matrix: Hermiticity deviation"),
+    ],
+    ids=["nan", "trace-2", "non-hermitian"],
+)
+def test_cli_non_finite_rho_is_config_error(tmp_path, capsys, entry, delta, message):
+    # a loaded matrix that is not a density matrix is bad input (exit 2); a
+    # negative eigenvalue stays numerical (test_cli_numerical_breach_exit_code)
     rho = to_density(aocs(1.0, morse_model(MorseParams(15))))
-    rho[2, 5] = np.nan
+    rho[entry] += delta
     path = tmp_path / "rho.npy"
     np.save(path, rho)
     config_path = tmp_path / "run.cfg"
@@ -385,7 +413,7 @@ def test_cli_non_finite_rho_is_config_error(tmp_path, capsys):
         f"scenario = custom_rho\nrho_path = {path}\nt_samples = 0\n" + FAST_GRID
     )
     assert cli_main(["run", "--config", str(config_path)]) == 2
-    assert f"rho from {path} must be finite" in capsys.readouterr().err
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_cli_selftest_rejected(capsys):
