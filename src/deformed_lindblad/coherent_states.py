@@ -155,8 +155,7 @@ def alpha_for_mean_n(
     if alpha_max is not None:
         hi = min(hi, alpha_max)
     prev = -1.0
-    while mean_at(hi) < target:
-        value = mean_at(hi)
+    while (value := mean_at(hi)) < target:
         saturated = value <= prev * (1.0 + 1e-12) + 1e-15
         at_cap = alpha_max is not None and hi >= alpha_max
         if saturated or at_cap or hi > 1e12:

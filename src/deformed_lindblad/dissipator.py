@@ -309,6 +309,8 @@ class _Generator:
         so each diagonal rho[n+k, n], k = -(dim-1) .. dim-1, evolves on its
         own under a tridiagonal matrix L_k of size dim - |k|.  Returns
         (rows, cols, L_k) with d/dt rho[rows, cols] = L_k @ rho[rows, cols].
+        The generator preserves Hermiticity, so block(-k) is block(k) with
+        rows and cols swapped and L_{-k} = conj(L_k), entry for entry.
         """
         index = np.arange(len(self.same) - abs(k))
         rows, cols = index + max(k, 0), index + max(-k, 0)
@@ -318,9 +320,13 @@ class _Generator:
         return rows, cols, np.diag(diag) + np.diag(below, -1) + np.diag(above, 1)
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """block(k) for every coherence order, k = -(dim-1) .. dim-1."""
-        dim = len(self.same)
-        return [self.block(k) for k in range(1 - dim, dim)]
+        """block(k) for k = 0 .. dim-1; each k > 0 also stands for -k.
+
+        The mirror order -k is the diagonal (cols, rows) under conj(L_k),
+        so these dim blocks cover every entry of rho: the k = 0 diagonal
+        once, every other entry through either its own block or the mirror.
+        """
+        return [self.block(k) for k in range(len(self.same))]
 
 
 def build_generator(
@@ -410,18 +416,21 @@ def integrate(
     dt: float,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
-    """Exact propagation to each sample time, one coherence order at a time.
+    """Exact propagation to each sample time, one coherence order pair at a time.
 
     The generator is linear and time independent and keeps k = m - n (see
-    _Generator.blocks), so each sample interval is bridged by applying
-    expm(L_k delta_t) to every diagonal of rho.  Snapshots land exactly on
-    the requested times.  dt is accepted and must be positive, for callers
-    and configs written for a fixed-step integrator, but sets no step.
-    Every snapshot must pass the density-matrix invariants (trace,
-    Hermiticity, eigenvalue floor); a breach raises IntegrationError.
+    _Generator.blocks), so each sample interval delta_t is bridged by
+    U_k = expm(L_k delta_t) on the diagonal of order k and conj(U_k) on the
+    diagonal of order -k.  U_k depends on delta_t alone, so it is computed
+    once per distinct interval length of this call and reused for every
+    interval of that length.  Snapshots land exactly on the requested
+    times.  dt is accepted and must be finite and positive, for callers and
+    configs written for a fixed-step integrator, but sets no step.  Every
+    snapshot must pass the density-matrix invariants (trace, Hermiticity,
+    eigenvalue floor); a breach raises IntegrationError.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if not t_final >= 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     if sample_times is None:
@@ -442,15 +451,21 @@ def integrate(
         )
 
     blocks = gen.blocks()
+    propagators: dict[float, list[np.ndarray]] = {}
     result = EvolutionResult(times=[], states=[])
     max_trace = max_herm = 0.0
     min_eig = 1.0
     t = 0.0
     for target in samples:
         if target > t:
+            step = target - t
+            if step not in propagators:
+                propagators[step] = [expm(step * block) for _, _, block in blocks]
             evolved = np.empty_like(rho)
-            for rows, cols, block in blocks:
-                evolved[rows, cols] = expm((target - t) * block) @ rho[rows, cols]
+            for k, ((rows, cols, _), u) in enumerate(zip(blocks, propagators[step])):
+                evolved[rows, cols] = u @ rho[rows, cols]
+                if k:
+                    evolved[cols, rows] = u.conj() @ rho[cols, rows]
             rho = evolved
         t = target
         checks = validate_density(rho, time=t)

@@ -119,8 +119,8 @@ class SimulationConfig:
                 f"target_mean_n must be finite and in [0, {self.n_bound - 1}), "
                 f"got {self.target_mean_n}"
             )
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and positive, got {self.dt}")
         samples = self.resolved_t_samples()
         if not samples:
             raise ConfigError("t_samples must contain at least one time")

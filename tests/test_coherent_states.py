@@ -125,6 +125,26 @@ def test_alpha_solver_reports_unreachable(model):
         alpha_for_mean_n(5.0, aocs, model, alpha_max=1.0)
 
 
+def test_alpha_solver_builds_each_alpha_once(model, params):
+    # each doubling step of the bracket search builds its state once
+    cap = (math.pi / 2 - 1e-9) / params.chi
+    for builder, alpha_max in (
+        (aocs, None),
+        (even_cat, None),
+        (lambda a, m: docs_from_alpha(a, params), cap),
+    ):
+        seen = []
+
+        def counting(a, m):
+            seen.append(a)
+            return builder(a, m)
+
+        alpha = alpha_for_mean_n(4.0, counting, model, alpha_max=alpha_max)
+        assert alpha == alpha_for_mean_n(4.0, builder, model, alpha_max=alpha_max)
+        assert len(seen) > 3
+        assert len(seen) == len(set(seen)), sorted(seen)
+
+
 def test_to_density_invariants(model, alpha_aocs):
     rho = to_density(aocs(alpha_aocs, model))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)

@@ -208,19 +208,25 @@ def assert_blocks_reassemble(model, table, etas, seed):
     dim = model.dim
     gen = build_generator(model, table, etas)
     blocks = gen.blocks()
-    assert len(blocks) == 2 * dim - 1
+    assert len(blocks) == dim
+    # order k > 0 also covers its mirror -k, the diagonal (cols, rows)
     covered = np.zeros((dim, dim), dtype=int)
-    for rows, cols, block in blocks:
+    for k, (rows, cols, block) in enumerate(blocks):
+        assert np.all(rows - cols == k)
         assert block.shape == (len(rows), len(rows))
         covered[rows, cols] += 1
+        if k:
+            covered[cols, rows] += 1
     assert np.all(covered == 1)
 
     rng = np.random.default_rng(seed)
     skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     for rho in (random_density(dim, seed), skew / np.linalg.norm(skew)):
         rebuilt = np.zeros_like(rho)
-        for rows, cols, block in blocks:
+        for k, (rows, cols, block) in enumerate(blocks):
             rebuilt[rows, cols] = block @ rho[rows, cols]
+            if k:
+                rebuilt[cols, rows] = block.conj() @ rho[cols, rows]
         # relative to the largest entry: with shifts on, entries reach ~70
         expected = gen.apply(rho)
         assert np.max(np.abs(rebuilt - expected)) < 1e-14 * np.max(np.abs(expected))
@@ -243,6 +249,60 @@ def test_blocks_reassemble_generator_with_shifts(model, etas):
     # delta3/delta4 give the gain couplings an imaginary part
     assert np.any(build_generator(model, with_shifts, etas).below.imag)
     assert_blocks_reassemble(model, with_shifts, etas, 22)
+
+
+SHIFTED = ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0)
+
+
+def test_mirror_blocks_are_conjugate_bitwise(model, rates, etas, reservoir):
+    # integrate evolves order -k with conj(expm(h L_k)), which reproduces
+    # expm(h L_{-k}) only if L_{-k} = conj(L_k) entry for entry (zeros may
+    # differ in sign); test_integrate_reuses_propagators_bitwise pins the states
+    harmonic = OscillatorModel(30, harmonic_deformation())
+    cases = [
+        (model, rates, etas),
+        (harmonic, rate_table(harmonic, reservoir), np.ones(30)),
+        (model, rate_table(model, SHIFTED), etas),
+    ]
+    cases += [(m, table, e) for _, m, table, e in random_deformation_cases()]
+    for case_model, table, case_etas in cases:
+        gen = build_generator(case_model, table, case_etas)
+        for k in range(1, case_model.dim):
+            rows, cols, block = gen.block(k)
+            mirror_rows, mirror_cols, mirror = gen.block(-k)
+            assert np.array_equal(mirror_rows, cols) and np.array_equal(mirror_cols, rows)
+            assert np.array_equal(mirror, block.conj()), (case_model.dim, k)
+
+
+def expm_every_order_every_interval(gen, rho0, times):
+    """Reference propagation: expm on all 2N - 1 orders for each interval."""
+    dim = len(gen.same)
+    blocks = [gen.block(k) for k in range(1 - dim, dim)]
+    rho, t, states = rho0.astype(complex), 0.0, []
+    for target in times:
+        if target > t:
+            evolved = np.empty_like(rho)
+            for rows, cols, block in blocks:
+                evolved[rows, cols] = expm((target - t) * block) @ rho[rows, cols]
+            rho = evolved
+        t = target
+        states.append(rho.copy())
+    return states
+
+
+@pytest.mark.parametrize("shifts", [False, True])
+def test_integrate_reuses_propagators_bitwise(model, rates, etas, rho_aocs, rho_cat, shifts):
+    # one expm per order pair per distinct step changes no bit of any state;
+    # the first sample set repeats the step 0.5, the second has none equal
+    table = rate_table(model, SHIFTED) if shifts else rates
+    repeated = [0.0, 0.5, 1.0, 1.5, 2.0] if shifts else [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+    gen = build_generator(model, table, etas)
+    for times in (repeated, [0.3, 0.7, 1.9]):
+        for rho0 in (rho_aocs, rho_cat):
+            result = integrate(rho0, model, table, etas, times[-1], 1e-3, times)
+            reference = expm_every_order_every_interval(gen, rho0, times)
+            for got, want in zip(result.states, reference, strict=True):
+                assert np.array_equal(got, want)
 
 
 def test_integrate_with_shifts_matches_full_propagator(model, etas, rho_aocs):
@@ -344,6 +404,9 @@ def test_integrate_validates_input_shape(model, rates, etas):
         integrate(np.eye(4, dtype=complex) / 4, model, rates, etas, 1.0, 1e-3)
     with pytest.raises(ValueError, match="dt"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, -1e-3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, bad)
     with pytest.raises(ValueError, match="sorted"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [1.0, 0.5])
 

@@ -129,6 +129,8 @@ def test_snapshot_file_collision_rejected(samples, name):
         ("shifts_enabled = true\nshift_cutoff = inf", "shift_cutoff"),
         ("p_max = inf", "p_max"),
         ("r_min = -inf", "r_min"),
+        ("dt = nan", "dt"),
+        ("dt = inf", "dt"),
     ],
 )
 def test_cli_non_finite_input_is_config_error(tmp_path, capsys, line, key):
