@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock_algebra import OscillatorModel
 from .morse import MorseParams
@@ -92,8 +91,10 @@ def docs(zeta: complex, params: MorseParams) -> StateVector:
     untruncated sum only).
     """
     two_n = 2 * params.n_bound
-    n = np.arange(params.n_bound)
-    log_binom = 0.5 * (gammaln(two_n + 1) - gammaln(n + 1) - gammaln(two_n - n + 1))
+    log_binom = np.array([
+        0.5 * (math.lgamma(two_n + 1) - math.lgamma(n + 1) - math.lgamma(two_n - n + 1))
+        for n in range(params.n_bound)
+    ])
     powers = np.concatenate(([1.0 + 0j], np.cumprod(np.full(params.n_bound - 1, zeta, dtype=complex))))
     return _normalized(np.exp(log_binom) * powers, "docs")
 

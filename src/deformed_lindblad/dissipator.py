@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .fock_algebra import OscillatorModel, gap_frequencies, hamiltonian
@@ -198,6 +197,8 @@ def _principal_value(weight, pole: float, cutoff: float) -> float:
     Splits at the pole and pairs symmetric points across it, leaving a
     regular integrand for adaptive quadrature.
     """
+    from scipy.integrate import quad  # loaded only when shifts are on
+
     if cutoff <= pole:
         raise ValueError(f"cutoff {cutoff} must exceed the pole {pole}")
     half = min(pole, cutoff - pole)
@@ -377,7 +378,8 @@ def validate_density(rho: np.ndarray, time: float = 0.0) -> dict[str, float]:
             f"density matrix entry ({n}, {m}) is not finite ({rho[n, m]}) at t = {time}",
             time=time, drift=float(abs(rho[n, m])), invariant="finite",
         )
-    trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+    trace = np.trace(rho)
+    trace_err = abs(trace.real - 1.0) + abs(trace.imag)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
     if trace_err > TRACE_ABORT:

@@ -17,16 +17,17 @@ deformation together with the quantities the dissipative model needs:
 * the bound-state wavefunctions psi_n(r) in the Morse variable
   xi(r) = (2N + 1) exp(-r), needed by the phase-space transforms.
 
-Gamma functions appear as log-gamma throughout: with k = 2N + 1 = 31 already,
+Gamma functions appear as log-gamma throughout, through the standard
+library's math.lgamma on integer arguments: with k = 2N + 1 = 31 already,
 Gamma(k - 1) overflows naive evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock_algebra import DeformationFunction, OscillatorModel
 
@@ -118,9 +119,9 @@ def _log_wavefunction_norm(params: MorseParams, n: int) -> float:
     # N_n = [n! (k - 2n - 1) / Gamma(k - n)]^(1/2), in log space
     k = params.k
     return 0.5 * (
-        gammaln(n + 1)
+        math.lgamma(n + 1)
         + np.log(k - 2 * n - 1.0)
-        - gammaln(k - n)
+        - math.lgamma(k - n)
     )
 
 
@@ -140,9 +141,9 @@ def dipole_element(params: MorseParams, n: int) -> float:
     log_value = (
         _log_wavefunction_norm(params, n)
         + _log_wavefunction_norm(params, n + 1)
-        + gammaln(k - n - 1)
+        + math.lgamma(k - n - 1)
         - np.log(k - 2.0 * n - 2.0)
-        - gammaln(n + 1)
+        - math.lgamma(n + 1)
     )
     value = float(np.exp(log_value))
     if not np.isfinite(value):

@@ -449,10 +449,10 @@ def wigner_closed(
     stabilize to rtol of the grid maximum; exhaustion after
     WIGNER_MAX_LEVELS raises BesselAccuracyError naming the worst grid
     point.  The map is W[h] = 2 Re(c K) of the +D half of the sum, with
-    h = (rho + rho^H)/2.  Before
-    any quadrature, a non-finite entry in rho raises ValueError, and so
-    does an anti-Hermitian residue max |rho - rho^H| above
-    HERMITICITY_TOL, the bound validate_density holds every state to.
+    h = (rho + rho^H)/2.  Before any quadrature, a non-finite entry in rho
+    raises ValueError, and so does an anti-Hermitian residue
+    max |rho - rho^H| above HERMITICITY_TOL, the bound validate_density
+    holds every state to.
 
     The term table (per params, grid) and the Bessel tensor (per params,
     grid, level) do not depend on rho; later calls reuse them.

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +12,11 @@ from deformed_lindblad import (
     ConfigError,
     IntegrationError,
     MorseParams,
+    ReservoirParams,
     aocs,
     morse_model,
     parse_config,
+    rate_table,
     run_scenario,
     to_density,
     write_outputs,
@@ -424,3 +429,57 @@ def test_cli_selftest_rejected(capsys):
         cli_main(["selftest"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh_python(code, cwd):
+    """Stdout of ``code`` run in a new interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def scipy_modules(listing):
+    return {name for name in listing.split() if name.split(".")[0] == "scipy"}
+
+
+def test_import_and_default_scenarios_load_no_scipy_beyond_linalg(tmp_path):
+    # the package needs scipy.linalg (expm) only; scipy.integrate is loaded
+    # on first use by the frequency shifts, which are off by default
+    listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
+    baseline = run_fresh_python("import numpy, scipy.linalg; " + listing, tmp_path)
+    package = run_fresh_python(
+        "from deformed_lindblad import parse_config, run_scenario\n"
+        "for name in ('docs', 'aocs', 'even_cat'):\n"
+        "    run_scenario(parse_config(f'scenario = {name}\\nn_r = 9\\nn_p = 9\\n'))\n"
+        + listing,
+        tmp_path,
+    )
+    assert "deformed_lindblad" in package.split()
+    assert sorted(scipy_modules(package) - scipy_modules(baseline)) == []
+
+
+def test_shift_table_from_a_cold_process_matches(tmp_path):
+    # the quadrature behind the shifts is imported on first use; a process
+    # whose first use is this table must build the same deltas
+    run_fresh_python(
+        "import numpy as np\n"
+        "from deformed_lindblad import MorseParams, ReservoirParams, morse_model, rate_table\n"
+        "table = rate_table(morse_model(MorseParams(15)), ReservoirParams(\n"
+        "    theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0))\n"
+        "np.save('deltas.npy', np.stack([table.delta1, table.delta2, table.delta3, table.delta4]))\n",
+        tmp_path,
+    )
+    table = rate_table(
+        morse_model(MorseParams(15)),
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
+    )
+    cold = np.load(tmp_path / "deltas.npy")
+    for got, want in zip(cold, (table.delta1, table.delta2, table.delta3, table.delta4)):
+        assert np.array_equal(got, want)
