@@ -14,7 +14,8 @@ Two independent routes to the same function:
   sum is linear in rho; its term table and Bessel tensor do not depend on
   rho and are cached, so a snapshot maps the Hermitian part of rho as
   2 Re(c K): one real product with the table gives c, and each level
-  contracts it with the tensor on the distinct |p| columns.
+  contracts it with the tensor on the distinct |p| columns, one per
+  mirrored pair p, -p on a symmetric window.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
@@ -127,12 +128,25 @@ class WignerDiagnostics:
     max_w: float
 
 
-def _ld_int(value: int) -> np.longdouble:
-    """Exact integer -> longdouble conversion (python ints can exceed 2^53)."""
-    if -(2**53) < value < 2**53:
-        return _LD(value)
-    hi, lo = divmod(value, 2**53)
-    return _ld_int(hi) * _LD(2**53) + _LD(lo)
+def _ld_int(values) -> np.ndarray:
+    """Exact non-negative python ints -> longdouble, elementwise.
+
+    Python ints can exceed 2^53 (and 2^64), so each value is split into
+    base-2^53 digits, each exact in float64, and the digits are combined by
+    Horner in longdouble from the top: exact below 2^64, rounded as
+    hi * 2^53 + lo beyond.  Leading zero digits leave the sum exactly 0.
+    """
+    values = np.array(values, dtype=object)
+    digits = []
+    while True:
+        digits.append((values & (2**53 - 1)).astype(np.float64))
+        values = values >> 53
+        if not values.any():
+            break
+    out = np.zeros(digits[0].shape, dtype=_LD)
+    for digit in reversed(digits):
+        out = out * _LD(2**53) + digit
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,30 +342,75 @@ def _k_tensor_level(
     return k
 
 
-# One read-only, C-contiguous longdouble array of shape (n_r N, N^2) per
-# (params, grid), 16 N^2 n_r N bytes: 6.2 MiB at the default, 21 MiB at
-# 401 x 401, 50 MiB at N = 30.
+# Per N, one longdouble array of shape (N - D, N (N - D)) per order D:
+# 16 N sum_L L^2 bytes, 0.3 MB at N = 15 and 34 MB at N = 50.
 @functools.lru_cache(maxsize=2)
-def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
+def _horner_coefficients(big_n: int) -> tuple[np.ndarray, ...]:
+    """Exact weights of every series G_s, in the order _closed_terms' Horner
+    steps read them.
+
+    For the pair (n, m) at order D (s = D - n + m), G_s runs over k = n - D
+    down to k_start = max(0, -s) with the weight C(2N-m, n-D-k)
+    C(2N-n, n-k) / ((s+k)! k!), an exact integer ratio rounded once.
+    coefficients[D][t, (n - D) N + m] is the weight its Horner step t
+    (of N - D) adds, so every pair ends on k_start at the last step; a pair
+    with fewer terms starts with zero weights, which leave its value exactly
+    zero until its first term.  The table does not depend on the grid.
+    """
+    two_n = 2 * big_n
+    factorial = [math.factorial(i) for i in range(big_n)]
+    # comb_m[m, a] = C(2N-m, a) and comb_n[n, k] = C(2N-n, n-k), exact ints
+    comb_m = np.array(
+        [[math.comb(two_n - m, a) for a in range(big_n)] for m in range(big_n)], dtype=object
+    )
+    comb_n = np.array(
+        [[math.comb(two_n - n, n - k) if k <= n else 0 for k in range(big_n)] for n in range(big_n)],
+        dtype=object,
+    )
+    denominators = _ld_int([[f_j * f_k for f_k in factorial] for f_j in factorial])
+    coefficients = []
+    for d in range(big_n):
+        steps = big_n - d
+        n = np.repeat(np.arange(d, big_n), big_n)
+        m = np.tile(np.arange(big_n), steps)
+        t = np.arange(steps)[:, None]
+        k = np.maximum(0, n - m - d) + (steps - 1 - t)
+        used = k <= n - d
+        n, m, k = (np.broadcast_to(v, used.shape)[used] for v in (n, m, k))
+        coef = np.zeros(used.shape, dtype=_LD)
+        coef[used] = _ld_int(comb_m[m, n - d - k] * comb_n[n, k]) / denominators[d - n + m + k, k]
+        coef.setflags(write=False)
+        coefficients.append(coef)
+    return tuple(coefficients)
+
+
+# One read-only, C-contiguous longdouble tail of shape (n_r, N (N - D)) per
+# order D and (params, grid), 8 n_r N^2 (N + 1) bytes in all: 3.3 MiB at the
+# default, 11 MiB at 401 x 401, 26 MiB at N = 30.
+@functools.lru_cache(maxsize=2)
+def _closed_terms(params: MorseParams, grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Rho-independent weights of the closed-form Bessel sum, per r point.
 
-    terms[x N + D, n N + m] is the weight of rho_nm at r point x and Bessel
-    order +D for D = 0..N-1: row (x, D) holds every rho_nm in row-major
-    (n, m) order, so the product with the rows of rho reads the table
-    contiguously, one row at a time.  For the ordered level pair (n, m)
-    the inner sums run over j = 0..m and k = 0..n with Bessel order
-    D = (n - m) + s where s = j - k.  Along a fixed anti-diagonal s the sign
-    (-xi)^(j+k) = (-1)^s xi^(j+k) is constant, so each group
+    terms[D][x, (n - D) N + m] is the weight of rho_nm at r point x and
+    Bessel order +D for D = 0..N-1.  For the ordered level pair (n, m) the
+    inner sums run over j = 0..m and k = 0..n with Bessel order
+    D = (n - m) + s where s = j - k, so D runs over 0..n only: in row-major
+    (n, m) order the pairs that reach order D are the contiguous tail
+    n >= D, and only that tail is stored, one C-contiguous array per D whose
+    row x the product with the rows of rho reads in memory order.  Along a
+    fixed anti-diagonal s the sign (-xi)^(j+k) = (-1)^s xi^(j+k) is
+    constant, so each group
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
-    is a sum of positive terms built from exact integer combinatorics.
-    Swapping (n, m) maps s to -s and negates D with identical magnitudes, so
-    the weight of rho_nm at order -D is the weight of rho_mn at +D: the
-    table holds D >= 0 only.  For a Hermitian rho the -D half of the sum is
-    then the complex conjugate of the +D half, and wigner_closed assembles
-    2 Re of the +D half.  Both halves reach order D = 0, so its rows are
-    halved (exact in binary).
+    is a sum of positive terms built from exact integer combinatorics
+    (_horner_coefficients), evaluated by Horner in xi^2 for every pair of a
+    tail at once.  Swapping (n, m) maps s to -s and negates D with identical
+    magnitudes, so the weight of rho_nm at order -D is the weight of rho_mn
+    at +D: the table holds D >= 0 only.  For a Hermitian rho the -D half of
+    the sum is then the complex conjugate of the +D half, and wigner_closed
+    assembles 2 Re of the +D half.  Both halves reach order D = 0, so its
+    tail is halved (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
@@ -360,38 +419,40 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> np.ndarray:
     """
     xi = _closed_axes(params, grid)[0]
     big_n = params.n_bound
-    two_n = 2 * big_n
     k_total = params.k
-
-    factorial = [math.factorial(i) for i in range(two_n + 1)]
+    factorial = [math.factorial(i) for i in range(k_total)]
+    levels = range(big_n)
     # norms[n] = N_n = sqrt(n! (k - 2n - 1) / (k - n - 1)!)
-    norms = [
-        np.sqrt(_ld_int(factorial[n] * (k_total - 2 * n - 1)) / _ld_int(factorial[k_total - n - 1]))
-        for n in range(big_n)
-    ]
-
-    terms = np.zeros((len(xi) * big_n, big_n * big_n), dtype=_LD)
-    # a view of the same memory indexed [x, D, n, m]; filled in place
-    view = terms.reshape(len(xi), big_n, big_n, big_n)
-    xi_sq = xi * xi
-    for n in range(big_n):
-        for m in range(big_n):
-            pair = norms[n] * norms[m] * xi ** _LD(two_n - n - m)
-            for s in range(m - n, m + 1):
-                k_start = max(0, -s)
-                # Horner over k of the positive series G_s; exact integer
-                # weights C(2N-m, m-j) C(2N-n, n-k) / (j! k!) with j = s + k
-                value = np.zeros(len(xi), dtype=_LD)
-                for k in range(m - s, k_start - 1, -1):
-                    coef = _ld_int(
-                        math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k)
-                    ) / _ld_int(factorial[s + k] * factorial[k])
-                    value = value * xi_sq + coef
-                value *= xi ** _LD(s + 2 * k_start)
-                view[:, n - m + s, n, m] = (-pair if s % 2 else pair) * value
-    view[:, 0] *= 0.5
-    terms.setflags(write=False)
-    return terms
+    norms = np.sqrt(
+        _ld_int([factorial[n] * (k_total - 2 * n - 1) for n in levels])
+        / _ld_int([factorial[k_total - n - 1] for n in levels])
+    )
+    # powers[e] = xi^e for the pair prefactor xi^(2N-n-m) and the lowest
+    # power xi^|s| of G_s
+    powers = np.array([xi ** _LD(e) for e in range(2 * big_n + 1)])
+    xi_sq = (xi * xi)[:, None]
+    terms = []
+    for d, coefficients in enumerate(_horner_coefficients(big_n)):
+        steps = big_n - d
+        n = np.repeat(np.arange(d, big_n), big_n)
+        m = np.tile(np.arange(big_n), steps)
+        s = d - n + m
+        tail = np.zeros((len(xi), big_n * steps), dtype=_LD)
+        for t in range(steps):
+            # pairs with n < N - 1 - t have had zero weights only so far
+            start = (steps - 1 - t) * big_n
+            active = tail[:, start:]
+            active *= xi_sq
+            active += coefficients[t, start:]
+        tail *= powers[np.abs(s)].T
+        pair = norms[n] * norms[m] * powers[2 * big_n - n - m].T
+        pair[:, s % 2 == 1] *= -1
+        tail *= pair
+        if d == 0:
+            tail *= 0.5
+        tail.setflags(write=False)
+        terms.append(tail)
+    return tuple(terms)
 
 
 # O(n_r + n_p) values per (params, grid), as many keys as the tensor cache
@@ -403,14 +464,22 @@ def _closed_axes(
     """The rho-independent axes of the closed form, cached and read-only.
 
     Returns (xi, b_abs, inverse, negative_b, edges): the Bessel argument per
-    r point, the distinct |b| = 2|p| values, the index mapping
-    each p point to its |b|, the mask of negative b, and the panel edges of
-    the Bessel quadrature, which runs at orders 0 and 1 only.
+    r point, the distinct |b| = 2|p| values (one per mirrored pair p, -p on
+    a window with p_min = -p_max), the index mapping each p point to its
+    |b|, the mask of negative b, and the panel edges of the Bessel
+    quadrature, which runs at orders 0 and 1 only.
     """
     r_axis, p_axis = grid.axes()
-    xi = _ld_int(params.k) * np.exp(-r_axis.astype(_LD))
+    xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
     b = 2.0 * p_axis.astype(_LD)
-    b_abs, inverse = np.unique(np.abs(b), return_inverse=True)
+    folded = np.abs(b)
+    if grid.p_min == -grid.p_max:
+        # np.linspace is not bitwise antisymmetric: p_j and p_{n-1-j} may
+        # differ in magnitude by an ulp, so both take the |b| of the later
+        # (p >= 0) point and share its column
+        j = np.arange(len(b))
+        folded = folded[np.maximum(j, j[::-1])]
+    b_abs, inverse = np.unique(folded, return_inverse=True)
     negative_b = b < 0.0
     t_max = _tail_cutoff(float(np.min(xi)), 1.0)
     edges = _panel_edges(t_max, float(np.max(xi)), float(np.max(b_abs, initial=0.0)))
@@ -424,7 +493,7 @@ def _closed_axes(
 # every level up to WIGNER_MAX_LEVELS = 6.
 # Each entry holds one clongdouble array of shape (n_r, n_unique_b, N),
 # 32 n_r n_unique_b N bytes: 3.5 MB for the default 121 x 121 window at
-# N = 15, 39 MB for a 401 x 401 window.
+# N = 15 (61 columns), 39 MB for a 401 x 401 window (201 columns).
 @functools.lru_cache(maxsize=7)
 def _bessel_tensor(params: MorseParams, grid: GridSpec, level: int) -> np.ndarray:
     """_k_tensor_level cached per (params, grid, level).  The tensor does not
@@ -434,6 +503,19 @@ def _bessel_tensor(params: MorseParams, grid: GridSpec, level: int) -> np.ndarra
     k = _k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level)
     k.setflags(write=False)
     return k
+
+
+def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """Re c and Im c of the +D half, shape (2, n_r, N), from the two rows
+    (Re 2h, Im 2h) flattened in row-major (n, m) order.  Each is one
+    sequential sum per r point over the pairs of order D's tail, read
+    contiguously, and goes to (x, D) order, the layout the contraction
+    reads."""
+    big_n = len(terms)
+    c = np.empty((2, len(terms[0]), big_n), dtype=_LD)
+    for d, tail in enumerate(terms):
+        c[:, :, d] = np.dot(tail, rows[:, d * big_n:].T).T
+    return c
 
 
 def wigner_closed(
@@ -482,27 +564,28 @@ def wigner_closed(
     re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
     rows = np.reshape([re + re.T, im - im.T], (2, -1))
     terms = _closed_terms(params, grid)
-    # one sequential sum over (n, m) per table row (x, D), read contiguously;
-    # Re c and Im c go back to (x, D) order, the layout the contraction reads
-    re_c, im_c = np.ascontiguousarray(np.dot(terms, rows.T).T).reshape(2, len(r_axis), big_n)
+    re_c, im_c = _coefficient_product(terms, rows)
     prefactor = _LD(2.0) / _LD(math.pi)
-    # negative-b columns take conj(K), which flips the sign of Im K
-    sign = np.where(negative_b, _LD(-1.0), _LD(1.0))
 
     def assemble(level: int) -> np.ndarray:
         k = _bessel_tensor(params, grid, level)
-        # Re c Re K - Im c Im K on the unique |b| columns, then out to p
+        # Re c Re K - Im c Im K on the unique |b| columns, then out to p;
+        # negative-b columns take conj(K), which flips the sign of Im K
         re_k = np.einsum("xd,xbd->xb", re_c, k.real, optimize=False)
         im_k = np.einsum("xd,xbd->xb", im_c, k.imag, optimize=False)
-        return (re_k[:, inverse] - sign * im_k[:, inverse]) * prefactor
+        values = ((re_k - im_k) * prefactor)[:, inverse]
+        values[:, negative_b] = ((re_k + im_k) * prefactor)[:, inverse[negative_b]]
+        return values
 
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
         # |row . term . K| of its sum against the largest assembled |W|
         x, p = worst
-        k = _bessel_tensor(params, grid, WIGNER_MAX_LEVELS)[x, inverse[p]]
-        block = terms[x * big_n:(x + 1) * big_n]
-        largest = np.max(np.abs(rows).max(axis=0) * np.abs(block) * np.abs(k)[:, None])
+        k = np.abs(_bessel_tensor(params, grid, WIGNER_MAX_LEVELS)[x, inverse[p]])
+        scale = np.abs(rows).max(axis=0)
+        largest = max(
+            np.max(scale[d * big_n:] * np.abs(tail[x]) * k[d]) for d, tail in enumerate(terms)
+        )
         ratio = float(largest * prefactor) / max(float(np.max(np.abs(estimate))), 1e-300)
         mantissa = -math.log10(float(np.finfo(_LD).eps))
         return BesselAccuracyError(

@@ -86,20 +86,47 @@ def test_bessel_rejects_nonpositive_argument():
 
 def test_bessel_tensor_against_mpmath():
     # orders 0 and 1 come from the quadrature and the rest from the upward
-    # order recurrence; check both kinds at the corners of the default window
+    # order recurrence; check both kinds at the corners of the default
+    # window, reading each p point's column through the axes' index map
     params = MorseParams(n_bound=15)
     grid = GridSpec()
-    xi, b_abs, _, _, _ = phasespace._closed_axes(params, grid)
+    p_axis = grid.axes()[1]
+    xi, b_abs, inverse, _, _ = phasespace._closed_axes(params, grid)
     tensor = phasespace._bessel_tensor(params, grid, 1)
     assert b_abs[0] == 0.0
     mpmath.mp.dps = 40
     for x in (int(np.argmin(xi)), int(np.argmax(xi))):
-        for b in (0, len(b_abs) - 1):
+        for p in (0, grid.n_p // 2, grid.n_p - 1):
             for d in (0, 1, 7, 14):
-                nu = mpmath.mpc(d, -float(b_abs[b]))
+                # p_min takes the column of its mirror p_max
+                nu = mpmath.mpc(d, -2.0 * abs(float(p_axis[max(p, grid.n_p - 1 - p)])))
                 ref = complex(mpmath.besselk(nu, mpmath.mpf(float(xi[x]))))
-                got = complex(tensor[x, b, d])
-                assert abs(got - ref) <= 1e-9 * abs(ref), (x, b, d)
+                got = complex(tensor[x, inverse[p], d])
+                assert abs(got - ref) <= 1e-9 * abs(ref), (x, p, d)
+
+
+@pytest.mark.parametrize("n_p, columns", [(121, 61), (41, 21)])
+def test_symmetric_window_merges_mirrored_columns(params, n_p, columns):
+    # np.linspace(-6, 6, n) is not bitwise antisymmetric, so exact |p| values
+    # alone would keep 101 (121 points) and 32 (41 points) columns; p_j and
+    # p_{n-1-j} share the column of the p >= 0 point instead
+    grid = GridSpec(n_r=21, n_p=n_p)
+    p_axis = grid.axes()[1]
+    assert not np.array_equal(p_axis, -p_axis[::-1])
+    _, b_abs, inverse, negative_b, _ = phasespace._closed_axes(params, grid)
+    assert len(b_abs) == columns
+    assert np.array_equal(inverse, inverse[::-1])
+    upper = np.arange(n_p // 2, n_p)
+    assert np.array_equal(b_abs[inverse[upper]], 2.0 * np.abs(p_axis[upper].astype(np.longdouble)))
+    assert np.array_equal(negative_b, p_axis < 0)
+
+
+def test_real_state_maps_to_a_mirror_symmetric_grid(params, rho_docs):
+    # a real rho has W(r, -p) = W(r, p); with mirrored columns merged the
+    # default grid holds it bit for bit
+    assert not np.any(rho_docs.imag)
+    values = wigner_closed(rho_docs, params).values
+    assert np.array_equal(values, values[:, ::-1])
 
 
 def test_ground_state_closed_matches_oracle(params, fock_state):
@@ -298,6 +325,10 @@ def test_cache_key_separates_inputs(params, fock_state):
         (fock_state(1), params, asymmetric),
         (fock_state(1, dim=10), small_ladder, SMALL_GRID),
     ]
+    # off a symmetric window the distinct |b| come from exact np.unique
+    b_abs = phasespace._closed_axes(params, asymmetric)[1]
+    p_axis = asymmetric.axes()[1]
+    assert np.array_equal(b_abs, np.unique(np.abs(2.0 * p_axis.astype(np.longdouble))))
     base = _cold(fock_state(1), params, SMALL_GRID)
     warm = []
     for rho, p, grid in variants:
@@ -314,7 +345,7 @@ def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
     tensor = phasespace._bessel_tensor(params, SMALL_GRID, 0)
     axes = phasespace._closed_axes(params, SMALL_GRID)
-    for array in (tensor, phasespace._closed_terms(params, SMALL_GRID), *axes):
+    for array in (tensor, *phasespace._closed_terms(params, SMALL_GRID), *axes):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert phasespace._closed_axes(params, SMALL_GRID) is axes
@@ -347,12 +378,15 @@ def _term_reference(params, r, n, m, d):
 
 
 def test_term_table_layout_against_exact_reference(params):
-    # row (x, D) of the table holds the weights of every rho_nm in row-major
-    # (n, m) order, stored C-contiguously so the product reads it row by row
+    # tail D of the table holds the weights of rho_nm for n >= D in
+    # row-major (n, m) order, stored C-contiguously so the product reads
+    # each r point's row in memory order
     terms = phasespace._closed_terms(params, SMALL_GRID)
     big_n = params.n_bound
-    assert terms.shape == (SMALL_GRID.n_r * big_n, big_n * big_n)
-    assert terms.flags.c_contiguous
+    assert len(terms) == big_n
+    for d, tail in enumerate(terms):
+        assert tail.shape == (SMALL_GRID.n_r, big_n * (big_n - d))
+        assert tail.flags.c_contiguous
     r_axis = SMALL_GRID.axes()[0]
     cases = [
         (0, 0, 0, 0),       # halved D = 0
@@ -362,16 +396,97 @@ def test_term_table_layout_against_exact_reference(params):
         (12, 4, 15, 8),
         (14, 14, 20, 9),
         (9, 13, 17, 4),
-        (2, 6, 7, 5),       # D > n: exactly zero
-        (6, 1, 3, 14),      # D > n: exactly zero
+        (14, 0, 3, 14),     # the only pairs of the last tail: n = N - 1
     ]
     for n, m, x, d in cases:
-        got = terms[x * big_n + d, n * big_n + m]
+        got = terms[d][x, (n - d) * big_n + m]
         ref = _term_reference(params, float(r_axis[x]), n, m, d)
-        if ref == 0:
-            assert got == 0.0, (n, m, x, d)
-        else:
-            assert abs(mpmath.mpf(float(got)) / ref - 1) < 1e-15, (n, m, x, d)
+        assert abs(mpmath.mpf(float(got)) / ref - 1) < 1e-15, (n, m, x, d)
+
+
+def _ld_int_reference(value):
+    """Exact int -> longdouble, one recursion step per 53 bits."""
+    if -(2**53) < value < 2**53:
+        return np.longdouble(value)
+    hi, lo = divmod(value, 2**53)
+    return _ld_int_reference(hi) * np.longdouble(2**53) + np.longdouble(lo)
+
+
+def _dense_term_table(params, grid):
+    """The (n_r N, N^2) table with its zero half, by the scalar loop over
+    (n, m, s, k): row (x, D), column (n, m) row-major."""
+    ld = np.longdouble
+    xi = phasespace._closed_axes(params, grid)[0]
+    big_n = params.n_bound
+    two_n = 2 * big_n
+    k_total = params.k
+    factorial = [math.factorial(i) for i in range(two_n + 1)]
+    norms = [
+        np.sqrt(_ld_int_reference(factorial[n] * (k_total - 2 * n - 1))
+                / _ld_int_reference(factorial[k_total - n - 1]))
+        for n in range(big_n)
+    ]
+    terms = np.zeros((len(xi) * big_n, big_n * big_n), dtype=ld)
+    view = terms.reshape(len(xi), big_n, big_n, big_n)
+    xi_sq = xi * xi
+    for n in range(big_n):
+        for m in range(big_n):
+            pair = norms[n] * norms[m] * xi ** ld(two_n - n - m)
+            for s in range(m - n, m + 1):
+                k_start = max(0, -s)
+                value = np.zeros(len(xi), dtype=ld)
+                for k in range(m - s, k_start - 1, -1):
+                    coef = _ld_int_reference(
+                        math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k)
+                    ) / _ld_int_reference(factorial[s + k] * factorial[k])
+                    value = value * xi_sq + coef
+                value *= xi ** ld(s + 2 * k_start)
+                view[:, n - m + s, n, m] = (-pair if s % 2 else pair) * value
+    view[:, 0] *= 0.5
+    return terms
+
+
+@pytest.mark.parametrize("n_bound", [10, 15])
+def test_packed_tails_equal_the_dense_loop(n_bound):
+    # the vectorised build keeps every entry's operation sequence: each tail
+    # equals the scalar loop's nonzero part bit for bit, and the part it
+    # leaves out is exactly zero.  np.array_equal, not tobytes(): longdouble
+    # padding bytes are not initialised
+    params = MorseParams(n_bound)
+    dense = _dense_term_table(params, SMALL_GRID).reshape(SMALL_GRID.n_r, n_bound, -1)
+    terms = phasespace._closed_terms(params, SMALL_GRID)
+    for d, tail in enumerate(terms):
+        assert np.array_equal(tail, dense[:, d, d * n_bound:]), d
+        assert np.all(tail != 0), d
+        assert not np.any(dense[:, d, :d * n_bound]), d
+
+
+@pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
+def test_tail_product_equals_the_dense_product(request, params, model, rates, etas, state):
+    # summing each order over its tail only skips exact zeros of a
+    # sequential sum, so Re c and Im c are those of the dense product, for
+    # the real initial state and for the evolved one with complex coherences
+    rho0 = request.getfixturevalue(state)
+    dense = _dense_term_table(params, SMALL_GRID)
+    terms = phasespace._closed_terms(params, SMALL_GRID)
+    for rho in integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states:
+        re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
+        rows = np.reshape([re + re.T, im - im.T], (2, -1))
+        expected = np.dot(dense, rows.T).T.reshape(2, SMALL_GRID.n_r, params.n_bound)
+        assert np.array_equal(phasespace._coefficient_product(terms, rows), expected)
+
+
+def test_cached_sizes_match_the_documented_formulas(params):
+    # 8 n_r N^2 (N + 1) bytes for the table's tails and 32 n_r n_b N for
+    # one tensor level, with 16-byte longdouble; n_b = 61 on the default
+    # window, one column per mirrored pair
+    grid = GridSpec()
+    big_n = params.n_bound
+    half = np.dtype(np.longdouble).itemsize // 2
+    table = sum(tail.nbytes for tail in phasespace._closed_terms(params, grid))
+    assert table == half * grid.n_r * big_n**2 * (big_n + 1)
+    tensor = phasespace._bessel_tensor(params, grid, 0)
+    assert tensor.nbytes == 4 * half * grid.n_r * 61 * big_n
 
 
 def test_default_window_clips_momentum_tail(params, fock_state):
