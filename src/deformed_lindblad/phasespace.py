@@ -11,11 +11,14 @@ Two independent routes to the same function:
 
   valid for arbitrary complex order (bessel_k_complex_order is one point of
   the same kernel); higher D follow by the upward order recurrence.  The
-  sum is linear in rho; its term table and Bessel tensor do not depend on
-  rho and are cached, so a snapshot maps the Hermitian part of rho as
-  2 Re(c K): one real product with the table gives c, and each level
-  contracts it with the tensor on the distinct |p| columns, one per
-  mirrored pair p, -p on a symmetric window.
+  sum is linear in rho, and its term table and Bessel tensor depend on
+  (params, grid) only: one cached plan per pair holds them, with the
+  tensor at the first two quadrature levels.  A snapshot maps the
+  Hermitian part of rho as 2 Re(c K): one real product with the table
+  gives c, which contracts once with the level-1 tensor on the distinct
+  |p| columns, one per mirrored pair p, -p on a symmetric window.  A bound
+  on the change from level 0, read from c and the plan, accepts that map;
+  where it cannot, finer levels are built and compared.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled quadrature.  It is the testing reference, kept
@@ -342,53 +345,7 @@ def _k_tensor_level(
     return k
 
 
-# Per N, one longdouble array of shape (N - D, N (N - D)) per order D:
-# 16 N sum_L L^2 bytes, 0.3 MB at N = 15 and 34 MB at N = 50.
-@functools.lru_cache(maxsize=2)
-def _horner_coefficients(big_n: int) -> tuple[np.ndarray, ...]:
-    """Exact weights of every series G_s, in the order _closed_terms' Horner
-    steps read them.
-
-    For the pair (n, m) at order D (s = D - n + m), G_s runs over k = n - D
-    down to k_start = max(0, -s) with the weight C(2N-m, n-D-k)
-    C(2N-n, n-k) / ((s+k)! k!), an exact integer ratio rounded once.
-    coefficients[D][t, (n - D) N + m] is the weight its Horner step t
-    (of N - D) adds, so every pair ends on k_start at the last step; a pair
-    with fewer terms starts with zero weights, which leave its value exactly
-    zero until its first term.  The table does not depend on the grid.
-    """
-    two_n = 2 * big_n
-    factorial = [math.factorial(i) for i in range(big_n)]
-    # comb_m[m, a] = C(2N-m, a) and comb_n[n, k] = C(2N-n, n-k), exact ints
-    comb_m = np.array(
-        [[math.comb(two_n - m, a) for a in range(big_n)] for m in range(big_n)], dtype=object
-    )
-    comb_n = np.array(
-        [[math.comb(two_n - n, n - k) if k <= n else 0 for k in range(big_n)] for n in range(big_n)],
-        dtype=object,
-    )
-    denominators = _ld_int([[f_j * f_k for f_k in factorial] for f_j in factorial])
-    coefficients = []
-    for d in range(big_n):
-        steps = big_n - d
-        n = np.repeat(np.arange(d, big_n), big_n)
-        m = np.tile(np.arange(big_n), steps)
-        t = np.arange(steps)[:, None]
-        k = np.maximum(0, n - m - d) + (steps - 1 - t)
-        used = k <= n - d
-        n, m, k = (np.broadcast_to(v, used.shape)[used] for v in (n, m, k))
-        coef = np.zeros(used.shape, dtype=_LD)
-        coef[used] = _ld_int(comb_m[m, n - d - k] * comb_n[n, k]) / denominators[d - n + m + k, k]
-        coef.setflags(write=False)
-        coefficients.append(coef)
-    return tuple(coefficients)
-
-
-# One read-only, C-contiguous longdouble tail of shape (n_r, N (N - D)) per
-# order D and (params, grid), 8 n_r N^2 (N + 1) bytes in all: 3.3 MiB at the
-# default, 11 MiB at 401 x 401, 26 MiB at N = 30.
-@functools.lru_cache(maxsize=2)
-def _closed_terms(params: MorseParams, grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rho-independent weights of the closed-form Bessel sum, per r point.
 
     terms[D][x, (n - D) N + m] is the weight of rho_nm at r point x and
@@ -403,22 +360,26 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> tuple[np.ndarray, ...]
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
-    is a sum of positive terms built from exact integer combinatorics
-    (_horner_coefficients), evaluated by Horner in xi^2 for every pair of a
-    tail at once.  Swapping (n, m) maps s to -s and negates D with identical
-    magnitudes, so the weight of rho_nm at order -D is the weight of rho_mn
-    at +D: the table holds D >= 0 only.  For a Hermitian rho the -D half of
-    the sum is then the complex conjugate of the +D half, and wigner_closed
-    assembles 2 Re of the +D half.  Both halves reach order D = 0, so its
-    tail is halved (exact in binary).
+    is a sum of positive terms.  Each weight is an exact integer ratio
+    rounded once, and Horner in xi^2 runs k from n - D down to
+    k_start = max(0, -s) for every pair of a tail at once: weights[t, j] is
+    what step t (of N - D) adds to pair j, so every pair ends on k_start at
+    the last step, and a pair with fewer terms starts with zero weights,
+    which leave its value exactly zero until its first term.  Swapping
+    (n, m) maps s to -s and negates D with identical magnitudes, so the
+    weight of rho_nm at order -D is the weight of rho_mn at +D: the table
+    holds D >= 0 only.  For a Hermitian rho the -D half of the sum is then
+    the complex conjugate of the +D half, and wigner_closed assembles 2 Re
+    of the +D half.  Both halves reach order D = 0, so its tail is halved
+    (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
     window, which leaves extended precision ten spare digits, and its range
     (1e4932) removes any need for log-space scaling of the xi powers.
     """
-    xi = _closed_axes(params, grid)[0]
     big_n = params.n_bound
+    two_n = 2 * big_n
     k_total = params.k
     factorial = [math.factorial(i) for i in range(k_total)]
     levels = range(big_n)
@@ -427,48 +388,83 @@ def _closed_terms(params: MorseParams, grid: GridSpec) -> tuple[np.ndarray, ...]
         _ld_int([factorial[n] * (k_total - 2 * n - 1) for n in levels])
         / _ld_int([factorial[k_total - n - 1] for n in levels])
     )
+    # comb_m[m, a] = C(2N-m, a) and comb_n[n, k] = C(2N-n, n-k), exact ints
+    comb_m = np.array(
+        [[math.comb(two_n - m, a) for a in levels] for m in levels], dtype=object
+    )
+    comb_n = np.array(
+        [[math.comb(two_n - n, n - k) if k <= n else 0 for k in levels] for n in levels],
+        dtype=object,
+    )
+    denominators = _ld_int([[factorial[j] * factorial[k] for k in levels] for j in levels])
     # powers[e] = xi^e for the pair prefactor xi^(2N-n-m) and the lowest
     # power xi^|s| of G_s
     powers = np.array([xi ** _LD(e) for e in range(2 * big_n + 1)])
     xi_sq = (xi * xi)[:, None]
     terms = []
-    for d, coefficients in enumerate(_horner_coefficients(big_n)):
+    for d in levels:
         steps = big_n - d
         n = np.repeat(np.arange(d, big_n), big_n)
         m = np.tile(np.arange(big_n), steps)
         s = d - n + m
+        k = np.maximum(0, -s) + (steps - 1 - np.arange(steps)[:, None])
+        used = k <= n - d
+        n_used, m_used, k_used = (np.broadcast_to(v, used.shape)[used] for v in (n, m, k))
+        weights = np.zeros(used.shape, dtype=_LD)
+        weights[used] = (
+            _ld_int(comb_m[m_used, n_used - d - k_used] * comb_n[n_used, k_used])
+            / denominators[d - n_used + m_used + k_used, k_used]
+        )
         tail = np.zeros((len(xi), big_n * steps), dtype=_LD)
         for t in range(steps):
             # pairs with n < N - 1 - t have had zero weights only so far
             start = (steps - 1 - t) * big_n
             active = tail[:, start:]
             active *= xi_sq
-            active += coefficients[t, start:]
+            active += weights[t, start:]
         tail *= powers[np.abs(s)].T
         pair = norms[n] * norms[m] * powers[2 * big_n - n - m].T
         pair[:, s % 2 == 1] *= -1
         tail *= pair
         if d == 0:
             tail *= 0.5
-        tail.setflags(write=False)
         terms.append(tail)
     return tuple(terms)
 
 
-# O(n_r + n_p) values per (params, grid), as many keys as the tensor cache
-# can hold.
-@functools.lru_cache(maxsize=7)
-def _closed_axes(
-    params: MorseParams, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rho-independent axes of the closed form, cached and read-only.
+@dataclass(frozen=True)
+class _ClosedForm:
+    """Everything in the closed-form map that does not depend on rho.
 
-    Returns (xi, b_abs, inverse, negative_b, edges): the Bessel argument per
-    r point, the distinct |b| = 2|p| values (one per mirrored pair p, -p on
-    a window with p_min = -p_max), the index mapping each p point to its
-    |b|, the mask of negative b, and the panel edges of the Bessel
-    quadrature, which runs at orders 0 and 1 only.
+    xi is the Bessel argument per r point.  b_abs holds the distinct
+    |b| = 2|p| values, one per mirrored pair p, -p on a window with
+    p_min = -p_max; inverse maps each p point to its |b| and negative_b
+    marks the points with b < 0.  edges are the panels of the Bessel
+    quadrature, terms the packed tails of _term_tails, and k0 and k1 the
+    Bessel tensor (_k_tensor_level) at refinement levels 0 and 1.
+    dk[x, D] = max over b of |K1 - K0| at r point x and order D; with a
+    snapshot's coefficients it bounds that map's change from level 0 to 1.
     """
+
+    xi: np.ndarray
+    b_abs: np.ndarray
+    edges: np.ndarray
+    inverse: np.ndarray
+    negative_b: np.ndarray
+    terms: tuple[np.ndarray, ...]
+    k0: np.ndarray
+    k1: np.ndarray
+    dk: np.ndarray
+
+
+# One plan per (params, grid), shared by every snapshot on it: the tails take
+# 8 n_r N^2 (N + 1) bytes, each tensor level 32 n_r n_b N bytes and dk
+# 16 n_r N, with n_b the number of distinct |b| (61 on the default window).
+# That is 10.1 MiB at the default 121 x 121 window and N = 15, 85 MiB at
+# 401 x 401.
+@functools.lru_cache(maxsize=2)
+def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
+    """The read-only closed-form plan for (params, grid), built once."""
     r_axis, p_axis = grid.axes()
     xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
     b = 2.0 * p_axis.astype(_LD)
@@ -480,29 +476,23 @@ def _closed_axes(
         j = np.arange(len(b))
         folded = folded[np.maximum(j, j[::-1])]
     b_abs, inverse = np.unique(folded, return_inverse=True)
-    negative_b = b < 0.0
     t_max = _tail_cutoff(float(np.min(xi)), 1.0)
     edges = _panel_edges(t_max, float(np.max(xi)), float(np.max(b_abs, initial=0.0)))
-    axes = (xi, b_abs, inverse, negative_b, edges)
-    for array in axes:
+    k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level) for level in (0, 1))
+    plan = _ClosedForm(
+        xi=xi,
+        b_abs=b_abs,
+        edges=edges,
+        inverse=inverse,
+        negative_b=b < 0.0,
+        terms=_term_tails(params, xi),
+        k0=k0,
+        k1=k1,
+        dk=np.abs(k1 - k0).max(axis=1),
+    )
+    for array in (xi, b_abs, edges, inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
         array.setflags(write=False)
-    return axes
-
-
-# One entry per refinement level: enough for one (params, grid) key through
-# every level up to WIGNER_MAX_LEVELS = 6.
-# Each entry holds one clongdouble array of shape (n_r, n_unique_b, N),
-# 32 n_r n_unique_b N bytes: 3.5 MB for the default 121 x 121 window at
-# N = 15 (61 columns), 39 MB for a 401 x 401 window (201 columns).
-@functools.lru_cache(maxsize=7)
-def _bessel_tensor(params: MorseParams, grid: GridSpec, level: int) -> np.ndarray:
-    """_k_tensor_level cached per (params, grid, level).  The tensor does not
-    depend on rho, so every snapshot with the same key reuses it; the array
-    is read-only because it is shared."""
-    xi, b_abs, _, _, edges = _closed_axes(params, grid)
-    k = _k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level)
-    k.setflags(write=False)
-    return k
+    return plan
 
 
 def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
@@ -518,6 +508,20 @@ def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.
     return c
 
 
+def _checked_density(rho: np.ndarray, big_n: int) -> np.ndarray:
+    """rho as a complex array once it has passed the checks both Wigner
+    routes make before any quadrature: shape (N, N) and finite entries.
+    Each failure raises ValueError naming the offence."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (big_n, big_n):
+        raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
+    bad = np.argwhere(~np.isfinite(rho))
+    if len(bad):
+        n, m = bad[0]
+        raise ValueError(f"density matrix entry ({n}, {m}) is not finite: {rho[n, m]}")
+    return rho
+
+
 def wigner_closed(
     rho: np.ndarray,
     params: MorseParams,
@@ -527,27 +531,25 @@ def wigner_closed(
 ) -> WignerGrid:
     """Wigner function from the analytic bound-state sum.
 
-    The Bessel panel quadrature is refined until the assembled W values
-    stabilize to rtol of the grid maximum; exhaustion after
-    WIGNER_MAX_LEVELS raises BesselAccuracyError naming the worst grid
-    point.  The map is W[h] = 2 Re(c K) of the +D half of the sum, with
-    h = (rho + rho^H)/2.  Before any quadrature, a non-finite entry in rho
-    raises ValueError, and so does an anti-Hermitian residue
-    max |rho - rho^H| above HERMITICITY_TOL, the bound validate_density
-    holds every state to.
+    The map is W[h] = 2 Re(c K) of the +D half of the sum, with
+    h = (rho + rho^H)/2: one product of h with the plan's term tails gives
+    the coefficients c, which contract once with the level-1 Bessel tensor.
+    That map is returned when (2/pi) max_x sum_D (|Re c_D| + |Im c_D|)
+    dk[x, D], a bound on its change from level 0, is within rtol of the
+    grid maximum.  Otherwise the panel quadrature is refined until two
+    successive levels of W agree to rtol, building the levels past 1
+    uncached; exhaustion after WIGNER_MAX_LEVELS raises BesselAccuracyError
+    naming the worst grid point.  Before any quadrature, a wrong shape or a
+    non-finite entry in rho raises ValueError, and so does an
+    anti-Hermitian residue max |rho - rho^H| above HERMITICITY_TOL, the
+    bound validate_density holds every state to.
 
-    The term table (per params, grid) and the Bessel tensor (per params,
-    grid, level) do not depend on rho; later calls reuse them.
+    The plan (term tails, Bessel tensor at levels 0 and 1) depends on
+    (params, grid) only; later calls on the same pair reuse it.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (big_n, big_n):
-        raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
-    bad = np.argwhere(~np.isfinite(rho))
-    if len(bad):
-        n, m = bad[0]
-        raise ValueError(f"density matrix entry ({n}, {m}) is not finite: {rho[n, m]}")
+    rho = _checked_density(rho, big_n)
     skew = np.abs(rho - rho.conj().T)
     n, m = np.unravel_index(int(np.argmax(skew)), skew.shape)
     if skew[n, m] > HERMITICITY_TOL:
@@ -556,19 +558,18 @@ def wigner_closed(
             f"({n}, {m}) exceeds {HERMITICITY_TOL}; rho is not Hermitian"
         )
     r_axis, p_axis = grid.axes()
-    _, _, inverse, negative_b, _ = _closed_axes(params, grid)
+    plan = _closed_form(params, grid)
+    inverse, negative_b = plan.inverse, plan.negative_b
 
     # rows: Re and Im of 2h.  A Hermitian h has c_neg = conj(c_pos), so
     # W[h] = 2 Re(c_pos K) needs only Re c and Im c of the +D half, from one
     # real product with the table
     re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
     rows = np.reshape([re + re.T, im - im.T], (2, -1))
-    terms = _closed_terms(params, grid)
-    re_c, im_c = _coefficient_product(terms, rows)
+    re_c, im_c = _coefficient_product(plan.terms, rows)
     prefactor = _LD(2.0) / _LD(math.pi)
 
-    def assemble(level: int) -> np.ndarray:
-        k = _bessel_tensor(params, grid, level)
+    def assemble(k: np.ndarray) -> np.ndarray:
         # Re c Re K - Im c Im K on the unique |b| columns, then out to p;
         # negative-b columns take conj(K), which flips the sign of Im K
         re_k = np.einsum("xd,xbd->xb", re_c, k.real, optimize=False)
@@ -577,14 +578,19 @@ def wigner_closed(
         values[:, negative_b] = ((re_k + im_k) * prefactor)[:, inverse[negative_b]]
         return values
 
+    def level_map(level: int) -> np.ndarray:
+        if level < 2:
+            return assemble((plan.k0, plan.k1)[level])
+        return assemble(_k_tensor_level(plan.xi, plan.b_abs, big_n - 1, plan.edges, level))
+
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
         # |row . term . K| of its sum against the largest assembled |W|
         x, p = worst
-        k = np.abs(_bessel_tensor(params, grid, WIGNER_MAX_LEVELS)[x, inverse[p]])
+        k = np.abs(plan.k1[x, inverse[p]])
         scale = np.abs(rows).max(axis=0)
         largest = max(
-            np.max(scale[d * big_n:] * np.abs(tail[x]) * k[d]) for d, tail in enumerate(terms)
+            np.max(scale[d * big_n:] * np.abs(tail[x]) * k[d]) for d, tail in enumerate(plan.terms)
         )
         ratio = float(largest * prefactor) / max(float(np.max(np.abs(estimate))), 1e-300)
         mantissa = -math.log10(float(np.finfo(_LD).eps))
@@ -598,7 +604,15 @@ def wigner_closed(
             error=error,
         )
 
-    values = np.asarray(_refine(assemble, rtol, WIGNER_MAX_LEVELS, failure), dtype=float)
+    # |Re(c dK)| <= (|Re c| + |Im c|) |dK| term by term, so the bound holds
+    # |W1 - W0| at every grid point: when it is within rtol, _refine would
+    # accept level 1 too (up to round-off) and return this very map.  As in
+    # _refine, only a comparison that holds accepts: a NaN rtol refines
+    values = level_map(1)
+    bound = float(np.max(np.sum((np.abs(re_c) + np.abs(im_c)) * plan.dk, axis=1)) * prefactor)
+    if not bound <= rtol * max(float(np.max(np.abs(values))), 1e-300):
+        values = _refine(level_map, rtol, WIGNER_MAX_LEVELS, failure)
+    values = np.asarray(values, dtype=float)
     return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 
@@ -631,13 +645,12 @@ def wigner_direct_oracle(
     against exp(-i p y), refining the y-quadrature until two levels agree
     to rtol of the grid maximum, within WIGNER_MAX_LEVELS.  The y-range is
     truncated where the wavefunction tails fall below 1e-12 of their peak.
+    A wrong shape or a non-finite entry in rho raises ValueError first.
     Reference implementation for testing, not tuned for speed.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (big_n, big_n):
-        raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
+    rho = _checked_density(rho, big_n)
     r_axis, p_axis = grid.axes()
 
     lo, hi = _support_bounds(params)

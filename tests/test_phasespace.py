@@ -91,8 +91,8 @@ def test_bessel_tensor_against_mpmath():
     params = MorseParams(n_bound=15)
     grid = GridSpec()
     p_axis = grid.axes()[1]
-    xi, b_abs, inverse, _, _ = phasespace._closed_axes(params, grid)
-    tensor = phasespace._bessel_tensor(params, grid, 1)
+    plan = phasespace._closed_form(params, grid)
+    xi, b_abs, inverse, tensor = plan.xi, plan.b_abs, plan.inverse, plan.k1
     assert b_abs[0] == 0.0
     mpmath.mp.dps = 40
     for x in (int(np.argmin(xi)), int(np.argmax(xi))):
@@ -113,7 +113,8 @@ def test_symmetric_window_merges_mirrored_columns(params, n_p, columns):
     grid = GridSpec(n_r=21, n_p=n_p)
     p_axis = grid.axes()[1]
     assert not np.array_equal(p_axis, -p_axis[::-1])
-    _, b_abs, inverse, negative_b, _ = phasespace._closed_axes(params, grid)
+    plan = phasespace._closed_form(params, grid)
+    b_abs, inverse, negative_b = plan.b_abs, plan.inverse, plan.negative_b
     assert len(b_abs) == columns
     assert np.array_equal(inverse, inverse[::-1])
     upper = np.arange(n_p // 2, n_p)
@@ -121,10 +122,16 @@ def test_symmetric_window_merges_mirrored_columns(params, n_p, columns):
     assert np.array_equal(negative_b, p_axis < 0)
 
 
-def test_real_state_maps_to_a_mirror_symmetric_grid(params, rho_docs):
+def test_real_state_maps_to_a_mirror_symmetric_grid(params, rho_docs, monkeypatch):
     # a real rho has W(r, -p) = W(r, p); with mirrored columns merged the
-    # default grid holds it bit for bit
+    # default grid holds it bit for bit.  Its level-0/1 bound (2e-17 of
+    # max |W|) accepts the single contraction, so no refinement runs
     assert not np.any(rho_docs.imag)
+
+    def refine(*args):
+        raise AssertionError("the default docs snapshot refined past level 1")
+
+    monkeypatch.setattr(phasespace, "_refine", refine)
     values = wigner_closed(rho_docs, params).values
     assert np.array_equal(values, values[:, ::-1])
 
@@ -225,19 +232,22 @@ def test_evolved_cat_closed_matches_oracle(params, model, rates, etas, rho_cat, 
 
 
 def test_closed_form_rejects_non_finite_before_quadrature(params, fock_state):
-    # a non-finite and a non-Hermitian rho both raise before any table or
-    # tensor is built, naming the offending entry
+    # a non-finite and a non-Hermitian rho both raise before any plan is
+    # built, naming the offending entry; the oracle refuses the non-finite
+    # one too, where it would otherwise climb every level on NaN residuals.
+    # Hermiticity is the closed form's own premise, not the oracle's
     non_finite = fock_state(0)
     non_finite[3, 1] = np.nan
     lopsided = fock_state(0)
     lopsided[2, 4] = 1e-6     # no conjugate partner
-    cases = ((non_finite, r"entry \(3, 1\) is not finite"),
-             (lopsided, r"residue .* at entry \(2, 4\)"))
-    for rho, message in cases:
-        builds = (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info())
+    cases = ((wigner_closed, non_finite, r"entry \(3, 1\) is not finite"),
+             (wigner_direct_oracle, non_finite, r"entry \(3, 1\) is not finite"),
+             (wigner_closed, lopsided, r"residue .* at entry \(2, 4\)"))
+    for route, rho, message in cases:
+        builds = phasespace._closed_form.cache_info()
         with pytest.raises(ValueError, match=message):
-            wigner_closed(rho, params, SMALL_GRID)
-        assert (phasespace._bessel_tensor.cache_info(), phasespace._closed_terms.cache_info()) == builds
+            route(rho, params, SMALL_GRID)
+        assert phasespace._closed_form.cache_info() == builds
 
 
 def test_wigner_grid_metadata(params, fock_state):
@@ -298,24 +308,68 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
     direct = wigner_direct_oracle(rho, params, SMALL_GRID)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(grid.values - direct.values)) < 1e-4 * scale
-    # every level's tensor is cached now; the refusal must not depend on that
+    # the refusal is repeatable
     with pytest.raises(BesselAccuracyError, match="stabilize"):
         wigner_closed(rho, params, SMALL_GRID)
 
 
 def _cold(rho, params, grid):
-    phasespace._bessel_tensor.cache_clear()
-    phasespace._closed_terms.cache_clear()
-    phasespace._closed_axes.cache_clear()
+    phasespace._closed_form.cache_clear()
     return wigner_closed(rho, params, grid).values
 
 
 def test_warm_cache_is_bit_identical_to_cold(params, rho_docs):
     cold = _cold(rho_docs, params, SMALL_GRID)
-    assert phasespace._bessel_tensor.cache_info().currsize > 0
-    assert phasespace._closed_terms.cache_info().currsize == 1
+    assert phasespace._closed_form.cache_info().currsize == 1
     warm = wigner_closed(rho_docs, params, SMALL_GRID).values
     assert warm.tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    SMALL_GRID, GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16),
+])
+def test_level_one_bound_dominates_the_level_change(params, fock_state, rho_docs, rho_aocs,
+                                                    rho_cat, grid):
+    # wigner_closed returns the level-1 map W1 when
+    # max_x sum_D (|Re c_D| + |Im c_D|) dk[x, D] is within rtol of max |W1|
+    # (both in units of 2/pi), so that sum must hold |W1 - W0| at every grid
+    # point.  Both maps are built here in complex arithmetic; the bound may
+    # read below the change by round-off only
+    plan = phasespace._closed_form(params, grid)
+    for rho in (rho_docs, rho_aocs, rho_cat, *(fock_state(n) for n in range(14))):
+        re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
+        rows = np.reshape([re + re.T, im - im.T], (2, -1))
+        re_c, im_c = phasespace._coefficient_product(plan.terms, rows)
+        maps = []
+        for k in (plan.k0, plan.k1):
+            # negative-b points take conj(K)
+            k = k[:, plan.inverse]
+            k = np.where(plan.negative_b[:, None], k.conj(), k)
+            maps.append(np.einsum("xd,xpd->xp", re_c + 1j * im_c, k).real)
+        bound = np.max(np.sum((np.abs(re_c) + np.abs(im_c)) * plan.dk, axis=1))
+        scale = np.max(np.abs(maps[1]))
+        assert bound / scale >= np.max(np.abs(maps[1] - maps[0])) / scale - 1e-18
+
+
+def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):
+    # |8> on SMALL_GRID: the bound reads 1.36e-8 of max |W| against a true
+    # level-0/1 change of 4.29e-9.  At rtol = 1e-7 the bound accepts the
+    # single contraction; at 1e-8 it refuses, and _refine accepts level 1
+    # on the true change, so both calls return the same map
+    calls = []
+    refine = phasespace._refine
+
+    def counted(evaluate, rtol, levels, failure):
+        calls.append(rtol)
+        return refine(evaluate, rtol, levels, failure)
+
+    monkeypatch.setattr(phasespace, "_refine", counted)
+    rho = fock_state(8)
+    fast = wigner_closed(rho, params, SMALL_GRID, rtol=1e-7).values
+    assert calls == []
+    refined = wigner_closed(rho, params, SMALL_GRID, rtol=1e-8).values
+    assert calls == [1e-8]
+    assert np.array_equal(refined, fast)
 
 
 def test_cache_key_separates_inputs(params, fock_state):
@@ -326,7 +380,7 @@ def test_cache_key_separates_inputs(params, fock_state):
         (fock_state(1, dim=10), small_ladder, SMALL_GRID),
     ]
     # off a symmetric window the distinct |b| come from exact np.unique
-    b_abs = phasespace._closed_axes(params, asymmetric)[1]
+    b_abs = phasespace._closed_form(params, asymmetric).b_abs
     p_axis = asymmetric.axes()[1]
     assert np.array_equal(b_abs, np.unique(np.abs(2.0 * p_axis.astype(np.longdouble))))
     base = _cold(fock_state(1), params, SMALL_GRID)
@@ -343,17 +397,18 @@ def test_cache_key_separates_inputs(params, fock_state):
 
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
-    tensor = phasespace._bessel_tensor(params, SMALL_GRID, 0)
-    axes = phasespace._closed_axes(params, SMALL_GRID)
-    for array in (tensor, *phasespace._closed_terms(params, SMALL_GRID), *axes):
+    plan = phasespace._closed_form(params, SMALL_GRID)
+    arrays = (plan.k0, plan.k1, plan.dk, *plan.terms,
+              plan.xi, plan.b_abs, plan.inverse, plan.negative_b, plan.edges)
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert phasespace._closed_axes(params, SMALL_GRID) is axes
+    assert phasespace._closed_form(params, SMALL_GRID) is plan
 
 
 def _term_reference(params, r, n, m, d):
     """Weight of rho_nm at r and Bessel order +d from the G_s formula of the
-    _closed_terms docstring: exact combinatorics, 50-digit xi powers."""
+    _term_tails docstring: exact combinatorics, 50-digit xi powers."""
     if d > n:
         return mpmath.mpf(0)
     mpmath.mp.dps = 50
@@ -381,7 +436,7 @@ def test_term_table_layout_against_exact_reference(params):
     # tail D of the table holds the weights of rho_nm for n >= D in
     # row-major (n, m) order, stored C-contiguously so the product reads
     # each r point's row in memory order
-    terms = phasespace._closed_terms(params, SMALL_GRID)
+    terms = phasespace._closed_form(params, SMALL_GRID).terms
     big_n = params.n_bound
     assert len(terms) == big_n
     for d, tail in enumerate(terms):
@@ -416,7 +471,7 @@ def _dense_term_table(params, grid):
     """The (n_r N, N^2) table with its zero half, by the scalar loop over
     (n, m, s, k): row (x, D), column (n, m) row-major."""
     ld = np.longdouble
-    xi = phasespace._closed_axes(params, grid)[0]
+    xi = phasespace._closed_form(params, grid).xi
     big_n = params.n_bound
     two_n = 2 * big_n
     k_total = params.k
@@ -454,7 +509,7 @@ def test_packed_tails_equal_the_dense_loop(n_bound):
     # padding bytes are not initialised
     params = MorseParams(n_bound)
     dense = _dense_term_table(params, SMALL_GRID).reshape(SMALL_GRID.n_r, n_bound, -1)
-    terms = phasespace._closed_terms(params, SMALL_GRID)
+    terms = phasespace._closed_form(params, SMALL_GRID).terms
     for d, tail in enumerate(terms):
         assert np.array_equal(tail, dense[:, d, d * n_bound:]), d
         assert np.all(tail != 0), d
@@ -468,7 +523,7 @@ def test_tail_product_equals_the_dense_product(request, params, model, rates, et
     # the real initial state and for the evolved one with complex coherences
     rho0 = request.getfixturevalue(state)
     dense = _dense_term_table(params, SMALL_GRID)
-    terms = phasespace._closed_terms(params, SMALL_GRID)
+    terms = phasespace._closed_form(params, SMALL_GRID).terms
     for rho in integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states:
         re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
         rows = np.reshape([re + re.T, im - im.T], (2, -1))
@@ -477,16 +532,19 @@ def test_tail_product_equals_the_dense_product(request, params, model, rates, et
 
 
 def test_cached_sizes_match_the_documented_formulas(params):
-    # 8 n_r N^2 (N + 1) bytes for the table's tails and 32 n_r n_b N for
-    # one tensor level, with 16-byte longdouble; n_b = 61 on the default
-    # window, one column per mirrored pair
+    # 8 n_r N^2 (N + 1) bytes for the table's tails, 32 n_r n_b N for each
+    # of the two tensor levels and 16 n_r N for dk, with 16-byte
+    # longdouble; n_b = 61 on the default window, one column per mirrored
+    # pair
     grid = GridSpec()
     big_n = params.n_bound
     half = np.dtype(np.longdouble).itemsize // 2
-    table = sum(tail.nbytes for tail in phasespace._closed_terms(params, grid))
+    plan = phasespace._closed_form(params, grid)
+    table = sum(tail.nbytes for tail in plan.terms)
     assert table == half * grid.n_r * big_n**2 * (big_n + 1)
-    tensor = phasespace._bessel_tensor(params, grid, 0)
-    assert tensor.nbytes == 4 * half * grid.n_r * 61 * big_n
+    for tensor in (plan.k0, plan.k1):
+        assert tensor.nbytes == 4 * half * grid.n_r * 61 * big_n
+    assert plan.dk.nbytes == 2 * half * grid.n_r * big_n
 
 
 def test_default_window_clips_momentum_tail(params, fock_state):
