@@ -54,10 +54,10 @@ even cat, the shifted aocs and docs from theta = 12 on abort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock_algebra import OscillatorModel, gap_frequencies, hamiltonian
 
@@ -88,6 +88,17 @@ EIG_ABORT_FLOOR = -1e-2
 # steady_state's bounds on ||d rho/dt||_max and on |dp_n/dt| / p_n, p_n > 0
 STEADY_RESIDUAL_TOL = 1e-12
 STEADY_RELATIVE_TOL = 1e-9
+
+# The [13/13] Pade approximant to exp(x) is p(x) / p(-x) with
+# p(x) = sum_j c_j x^j, c_j = (26 - j)! 13! / (26! j! (13 - j)!), c_0 = 1; it
+# meets double precision for 1-norms up to _THETA13 (N. J. Higham, SIAM
+# J. Matrix Anal. Appl. 26 (2005) 1179, table 2.3).  Python's int division
+# rounds each c_j correctly.
+_PADE13 = tuple(
+    factorial(26 - j) * factorial(13) / (factorial(26) * factorial(j) * factorial(13 - j))
+    for j in range(14)
+)
+_THETA13 = 5.371920351148152
 
 # Damping prefactor with every physical constant in the decay-rate
 # expression set to one (the convention of the source model), which makes
@@ -409,6 +420,40 @@ class EvolutionResult:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (..., n, n) stack by Pade scaling and squaring.
+
+    Each matrix A is scaled by 2^-s, s >= 0 the least integer with
+    ||A 2^-s||_1 <= _THETA13, mapped through the [13/13] Pade approximant
+    and squared s times (Higham 2005).  s comes from the matrix's own
+    1-norm, and every product and solve acts on one matrix at a time, so a
+    matrix's exponential is bitwise the same inside any stack as alone.  A
+    zero matrix gives I exactly.  Overflow is not trapped: it leaves
+    non-finite entries, which the caller checks.
+    """
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    c = _PADE13
+    eye = np.eye(shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.abs(a).sum(axis=-2).max(axis=-1)
+        mantissa, exponent = np.frexp(norms / _THETA13)
+        s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(.)), clipped at 0
+        a = a * np.ldexp(1.0, -s)[:, None, None]
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+                 + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+        v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+             + c[6] * a6 + c[4] * a4 + c[2] * a2 + eye)
+        r = np.linalg.solve(v - u, v + u)
+        for j in range(s.max(initial=0)):
+            live = s > j
+            r[live] = r[live] @ r[live]
+    return r.reshape(shape)
+
+
 def integrate(
     rho0: np.ndarray,
     model: OscillatorModel,
@@ -422,14 +467,19 @@ def integrate(
 
     The generator is linear and time independent and keeps k = m - n (see
     _Generator.blocks), so each sample interval delta_t is bridged by
-    U_k = expm(L_k delta_t) on the diagonal of order k and conj(U_k) on the
+    U_k = exp(L_k delta_t) on the diagonal of order k and conj(U_k) on the
     diagonal of order -k.  U_k depends on delta_t alone, so it is computed
     once per distinct interval length of this call and reused for every
-    interval of that length.  Snapshots land exactly on the requested
-    times.  dt is accepted and must be finite and positive, for callers and
-    configs written for a fixed-step integrator, but sets no step.  Every
-    snapshot must pass the density-matrix invariants (trace, Hermiticity,
-    eigenvalue floor); a breach raises IntegrationError.
+    interval of that length.  All of them come from one _expm_stack call:
+    order 0 has a dim x dim matrix of its own, and orders k and dim - k
+    (sizes dim - k and k) share one block-diagonal dim x dim matrix, so each
+    interval length takes (dim + 2) // 2 matrices.  Snapshots land exactly
+    on the requested times.  dt is accepted and must be finite and
+    positive, for callers and configs written for a fixed-step integrator,
+    but sets no step.  Every snapshot must pass the density-matrix
+    invariants (finiteness, trace, Hermiticity, eigenvalue floor); a breach,
+    such as an interval too long for the exponential, raises
+    IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -452,22 +502,35 @@ def integrate(
             f"initial density matrix shape {rho.shape} != ({model.dim}, {model.dim})"
         )
 
+    dim = model.dim
     blocks = gen.blocks()
-    propagators: dict[float, list[np.ndarray]] = {}
+    # order k (size dim - k) sits in matrix min(k, dim - k): at the top left
+    # when k <= dim - k, else after its partner dim - k (size k)
+    slots = []
+    for k in range(dim):
+        lo = k if 2 * k > dim else 0
+        slots.append((min(k, dim - k), slice(lo, lo + dim - k)))
+    packed = np.zeros(((dim + 2) // 2, dim, dim), dtype=complex)
+    for (_, _, block), (p, span) in zip(blocks, slots):
+        packed[p, span, span] = block
+    steps = sorted({b - a for a, b in zip([0.0] + samples, samples) if b > a})
+    with np.errstate(over="ignore"):
+        exponents = np.multiply.outer(np.array(steps), packed)
+    stacks = _expm_stack(exponents)
+    propagators = dict(zip(steps, zip(stacks, stacks.conj())))
+
     result = EvolutionResult(times=[], states=[])
     max_trace = max_herm = 0.0
     min_eig = 1.0
     t = 0.0
     for target in samples:
         if target > t:
-            step = target - t
-            if step not in propagators:
-                propagators[step] = [expm(step * block) for _, _, block in blocks]
+            u, u_conj = propagators[target - t]
             evolved = np.empty_like(rho)
-            for k, ((rows, cols, _), u) in enumerate(zip(blocks, propagators[step])):
-                evolved[rows, cols] = u @ rho[rows, cols]
+            for k, ((rows, cols, _), (p, span)) in enumerate(zip(blocks, slots)):
+                evolved[rows, cols] = u[p, span, span] @ rho[rows, cols]
                 if k:
-                    evolved[cols, rows] = u.conj() @ rho[cols, rows]
+                    evolved[cols, rows] = u_conj[p, span, span] @ rho[cols, rows]
             rho = evolved
         t = target
         checks = validate_density(rho, time=t)

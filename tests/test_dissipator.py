@@ -1,27 +1,31 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from deformed_lindblad import (
     IntegrationError,
+    MorseParams,
     OscillatorModel,
     ReservoirParams,
     aocs,
     detailed_balance_populations,
+    eta_values,
     gap_frequencies,
     harmonic_deformation,
     integrate,
     mean_occupation,
+    morse_model,
     purity,
     rate_table,
     shift_table,
     steady_state,
     to_density,
 )
-from deformed_lindblad.dissipator import build_generator, validate_density
+from deformed_lindblad.dissipator import _expm_stack, build_generator, validate_density
 
 
 def random_density(dim, seed):
@@ -274,16 +278,38 @@ def test_mirror_blocks_are_conjugate_bitwise(model, rates, etas, reservoir):
             assert np.array_equal(mirror, block.conj()), (case_model.dim, k)
 
 
-def expm_every_order_every_interval(gen, rho0, times):
-    """Reference propagation: expm on all 2N - 1 orders for each interval."""
+def kernel_propagators(gen, h, sign=1):
+    """exp(h L_{sign k}) for k = 0..N-1 from one _expm_stack call.
+
+    Packed as integrate packs them: order 0 alone, orders p and N - p on the
+    diagonal of one block-diagonal N x N matrix.
+    """
+    dim = len(gen.same)
+    stack = np.zeros(((dim + 2) // 2, dim, dim), dtype=complex)
+    for p in range(len(stack)):
+        stack[p, :dim - p, :dim - p] = gen.block(sign * p)[2]
+        if 0 < p < dim - p:
+            stack[p, dim - p:, dim - p:] = gen.block(sign * (dim - p))[2]
+    u = _expm_stack(h * stack)
+    out = {}
+    for p in range(len(stack)):
+        out[sign * p] = u[p, :dim - p, :dim - p]
+        if 0 < p < dim - p:
+            out[sign * (dim - p)] = u[p, dim - p:, dim - p:]
+    return out
+
+
+def kernel_every_order_every_interval(gen, rho0, times):
+    """Reference propagation: the kernel on all 2N - 1 orders, one interval at a time."""
     dim = len(gen.same)
     blocks = [gen.block(k) for k in range(1 - dim, dim)]
     rho, t, states = rho0.astype(complex), 0.0, []
     for target in times:
         if target > t:
+            u = {**kernel_propagators(gen, target - t), **kernel_propagators(gen, target - t, -1)}
             evolved = np.empty_like(rho)
-            for rows, cols, block in blocks:
-                evolved[rows, cols] = expm((target - t) * block) @ rho[rows, cols]
+            for k, (rows, cols, _) in zip(range(1 - dim, dim), blocks):
+                evolved[rows, cols] = u[k] @ rho[rows, cols]
             rho = evolved
         t = target
         states.append(rho.copy())
@@ -292,17 +318,116 @@ def expm_every_order_every_interval(gen, rho0, times):
 
 @pytest.mark.parametrize("shifts", [False, True])
 def test_integrate_reuses_propagators_bitwise(model, rates, etas, rho_aocs, rho_cat, shifts):
-    # one expm per order pair per distinct step changes no bit of any state;
-    # the first sample set repeats the step 0.5, the second has none equal
+    # one stacked exponential per call, reused across equal steps and
+    # applied as conj(U_k) to order -k, changes no bit of any state; the
+    # first sample set repeats the step 0.5, the second has none equal
     table = rate_table(model, SHIFTED) if shifts else rates
     repeated = [0.0, 0.5, 1.0, 1.5, 2.0] if shifts else [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
     gen = build_generator(model, table, etas)
     for times in (repeated, [0.3, 0.7, 1.9]):
         for rho0 in (rho_aocs, rho_cat):
             result = integrate(rho0, model, table, etas, times[-1], 1e-3, times)
-            reference = expm_every_order_every_interval(gen, rho0, times)
+            reference = kernel_every_order_every_interval(gen, rho0, times)
             for got, want in zip(result.states, reference, strict=True):
                 assert np.array_equal(got, want)
+
+
+def test_stacked_exponential_equals_the_one_taken_alone(model, rates, etas):
+    # integrate exponentiates every step of a call in one stack and reuses
+    # the result bitwise only if no matrix depends on its neighbours: each
+    # takes its own scaling, here from 0 to 19 squarings in one stack
+    stack = []
+    for table in (rates, rate_table(model, SHIFTED)):
+        gen = build_generator(model, table, etas)
+        for k in range(model.dim):
+            padded = np.zeros((model.dim, model.dim), dtype=complex)
+            padded[:model.dim - k, :model.dim - k] = gen.block(k)[2]
+            stack += [h * padded for h in (1e-6, 0.01, 0.2, 0.5, 1.5, 4.0, 40.0)]
+    stack = np.array(stack)
+    together = _expm_stack(stack)
+    for a, u in zip(stack, together, strict=True):
+        assert np.array_equal(u, _expm_stack(a))
+    # a leading axis of steps, as integrate passes it, changes nothing
+    assert np.array_equal(_expm_stack(stack.reshape(14, 15, 15, 15)).reshape(stack.shape), together)
+
+
+def test_exponential_of_zero_is_identity_exactly():
+    stack = np.zeros((3, 6, 6), dtype=complex)
+    stack[1, :2, :2] = [[-1.0, 0.5], [0.25, -2.0j]]
+    u = _expm_stack(stack)
+    for i in (0, 2):
+        assert np.array_equal(u[i], np.eye(6))
+    # the zero block beside a nonzero one stays I and the coupling 0
+    assert np.array_equal(u[1, 2:, 2:], np.eye(4))
+    assert not np.any(u[1, :2, 2:]) and not np.any(u[1, 2:, :2])
+
+
+def kernel_accuracy_cases():
+    # ladder sizes of both pairing parities (odd N pairs every order; even N
+    # leaves order N/2 alone), Morse and harmonic, at the default reservoir
+    for dim in (2, 15, 16, 30):
+        morse = morse_model(MorseParams(dim))
+        yield f"morse-{dim}", morse, ReservoirParams(theta=4.0), eta_values(MorseParams(dim))
+        harmonic = OscillatorModel(dim, harmonic_deformation())
+        yield f"harmonic-{dim}", harmonic, ReservoirParams(theta=4.0), np.ones(dim)
+    # hot to cold reservoirs, weak to strong damping, on the default ladder
+    morse = morse_model(MorseParams(15))
+    for theta in (0.5, 4.0, 20.0):
+        for gamma_scale in (0.1, 4.0 / 3.0, 5.0):
+            yield (f"theta-{theta}-gamma-{gamma_scale:.3g}", morse,
+                   ReservoirParams(theta=theta, gamma_scale=gamma_scale),
+                   eta_values(MorseParams(15)))
+
+
+@pytest.mark.parametrize("h", [1e-6, 0.2, 1.5, 40.0])
+def test_exponential_matches_scipy(h):
+    # the forward error of a backward-stable exponential scales with
+    # eps ||h L||_1; the measured worst here is 2.0 eps max(1, ||h L||_1)
+    # of max |U| over all orders (1.2e-13 on the harmonic N = 15, 16
+    # ladders at h = 40, where ||h L_0||_1 = 1.5e3 and a 40-digit reference
+    # puts this kernel 1.0e-13 and scipy 2e-14 off)
+    eps = np.finfo(float).eps
+    for name, case_model, reservoir, case_etas in kernel_accuracy_cases():
+        if (h, name) == (40.0, "theta-0.5-gamma-5"):
+            continue  # exp(40 L_k), k = 10..12, exceeds the double range here
+        gen = build_generator(case_model, rate_table(case_model, reservoir), case_etas)
+        got = kernel_propagators(gen, h)
+        want = {k: expm(h * gen.block(k)[2]) for k in got}
+        scale = max(np.max(np.abs(u)) for u in want.values())
+        norm = max(np.max(np.abs(h * gen.block(k)[2]).sum(axis=0)) for k in got)
+        err = max(np.max(np.abs(got[k] - want[k])) for k in got)
+        assert err <= 4.0 * eps * max(1.0, norm) * scale, (name, err / scale)
+
+
+@pytest.mark.parametrize("h", [0.5, 2.0])
+@pytest.mark.parametrize("k", [1, 7])
+def test_shifted_exponential_against_mpmath(model, etas, k, h):
+    # with shifts on the blocks reach ||h L_k||_1 = 4.8e4 (k = 7, h = 2),
+    # about 14 squarings; orders 1 and 7 are packed with 14 and 8
+    gen = build_generator(model, rate_table(model, SHIFTED), etas)
+    got = kernel_propagators(gen, h)[k]
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix((h * gen.block(k)[2]).tolist()))
+        want = np.array(exact.tolist(), dtype=complex)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_long_interval_reaches_the_steady_state(model, rates, etas, rho_aocs):
+    # t = 1e6 takes about 20 squarings of each block in one step
+    result = integrate(rho_aocs, model, rates, etas, 1e6, 1e-3, [1e6])
+    stationary = steady_state(model, rates, etas)
+    assert np.max(np.abs(result.states[0] - stationary)) < 1e-9
+
+
+@pytest.mark.parametrize("t_final", [1e300, 1e308])
+def test_overlong_interval_fails_loudly(model, rates, etas, rho_aocs, t_final):
+    # the squarings over- or underflow; that must surface as a broken
+    # invariant, never as an OverflowError or a RuntimeWarning (an error
+    # under this suite's filterwarnings)
+    with pytest.raises(IntegrationError) as info:
+        integrate(rho_aocs, model, rates, etas, t_final, 1e-3, [0.0, 1.0, t_final])
+    assert info.value.time == t_final
+    assert info.value.invariant in ("finite", "trace")
 
 
 def test_integrate_with_shifts_matches_full_propagator(model, etas, rho_aocs):

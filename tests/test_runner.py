@@ -449,11 +449,10 @@ def scipy_modules(listing):
     return {name for name in listing.split() if name.split(".")[0] == "scipy"}
 
 
-def test_import_and_default_scenarios_load_no_scipy_beyond_linalg(tmp_path):
-    # the package needs scipy.linalg (expm) only; scipy.integrate is loaded
-    # on first use by the frequency shifts, which are off by default
+def test_import_and_default_scenarios_load_no_scipy(tmp_path):
+    # the package needs numpy only; scipy.integrate is loaded on first use
+    # by the frequency shifts, which are off by default
     listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
-    baseline = run_fresh_python("import numpy, scipy.linalg; " + listing, tmp_path)
     package = run_fresh_python(
         "from deformed_lindblad import parse_config, run_scenario\n"
         "for name in ('docs', 'aocs', 'even_cat'):\n"
@@ -462,7 +461,7 @@ def test_import_and_default_scenarios_load_no_scipy_beyond_linalg(tmp_path):
         tmp_path,
     )
     assert "deformed_lindblad" in package.split()
-    assert sorted(scipy_modules(package) - scipy_modules(baseline)) == []
+    assert sorted(scipy_modules(package)) == []
 
 
 def test_shift_table_from_a_cold_process_matches(tmp_path):
