@@ -19,6 +19,7 @@ map alpha -> <n> so a target mean excitation can be hit reproducibly.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -90,13 +91,20 @@ def docs(zeta: complex, params: MorseParams) -> StateVector:
     truncation (the closed-form prefactor (1+|zeta|^2)^(-N) normalizes the
     untruncated sum only).
     """
-    two_n = 2 * params.n_bound
-    log_binom = np.array([
-        0.5 * (math.lgamma(two_n + 1) - math.lgamma(n + 1) - math.lgamma(two_n - n + 1))
-        for n in range(params.n_bound)
-    ])
     powers = np.concatenate(([1.0 + 0j], np.cumprod(np.full(params.n_bound - 1, zeta, dtype=complex))))
-    return _normalized(np.exp(log_binom) * powers, "docs")
+    return _normalized(np.exp(_half_log_binomials(params.n_bound)) * powers, "docs")
+
+
+@functools.lru_cache(maxsize=None)
+def _half_log_binomials(n_bound: int) -> np.ndarray:
+    """0.5 log binomial(2N, n) for n = 0..N-1 by log-gamma, built once per N (read only)."""
+    two_n = 2 * n_bound
+    half_logs = np.array([
+        0.5 * (math.lgamma(two_n + 1) - math.lgamma(n + 1) - math.lgamma(two_n - n + 1))
+        for n in range(n_bound)
+    ])
+    half_logs.setflags(write=False)
+    return half_logs
 
 
 def docs_from_alpha(alpha: complex, params: MorseParams) -> StateVector:

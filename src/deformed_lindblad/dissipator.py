@@ -49,10 +49,21 @@ reaches -2.329e-2 at t = 4.  Trace and Hermiticity are conserved exactly.
 integrate aborts when an eigenvalue falls below EIG_ABORT_FLOOR, an order
 of magnitude outside the band at 15 levels and theta = 4, so the 10-level
 even cat, the shifted aocs and docs from theta = 12 on abort.
+
+The negativity is not always transient.  Away from the defaults some
+coherence blocks L_k (see _Generator.block) have eigenvalues of positive
+real part, so those coherences grow exponentially: the largest real part
+is 20.0 (k = 11) at 15 levels, theta = 0.5 and gamma_scale = 5; 5.28
+(k = 11) at theta = 0.5 with the default gamma_scale; 0.299 (k = 13) at
+theta = 4 and gamma_scale = 5; and 0.192 (k = 28) at 30 levels with the
+default reservoir.  At 15 levels with the default reservoir none is above
+round-off.  Such runs cross EIG_ABORT_FLOOR early (an even cat at
+theta = 0.5, gamma_scale = 5 reaches -37.7 at t = 0.5) and overflow later.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Sequence
@@ -331,14 +342,72 @@ class _Generator:
         above = self.above[rows[:-1], cols[:-1]]
         return rows, cols, np.diag(diag) + np.diag(below, -1) + np.diag(above, 1)
 
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """block(k) for k = 0 .. dim-1; each k > 0 also stands for -k.
+    def packed(self) -> np.ndarray:
+        """L_k for k = 0 .. dim-1 in the (P, dim, dim) stack integrate exponentiates.
 
-        The mirror order -k is the diagonal (cols, rows) under conj(L_k),
-        so these dim blocks cover every entry of rho: the k = 0 diagonal
-        once, every other entry through either its own block or the mirror.
+        Matrix p holds L_p and L_{dim-p} on its diagonal, in the slots
+        _packed_layout(dim) gives them; every other entry is zero.
         """
-        return [self.block(k) for k in range(len(self.same))]
+        layout = _packed_layout(len(self.same))
+        order, cols = layout.order, layout.cols
+        count, dim = order.shape
+        rows = cols + order
+        packed = np.zeros((count, dim, dim), dtype=complex)
+        p, j = np.nonzero(order >= 0)
+        packed[p, j, j] = self.same[rows[p, j], cols[p, j]]
+        # slots j and j + 1 holding neighbouring entries of one order
+        p, j = np.nonzero((order[:, 1:] >= 0) & (order[:, 1:] == order[:, :-1]))
+        packed[p, j + 1, j] = self.below[rows[p, j + 1], cols[p, j + 1]]
+        packed[p, j, j + 1] = self.above[rows[p, j], cols[p, j]]
+        return packed
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each entry of rho sits in integrate's packed (2, P, dim) stack.
+
+    order and cols are (P, dim): slot j of row p in the first half holds
+    rho[cols + order, cols] of coherence order order >= 0, and the same
+    slot in the second half holds the mirror rho[cols, cols + order] of
+    order -order; order is -1 in an unused slot.  gather (2, P, dim) is
+    each slot's flat index into rho padded with one zero, dim * dim in an
+    unused slot, and scatter (dim * dim,) is each entry's flat index into
+    the stack.
+    """
+
+    order: np.ndarray
+    cols: np.ndarray
+    gather: np.ndarray
+    scatter: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_layout(dim: int) -> _Layout:
+    """The packed slot layout for dim levels, built once per dim (read only).
+
+    Row p of P = (dim + 2) // 2 holds order p in slots 0 .. dim - p - 1 and
+    order dim - p in the last p slots.  Order 0 has no mirror, and at even
+    dim order dim / 2 would meet itself, so those slots stay unused: every
+    entry of rho has exactly one slot.
+    """
+    p = np.arange((dim + 2) // 2)[:, None]
+    j = np.arange(dim)
+    low = j < dim - p
+    order = np.where(low, p, dim - p)
+    order[~low & (order == p)] = -1
+    cols = np.where(low, j, j - (dim - p))
+    pad = dim * dim
+    gather = np.stack([
+        np.where(order >= 0, (cols + order) * dim + cols, pad),
+        np.where(order > 0, cols * dim + cols + order, pad),
+    ])
+    live = gather.ravel() < pad
+    scatter = np.empty(pad, dtype=np.intp)
+    scatter[gather.ravel()[live]] = np.flatnonzero(live)
+    layout = _Layout(order=order, cols=cols, gather=gather, scatter=scatter)
+    for array in vars(layout).values():
+        array.setflags(write=False)
+    return layout
 
 
 def build_generator(
@@ -373,42 +442,66 @@ def build_generator(
     )
 
 
-def validate_density(rho: np.ndarray, time: float = 0.0) -> dict[str, float]:
-    """Check finiteness, trace, Hermiticity and positivity of rho at time.
+def validate_density(
+    rho: np.ndarray, time: float | Sequence[float] = 0.0
+) -> dict[str, float]:
+    """Check finiteness, trace, Hermiticity and positivity of each state of a stack.
 
-    A non-finite entry raises IntegrationError naming it, before any
-    arithmetic on rho.  Then |Tr rho - 1| must stay within TRACE_ABORT,
+    rho is an (S, N, N) stack of states, or one (N, N) state as a stack of
+    one; time is one time per state, or one time for all.  A non-finite
+    entry raises IntegrationError naming it, and no arithmetic runs on its
+    state or any later one.  Then |Tr rho - 1| must stay within TRACE_ABORT,
     max |rho - rho^H| within HERMITICITY_TOL (wigner_closed's bound too)
     and the least eigenvalue of the Hermitian part above EIG_ABORT_FLOOR,
-    or IntegrationError names the breach and the time.
+    or IntegrationError names the breach and the time.  The earliest state
+    that breaks an invariant raises, with the invariants checked in that
+    order, so each state raises what it would raise alone.  Returns the
+    largest trace and Hermiticity errors and the least eigenvalue over the
+    stack.
     """
-    bad = np.argwhere(~np.isfinite(rho))
-    if len(bad):
-        n, m = bad[0]
+    stack = np.asarray(rho)
+    stack = stack.reshape((-1,) + stack.shape[-2:])
+    times = np.broadcast_to(np.asarray(time, dtype=float), len(stack))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    clean = int(np.argmin(finite)) if not finite.all() else len(stack)
+    checked = stack[:clean]
+    adjoint = checked.conj().transpose(0, 2, 1)
+    # summed along contiguous rows, in the order np.trace sums one state
+    trace = np.ascontiguousarray(checked.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    herm_err = np.abs(checked - adjoint).max(axis=(1, 2))
+    # halved before the sum, so no finite state overflows
+    min_eig = np.linalg.eigvalsh(0.5 * checked + 0.5 * adjoint).min(axis=1)
+    broken = (trace_err > TRACE_ABORT) | (herm_err > HERMITICITY_TOL) | (min_eig < EIG_ABORT_FLOOR)
+    first = int(np.argmax(broken)) if broken.any() else clean
+    if first < len(stack):
+        t = float(times[first])
+        if first == clean:
+            n, m = np.argwhere(~np.isfinite(stack[first]))[0]
+            value = stack[first, n, m]
+            raise IntegrationError(
+                f"density matrix entry ({n}, {m}) is not finite ({value}) at t = {t}",
+                time=t, drift=float(abs(value)), invariant="finite",
+            )
+        if trace_err[first] > TRACE_ABORT:
+            raise IntegrationError(
+                f"trace drift {trace_err[first]:.3e} exceeds {TRACE_ABORT} at t = {t}",
+                time=t, drift=float(trace_err[first]), invariant="trace",
+            )
+        if herm_err[first] > HERMITICITY_TOL:
+            raise IntegrationError(
+                f"Hermiticity deviation {herm_err[first]:.3e} exceeds {HERMITICITY_TOL} at t = {t}",
+                time=t, drift=float(herm_err[first]), invariant="hermiticity",
+            )
         raise IntegrationError(
-            f"density matrix entry ({n}, {m}) is not finite ({rho[n, m]}) at t = {time}",
-            time=time, drift=float(abs(rho[n, m])), invariant="finite",
+            f"negative eigenvalue {min_eig[first]:.3e} below {EIG_ABORT_FLOOR} at t = {t}",
+            time=t, drift=float(min_eig[first]), invariant="eigenvalue",
         )
-    trace = np.trace(rho)
-    trace_err = abs(trace.real - 1.0) + abs(trace.imag)
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if trace_err > TRACE_ABORT:
-        raise IntegrationError(
-            f"trace drift {trace_err:.3e} exceeds {TRACE_ABORT} at t = {time}",
-            time=time, drift=trace_err, invariant="trace",
-        )
-    if herm_err > HERMITICITY_TOL:
-        raise IntegrationError(
-            f"Hermiticity deviation {herm_err:.3e} exceeds {HERMITICITY_TOL} at t = {time}",
-            time=time, drift=herm_err, invariant="hermiticity",
-        )
-    if min_eig < EIG_ABORT_FLOOR:
-        raise IntegrationError(
-            f"negative eigenvalue {min_eig:.3e} below {EIG_ABORT_FLOOR} at t = {time}",
-            time=time, drift=min_eig, invariant="eigenvalue",
-        )
-    return {"trace_error": trace_err, "hermiticity_error": herm_err, "min_eigenvalue": min_eig}
+    return {
+        "trace_error": float(trace_err.max(initial=0.0)),
+        "hermiticity_error": float(herm_err.max(initial=0.0)),
+        "min_eigenvalue": float(min_eig.min(initial=np.inf)),
+    }
 
 
 @dataclass
@@ -463,23 +556,29 @@ def integrate(
     dt: float,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
-    """Exact propagation to each sample time, one coherence order pair at a time.
+    """Exact propagation to each sample time, every coherence order at once.
 
     The generator is linear and time independent and keeps k = m - n (see
-    _Generator.blocks), so each sample interval delta_t is bridged by
+    _Generator.block), so each sample interval delta_t is bridged by
     U_k = exp(L_k delta_t) on the diagonal of order k and conj(U_k) on the
     diagonal of order -k.  U_k depends on delta_t alone, so it is computed
     once per distinct interval length of this call and reused for every
     interval of that length.  All of them come from one _expm_stack call:
     order 0 has a dim x dim matrix of its own, and orders k and dim - k
     (sizes dim - k and k) share one block-diagonal dim x dim matrix, so each
-    interval length takes (dim + 2) // 2 matrices.  Snapshots land exactly
-    on the requested times.  dt is accepted and must be finite and
-    positive, for callers and configs written for a fixed-step integrator,
-    but sets no step.  Every snapshot must pass the density-matrix
-    invariants (finiteness, trace, Hermiticity, eigenvalue floor); a breach,
-    such as an interval too long for the exponential, raises
-    IntegrationError.
+    interval length takes P = (dim + 2) // 2 matrices (_Generator.packed).
+    rho is gathered once into the matching (2, P, dim) slot stack
+    (_packed_layout), the orders k >= 0 in the first half and their mirrors
+    in the second, and each interval is one stacked product of that stack
+    with U and conj(U).  Every snapshot is read back out of its stack with
+    one index at the end.  Snapshots land exactly on the requested times.
+    dt is accepted and must be finite and positive, for callers and configs
+    written for a fixed-step integrator, but sets no step.  All snapshots
+    are then checked in one validate_density pass (finiteness, trace,
+    Hermiticity, eigenvalue floor); the earliest breach, such as an
+    interval too long for the exponential, raises IntegrationError.
+    Overflow in later intervals stays silent: it only yields non-finite
+    snapshots after the one that raises.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -496,55 +595,37 @@ def integrate(
         )
 
     gen = build_generator(model, rates, eta_values)
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(
             f"initial density matrix shape {rho.shape} != ({model.dim}, {model.dim})"
         )
 
     dim = model.dim
-    blocks = gen.blocks()
-    # order k (size dim - k) sits in matrix min(k, dim - k): at the top left
-    # when k <= dim - k, else after its partner dim - k (size k)
-    slots = []
-    for k in range(dim):
-        lo = k if 2 * k > dim else 0
-        slots.append((min(k, dim - k), slice(lo, lo + dim - k)))
-    packed = np.zeros(((dim + 2) // 2, dim, dim), dtype=complex)
-    for (_, _, block), (p, span) in zip(blocks, slots):
-        packed[p, span, span] = block
+    layout = _packed_layout(dim)
     steps = sorted({b - a for a, b in zip([0.0] + samples, samples) if b > a})
-    with np.errstate(over="ignore"):
-        exponents = np.multiply.outer(np.array(steps), packed)
-    stacks = _expm_stack(exponents)
-    propagators = dict(zip(steps, zip(stacks, stacks.conj())))
-
-    result = EvolutionResult(times=[], states=[])
-    max_trace = max_herm = 0.0
-    min_eig = 1.0
-    t = 0.0
-    for target in samples:
-        if target > t:
-            u, u_conj = propagators[target - t]
-            evolved = np.empty_like(rho)
-            for k, ((rows, cols, _), (p, span)) in enumerate(zip(blocks, slots)):
-                evolved[rows, cols] = u[p, span, span] @ rho[rows, cols]
-                if k:
-                    evolved[cols, rows] = u_conj[p, span, span] @ rho[cols, rows]
-            rho = evolved
-        t = target
-        checks = validate_density(rho, time=t)
-        max_trace = max(max_trace, checks["trace_error"])
-        max_herm = max(max_herm, checks["hermiticity_error"])
-        min_eig = min(min_eig, checks["min_eigenvalue"])
-        result.times.append(t)
-        result.states.append(rho.copy())
-    result.diagnostics = {
-        "max_trace_error": max_trace,
-        "max_hermiticity_error": max_herm,
-        "min_eigenvalue": min_eig,
-    }
-    return result
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = _expm_stack(np.multiply.outer(np.array(steps), gen.packed()))
+        propagators = dict(zip(steps, np.stack([stacks, stacks.conj()], axis=1)))
+        packed = np.append(rho.ravel(), 0.0)[layout.gather][..., None]
+        snapshots = np.empty((len(samples),) + packed.shape, dtype=complex)
+        t = 0.0
+        for i, target in enumerate(samples):
+            if target > t:
+                packed = propagators[target - t] @ packed
+            t = target
+            snapshots[i] = packed
+    states = np.take(snapshots.reshape(len(samples), -1), layout.scatter, axis=1).reshape(-1, dim, dim)
+    checks = validate_density(states, samples)
+    return EvolutionResult(
+        times=samples,
+        states=list(states),
+        diagnostics={
+            "max_trace_error": checks["trace_error"],
+            "max_hermiticity_error": checks["hermiticity_error"],
+            "min_eigenvalue": checks["min_eigenvalue"],
+        },
+    )
 
 
 def steady_state(

@@ -14,6 +14,7 @@ from deformed_lindblad import (
     aocs,
     detailed_balance_populations,
     eta_values,
+    even_cat,
     gap_frequencies,
     harmonic_deformation,
     integrate,
@@ -25,7 +26,12 @@ from deformed_lindblad import (
     steady_state,
     to_density,
 )
-from deformed_lindblad.dissipator import _expm_stack, build_generator, validate_density
+from deformed_lindblad.dissipator import (
+    _expm_stack,
+    _packed_layout,
+    build_generator,
+    validate_density,
+)
 
 
 def random_density(dim, seed):
@@ -209,28 +215,44 @@ def test_generic_deformation_trace_conservation():
 
 
 def assert_blocks_reassemble(model, table, etas, seed):
+    # integrate's packed layout: each entry of rho in exactly one slot,
+    # slots of one order consecutive, and the packed generator applied
+    # slot by slot reproduces gen.apply
     dim = model.dim
     gen = build_generator(model, table, etas)
-    blocks = gen.blocks()
-    assert len(blocks) == dim
-    # order k > 0 also covers its mirror -k, the diagonal (cols, rows)
-    covered = np.zeros((dim, dim), dtype=int)
-    for k, (rows, cols, block) in enumerate(blocks):
-        assert np.all(rows - cols == k)
-        assert block.shape == (len(rows), len(rows))
-        covered[rows, cols] += 1
-        if k:
-            covered[cols, rows] += 1
-    assert np.all(covered == 1)
+    layout = _packed_layout(dim)
+    count = (dim + 2) // 2
+    assert layout.gather.shape == (2, count, dim)
+    assert np.all(np.bincount(layout.gather.ravel(), minlength=dim * dim + 1)[:-1] == 1)
+    assert np.array_equal(layout.gather.ravel()[layout.scatter], np.arange(dim * dim))
+    used = layout.order >= 0
+    rows, cols = np.divmod(layout.gather[0], dim)
+    assert np.array_equal((rows - cols)[used], layout.order[used])
+    # the second half holds the mirror of every order but 0
+    mirror_rows, mirror_cols = np.divmod(layout.gather[1], dim)
+    mirrored = layout.order > 0
+    assert np.array_equal(mirror_rows[mirrored], cols[mirrored])
+    assert np.array_equal(mirror_cols[mirrored], rows[mirrored])
+    # slots of one order hold consecutive entries of its diagonal
+    linked = used[:, 1:] & (layout.order[:, 1:] == layout.order[:, :-1])
+    assert np.all(np.diff(cols, axis=1)[linked] == 1)
+    assert np.array_equal(cols[used], layout.cols[used])
 
+    packed = gen.packed()
+    assert packed.shape == (count, dim, dim)
+    # no coupling between slots of different orders or with unused ones
+    apart = (layout.order[:, :, None] != layout.order[:, None, :]) | ~used[:, :, None]
+    assert not np.any(packed[apart])
+    for k in range(dim):
+        p, j = np.nonzero(layout.order == k)
+        assert np.array_equal(packed[p[0]][np.ix_(j, j)], gen.block(k)[2])
+
+    stack = np.stack([packed, packed.conj()])
     rng = np.random.default_rng(seed)
     skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     for rho in (random_density(dim, seed), skew / np.linalg.norm(skew)):
-        rebuilt = np.zeros_like(rho)
-        for k, (rows, cols, block) in enumerate(blocks):
-            rebuilt[rows, cols] = block @ rho[rows, cols]
-            if k:
-                rebuilt[cols, rows] = block.conj() @ rho[cols, rows]
+        slots = np.append(rho.ravel(), 0.0)[layout.gather]
+        rebuilt = (stack @ slots[..., None]).ravel()[layout.scatter].reshape(dim, dim)
         # relative to the largest entry: with shifts on, entries reach ~70
         expected = gen.apply(rho)
         assert np.max(np.abs(rebuilt - expected)) < 1e-14 * np.max(np.abs(expected))
@@ -278,11 +300,11 @@ def test_mirror_blocks_are_conjugate_bitwise(model, rates, etas, reservoir):
             assert np.array_equal(mirror, block.conj()), (case_model.dim, k)
 
 
-def kernel_propagators(gen, h, sign=1):
-    """exp(h L_{sign k}) for k = 0..N-1 from one _expm_stack call.
+def block_stack(gen, sign=1):
+    """L_{sign k}, k = 0..N-1, from gen.block, packed as integrate packs them.
 
-    Packed as integrate packs them: order 0 alone, orders p and N - p on the
-    diagonal of one block-diagonal N x N matrix.
+    Order 0 alone, orders p and N - p on the diagonal of one block-diagonal
+    N x N matrix.
     """
     dim = len(gen.same)
     stack = np.zeros(((dim + 2) // 2, dim, dim), dtype=complex)
@@ -290,17 +312,41 @@ def kernel_propagators(gen, h, sign=1):
         stack[p, :dim - p, :dim - p] = gen.block(sign * p)[2]
         if 0 < p < dim - p:
             stack[p, dim - p:, dim - p:] = gen.block(sign * (dim - p))[2]
-    u = _expm_stack(h * stack)
+    return stack
+
+
+def kernel_propagators(gen, h, sign=1):
+    """exp(h L_{sign k}) for k = 0..N-1 from one _expm_stack call."""
+    dim = len(gen.same)
+    u = _expm_stack(h * block_stack(gen, sign))
     out = {}
-    for p in range(len(stack)):
+    for p in range(len(u)):
         out[sign * p] = u[p, :dim - p, :dim - p]
         if 0 < p < dim - p:
             out[sign * (dim - p)] = u[p, dim - p:, dim - p:]
     return out
 
 
+def kernel_every_interval_packed(gen, rho0, times):
+    """Reference propagation: every order exponentiated afresh per interval.
+
+    Orders -k come from their own blocks, not as conj(U_k), and the stack
+    is applied through integrate's packed gather, product and scatter.
+    """
+    layout = _packed_layout(len(gen.same))
+    rho, t, states = rho0.astype(complex), 0.0, []
+    for target in times:
+        if target > t:
+            u = np.stack([_expm_stack((target - t) * block_stack(gen, sign)) for sign in (1, -1)])
+            slots = np.append(rho.ravel(), 0.0)[layout.gather]
+            rho = (u @ slots[..., None]).ravel()[layout.scatter].reshape(rho.shape)
+        t = target
+        states.append(rho.copy())
+    return states
+
+
 def kernel_every_order_every_interval(gen, rho0, times):
-    """Reference propagation: the kernel on all 2N - 1 orders, one interval at a time."""
+    """Reference propagation: u_k @ rho[rows, cols] on each of the 2N - 1 diagonals."""
     dim = len(gen.same)
     blocks = [gen.block(k) for k in range(1 - dim, dim)]
     rho, t, states = rho0.astype(complex), 0.0, []
@@ -327,9 +373,28 @@ def test_integrate_reuses_propagators_bitwise(model, rates, etas, rho_aocs, rho_
     for times in (repeated, [0.3, 0.7, 1.9]):
         for rho0 in (rho_aocs, rho_cat):
             result = integrate(rho0, model, table, etas, times[-1], 1e-3, times)
-            reference = kernel_every_order_every_interval(gen, rho0, times)
+            reference = kernel_every_interval_packed(gen, rho0, times)
             for got, want in zip(result.states, reference, strict=True):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shifts", [False, True])
+@pytest.mark.parametrize("dim", [2, 15, 16, 30])
+def test_packed_product_matches_the_per_order_product(dim, shifts):
+    # the packed product sums each row over zeros of the other order too,
+    # so it may differ from u_k @ rho[rows, cols] by round-off only; odd
+    # and even dim cover both pairings (even dim leaves order dim/2 alone)
+    params = MorseParams(dim)
+    model = morse_model(params)
+    etas = eta_values(params)
+    table = rate_table(model, SHIFTED if shifts else ReservoirParams(theta=4.0))
+    gen = build_generator(model, table, etas)
+    times = [0.0, 0.3, 1.0, 1.5]
+    for rho0 in (to_density(aocs(0.8, model)), to_density(even_cat(0.8, model))):
+        result = integrate(rho0, model, table, etas, times[-1], 1e-3, times)
+        reference = kernel_every_order_every_interval(gen, rho0, times)
+        for got, want in zip(result.states, reference, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_stacked_exponential_equals_the_one_taken_alone(model, rates, etas):
@@ -803,3 +868,72 @@ def test_validate_density_raises(model, rates, etas):
         validate_density(broken, time=0.5)
     with pytest.raises(IntegrationError, match=r"entry \(2, 3\) is not finite .* at t = 0\.0"):
         integrate(broken, model, rates, etas, 1.0, 1e-3)
+
+
+def test_validate_density_on_a_stack_equals_the_per_state_calls(model, rates, etas, rho_cat):
+    # integrate checks all its snapshots in one call; the stack's worst
+    # values are bitwise those of the states checked one by one
+    # whatever the memory layout of the stack
+    def worst(states):
+        alone = [validate_density(rho) for rho in states]
+        return {
+            "trace_error": max(c["trace_error"] for c in alone),
+            "hermiticity_error": max(c["hermiticity_error"] for c in alone),
+            "min_eigenvalue": min(c["min_eigenvalue"] for c in alone),
+        }
+
+    times = [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+    result = integrate(rho_cat, model, rates, etas, 4.0, 1e-3, times)
+    expected = worst(result.states)
+    assert result.diagnostics == {
+        "max_trace_error": expected["trace_error"],
+        "max_hermiticity_error": expected["hermiticity_error"],
+        "min_eigenvalue": expected["min_eigenvalue"],
+    }
+    states = result.states + [random_density(15, seed) for seed in range(5)]
+    for stack in (np.array(states), np.asfortranarray(states)):
+        assert validate_density(stack, [0.0] * len(states)) == worst(states)
+    assert validate_density(states[3][None], 0.0) == validate_density(states[3])
+
+
+def breaking_states():
+    good = np.eye(15, dtype=complex) / 15
+    lopsided = good.copy()
+    lopsided[0, 3] = 1e-6
+    broken = good.copy()
+    broken[2, 3] = np.nan
+    negative = np.diag([1.05, -0.05] + [0.0] * 13).astype(complex)
+    return {"finite": broken, "trace": good * 1.01, "hermiticity": lopsided,
+            "eigenvalue": negative}
+
+
+@pytest.mark.parametrize("invariant", ["finite", "trace", "hermiticity", "eigenvalue"])
+def test_validate_density_raises_for_the_earliest_breaking_state(invariant):
+    # a good state, the breaking one, then states breaking every other way
+    states = breaking_states()
+    bad = states.pop(invariant)
+    with pytest.raises(IntegrationError) as alone:
+        validate_density(bad, time=0.5)
+    stack = np.array([np.eye(15) / 15, bad] + list(states.values()))
+    times = [0.25, 0.5, 1.0, 2.0, 4.0]
+    with pytest.raises(IntegrationError) as together:
+        validate_density(stack, times)
+    assert together.value.invariant == alone.value.invariant == invariant
+    assert str(together.value) == str(alone.value)
+    assert together.value.time == alone.value.time == 0.5
+    assert np.array_equal(together.value.drift, alone.value.drift, equal_nan=True)
+
+
+def test_growing_coherences_raise_at_the_first_breach_without_warnings(model, etas, rho_cat):
+    # at theta = 0.5, gamma_scale = 5 some coherence blocks grow like
+    # exp(20 t): the state breaks the eigenvalue floor at t = 0.5 and
+    # overflows by t = 40, which integrate computes before it checks
+    hot = rate_table(model, ReservoirParams(theta=0.5, gamma_scale=5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as info:
+            integrate(rho_cat, model, hot, etas, 400.0, 1e-3, [0.0, 0.5, 1.0, 2.0, 40.0, 400.0])
+    assert info.value.invariant == "eigenvalue"
+    assert info.value.time == 0.5
+    assert info.value.drift == pytest.approx(-37.70598456183532, rel=1e-12)
+    assert "negative eigenvalue -3.771e+01 below -0.01 at t = 0.5" in str(info.value)
