@@ -123,10 +123,16 @@ def even_cat(alpha: complex, model: OscillatorModel) -> StateVector:
     """Even superposition of aocs(alpha) and aocs(-alpha).
 
     Odd amplitudes cancel exactly, so the state populates even levels only.
+    aocs(-alpha) is (-1)^n aocs(alpha) (negation is exact and rounding is
+    sign-symmetric), so the sum is built from one aocs call: aocs(alpha) +
+    aocs(alpha) on even levels and 0 on odd ones.  The values equal the
+    two-call sum; for real alpha >= 0 its bits do too (elsewhere a zero
+    part may differ in sign).
     """
     plus = aocs(alpha, model).amplitudes
-    minus = aocs(-alpha, model).amplitudes
-    return _normalized(plus + minus, "even_cat")
+    cat = np.zeros_like(plus)
+    cat[::2] = plus[::2] + plus[::2]
+    return _normalized(cat, "even_cat")
 
 
 def mean_excitation(state: StateVector) -> float:

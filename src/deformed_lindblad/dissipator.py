@@ -153,6 +153,11 @@ class RateTable:
     that would reference the gap below the ground state are zero; they always
     multiply the structural zero g(-1).  The identities K3(n+1) = K2(n) and
     K4(n-1) = K1(n) hold bitwise by construction.
+
+    A table also keeps integrate's last propagator stack (read only), so
+    the propagations of one study under one table exponentiate once; see
+    integrate for its key.  Every new table starts without one,
+    dataclasses.replace included, and a table holds at most one.
     """
 
     K1: np.ndarray
@@ -163,6 +168,7 @@ class RateTable:
     delta2: np.ndarray
     delta3: np.ndarray
     delta4: np.ndarray
+    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -562,16 +568,25 @@ def integrate(
     _Generator.block), so each sample interval delta_t is bridged by
     U_k = exp(L_k delta_t) on the diagonal of order k and conj(U_k) on the
     diagonal of order -k.  U_k depends on delta_t alone, so it is computed
-    once per distinct interval length of this call and reused for every
-    interval of that length.  All of them come from one _expm_stack call:
-    order 0 has a dim x dim matrix of its own, and orders k and dim - k
-    (sizes dim - k and k) share one block-diagonal dim x dim matrix, so each
-    interval length takes P = (dim + 2) // 2 matrices (_Generator.packed).
-    rho is gathered once into the matching (2, P, dim) slot stack
-    (_packed_layout), the orders k >= 0 in the first half and their mirrors
-    in the second, and each interval is one stacked product of that stack
-    with U and conj(U).  Every snapshot is read back out of its stack with
-    one index at the end.  Snapshots land exactly on the requested times.
+    once per distinct interval length and reused for every interval of that
+    length.  All of them come from one _expm_stack call: order 0 has a
+    dim x dim matrix of its own, and orders k and dim - k (sizes dim - k
+    and k) share one block-diagonal dim x dim matrix, so each interval
+    length takes P = (dim + 2) // 2 matrices (_Generator.packed).  rho is
+    gathered once into the matching (2, P, dim) slot stack
+    (_packed_layout), the orders k >= 0 in the first half and their
+    mirrors in the second, and each interval is one stacked product of
+    that stack with U and conj(U).  Every snapshot is read back out of its
+    stack with one index at the end.  Snapshots land exactly on the
+    requested times.
+
+    rates keeps the (U, conj U) stack of its last call, keyed by the bytes
+    of the generator's same, below and above arrays and the tuple of
+    distinct interval lengths.  A call with the same key reuses it instead
+    of calling _expm_stack, so its states are bitwise those under a fresh
+    table; a rates array edited in place, other etas, another model or
+    other intervals change the key, and the new stack replaces the old.
+
     dt is accepted and must be finite and positive, for callers and configs
     written for a fixed-step integrator, but sets no step.  All snapshots
     are then checked in one validate_density pass (finiteness, trace,
@@ -589,7 +604,9 @@ def integrate(
     samples = [float(t) for t in sample_times]
     if not all(0.0 <= t < np.inf for t in samples) or sorted(samples) != samples:
         raise ValueError(f"sample times must be finite, sorted and non-negative: {samples}")
-    if samples and samples[-1] > t_final + 1e-12:
+    if not samples:
+        raise ValueError("sample_times must contain at least one time")
+    if samples[-1] > t_final + 1e-12:
         raise ValueError(
             f"last sample time {samples[-1]} exceeds t_final {t_final}"
         )
@@ -604,9 +621,16 @@ def integrate(
     dim = model.dim
     layout = _packed_layout(dim)
     steps = sorted({b - a for a, b in zip([0.0] + samples, samples) if b > a})
+    key = (gen.same.tobytes(), gen.below.tobytes(), gen.above.tobytes(), tuple(steps))
     with np.errstate(over="ignore", invalid="ignore"):
-        stacks = _expm_stack(np.multiply.outer(np.array(steps), gen.packed()))
-        propagators = dict(zip(steps, np.stack([stacks, stacks.conj()], axis=1)))
+        stacks = rates._propagators.get(key)
+        if stacks is None:
+            rates._propagators.clear()
+            stacks = _expm_stack(np.multiply.outer(np.array(steps), gen.packed()))
+            stacks = np.stack([stacks, stacks.conj()], axis=1)
+            stacks.setflags(write=False)
+            rates._propagators[key] = stacks
+        propagators = dict(zip(steps, stacks))
         packed = np.append(rho.ravel(), 0.0)[layout.gather][..., None]
         snapshots = np.empty((len(samples),) + packed.shape, dtype=complex)
         t = 0.0

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from deformed_lindblad import (
+    MorseParams,
     OscillatorModel,
     alpha_for_mean_n,
     aocs,
@@ -14,8 +15,10 @@ from deformed_lindblad import (
     harmonic_deformation,
     ladder_pair,
     mean_excitation,
+    morse_model,
     to_density,
 )
+from deformed_lindblad.coherent_states import StateVector
 
 
 def test_aocs_vacuum(model):
@@ -82,6 +85,57 @@ def test_docs_rejects_overlong_displacement(params):
 def test_even_cat_parity(model, alpha_cat):
     state = even_cat(alpha_cat, model)
     assert np.max(np.abs(state.amplitudes[1::2])) < 1e-14
+
+
+def two_aocs_cat(alpha, model):
+    """aocs(alpha) + aocs(-alpha), normalized: even_cat built from two calls."""
+    cat = aocs(alpha, model).amplitudes + aocs(-alpha, model).amplitudes
+    norm = np.linalg.norm(cat)
+    if not norm > 0.0:
+        raise ValueError("cannot normalize a zero even_cat state")
+    return StateVector(amplitudes=cat / norm)
+
+
+def test_even_cat_equals_the_two_aocs_sum_bitwise():
+    # even_cat calls aocs once; its amplitudes must equal the two-call sum
+    # for every alpha (or, where aocs overflows, both raise the same error),
+    # and agree in every bit for real alpha >= 0, the alphas every scenario
+    # and alpha solve uses (a zero part elsewhere may differ in sign only)
+    def outcome(build, alpha, model):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return build(alpha, model).amplitudes
+        except ValueError as error:
+            return str(error)
+
+    rng = np.random.default_rng(3)
+    real = [0.0, 1e-300, 0.3, 1.7, np.float64(0.8), 1e11, 1e200] + list(rng.uniform(0.0, 3.0, 8))
+    other = [-0.0, -1.7, np.float64(-0.8), complex(1.7, -0.0), complex(-1.7, 0.0),
+             complex(-1.7, -0.0), 0.5j, -0.5j, complex(-0.0, 0.5), complex(-0.0, -2.2), -1e11]
+    other += list(rng.uniform(-3, 3, 8) + 1j * rng.uniform(-3, 3, 8))
+    for dim in (2, 10, 15, 30):
+        model = morse_model(MorseParams(dim))
+        for alpha, bitwise in [(a, True) for a in real] + [(a, False) for a in other]:
+            got, want = outcome(even_cat, alpha, model), outcome(two_aocs_cat, alpha, model)
+            if isinstance(want, str):
+                assert got == want, (dim, alpha)
+            elif bitwise:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, alpha)
+            else:
+                assert np.array_equal(got, want), (dim, alpha)
+
+
+def test_even_cat_alpha_solves_are_unchanged():
+    def solve(builder, target, model):
+        try:
+            return alpha_for_mean_n(target, builder, model)
+        except ValueError as error:
+            return str(error)
+
+    for dim in (2, 10, 15, 30):
+        model = morse_model(MorseParams(dim))
+        for target in (0.3, 0.5 * (dim - 1), 0.9 * (dim - 1)):
+            assert solve(even_cat, target, model) == solve(two_aocs_cat, target, model), (dim, target)
 
 
 def test_even_cat_degenerates_to_vacuum(model):

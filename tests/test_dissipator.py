@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from deformed_lindblad import (
     steady_state,
     to_density,
 )
+from deformed_lindblad import dissipator
 from deformed_lindblad.dissipator import (
     _expm_stack,
     _packed_layout,
@@ -363,19 +365,110 @@ def kernel_every_order_every_interval(gen, rho0, times):
 
 
 @pytest.mark.parametrize("shifts", [False, True])
-def test_integrate_reuses_propagators_bitwise(model, rates, etas, rho_aocs, rho_cat, shifts):
+def test_integrate_reuses_propagators_bitwise(model, reservoir, etas, rho_aocs, rho_cat, shifts):
     # one stacked exponential per call, reused across equal steps and
     # applied as conj(U_k) to order -k, changes no bit of any state; the
-    # first sample set repeats the step 0.5, the second has none equal
-    table = rate_table(model, SHIFTED) if shifts else rates
+    # first sample set repeats the step 0.5, the second has none equal.
+    # A fresh table per call, so integrate's own kernel run is compared
+    # (a shared table could hand it another test's stored propagators)
+    reservoir = SHIFTED if shifts else reservoir
     repeated = [0.0, 0.5, 1.0, 1.5, 2.0] if shifts else [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
-    gen = build_generator(model, table, etas)
+    gen = build_generator(model, rate_table(model, reservoir), etas)
     for times in (repeated, [0.3, 0.7, 1.9]):
         for rho0 in (rho_aocs, rho_cat):
+            table = rate_table(model, reservoir)
             result = integrate(rho0, model, table, etas, times[-1], 1e-3, times)
             reference = kernel_every_interval_packed(gen, rho0, times)
             for got, want in zip(result.states, reference, strict=True):
                 assert np.array_equal(got, want)
+
+
+RELAXATION_TIMES = [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The shapes of the stacks integrate passes to _expm_stack, one per call."""
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _expm_stack(a)
+
+    monkeypatch.setattr(dissipator, "_expm_stack", counted)
+    return calls
+
+
+def test_second_call_on_one_table_reuses_its_propagators(
+    model, reservoir, etas, rho_aocs, rho_cat, kernel_calls
+):
+    # a relaxation study: several initial states under one table and one
+    # sample set exponentiate once, with the states of a fresh table
+    table = rate_table(model, reservoir)
+    first = integrate(rho_aocs, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
+    second = integrate(rho_cat, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
+    assert len(kernel_calls) == 1
+    for result, rho0 in ((first, rho_aocs), (second, rho_cat)):
+        # a new table with the same content exponentiates again
+        fresh = integrate(rho0, model, rate_table(model, reservoir), etas, 4.0, 1e-3, RELAXATION_TIMES)
+        for got, want in zip(result.states, fresh.states, strict=True):
+            assert np.array_equal(got, want)
+        assert result.diagnostics == fresh.diagnostics
+    assert len(kernel_calls) == 3
+
+
+@pytest.mark.parametrize("change", ["K4 in place", "etas", "samples"])
+def test_a_changed_generator_or_sample_set_recomputes(model, reservoir, etas, rho_cat, kernel_calls, change):
+    table = rate_table(model, reservoir)
+    integrate(rho_cat, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
+    call_etas, times = etas, RELAXATION_TIMES
+    if change == "K4 in place":
+        # K1 too, so the edited table still conserves the trace
+        table.K4[3] *= 1.5
+        table.K1[4] = table.K4[3]
+    elif change == "etas":
+        call_etas = 0.9 * np.asarray(etas)
+    else:
+        times = [0.0, 0.3, 1.0, 4.0]
+    got = integrate(rho_cat, model, table, call_etas, 4.0, 1e-3, times)
+    assert len(kernel_calls) == 2
+    # replace() copies the (edited) arrays into a table without propagators
+    want = integrate(rho_cat, model, replace(table), call_etas, 4.0, 1e-3, times)
+    assert len(kernel_calls) == 3
+    for a, b in zip(got.states, want.states, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_a_table_keeps_one_read_only_propagator_stack(model, reservoir, etas, rho_cat):
+    table = rate_table(model, reservoir)
+    assert table._propagators == {}
+    assert "_propagators" not in repr(table)
+    for times in ([0.0, 1.0], [0.5, 2.0, 4.0], [0.0, 1.0]):
+        integrate(rho_cat, model, table, etas, 4.0, 1e-3, times)
+        assert len(table._propagators) == 1
+        (key, stack), = table._propagators.items()
+        steps = key[-1]
+        assert steps == tuple(sorted({b - a for a, b in zip([0.0] + times, times) if b > a}))
+        assert stack.shape == (len(steps), 2, (model.dim + 2) // 2, model.dim, model.dim)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0, 0, 0] = 0.0
+    assert replace(table)._propagators == {}
+
+
+def test_growing_coherences_raise_the_same_error_on_a_hit(model, etas, rho_cat, kernel_calls):
+    hot = rate_table(model, ReservoirParams(theta=0.5, gamma_scale=5.0))
+    times = [0.0, 0.5, 1.0, 2.0, 40.0, 400.0]
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(IntegrationError) as info:
+                integrate(rho_cat, model, hot, etas, 400.0, 1e-3, times)
+            errors.append(info.value)
+    assert len(kernel_calls) == 1
+    miss, hit = errors
+    assert (str(hit), hit.time, hit.drift, hit.invariant) == (str(miss), miss.time, miss.drift, miss.invariant)
 
 
 @pytest.mark.parametrize("shifts", [False, True])
@@ -477,18 +570,21 @@ def test_shifted_exponential_against_mpmath(model, etas, k, h):
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def test_long_interval_reaches_the_steady_state(model, rates, etas, rho_aocs):
-    # t = 1e6 takes about 20 squarings of each block in one step
+def test_long_interval_reaches_the_steady_state(model, reservoir, etas, rho_aocs):
+    # t = 1e6 takes about 20 squarings of each block in one step (a fresh
+    # table, so they run here)
+    rates = rate_table(model, reservoir)
     result = integrate(rho_aocs, model, rates, etas, 1e6, 1e-3, [1e6])
     stationary = steady_state(model, rates, etas)
     assert np.max(np.abs(result.states[0] - stationary)) < 1e-9
 
 
 @pytest.mark.parametrize("t_final", [1e300, 1e308])
-def test_overlong_interval_fails_loudly(model, rates, etas, rho_aocs, t_final):
+def test_overlong_interval_fails_loudly(model, reservoir, etas, rho_aocs, t_final):
     # the squarings over- or underflow; that must surface as a broken
     # invariant, never as an OverflowError or a RuntimeWarning (an error
-    # under this suite's filterwarnings)
+    # under this suite's filterwarnings); a fresh table, so they run here
+    rates = rate_table(model, reservoir)
     with pytest.raises(IntegrationError) as info:
         integrate(rho_aocs, model, rates, etas, t_final, 1e-3, [0.0, 1.0, t_final])
     assert info.value.time == t_final
@@ -599,6 +695,8 @@ def test_integrate_validates_input_shape(model, rates, etas):
             integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, bad)
     with pytest.raises(ValueError, match="sorted"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [1.0, 0.5])
+    with pytest.raises(ValueError, match="sample_times must contain at least one time"):
+        integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
