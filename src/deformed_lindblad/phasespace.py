@@ -5,7 +5,7 @@ Two independent routes to the same function:
 * wigner_closed evaluates the analytic double sum obtained by inserting the
   bound-state wavefunctions into the Wigner integral.  Each term carries a
   modified Bessel function of the second kind at complex order D - 2ip
-  with integer D.  Orders D = 0 and 1 come from panel quadrature of
+  with integer D.  Orders D = 0 and 1 come from the trapezoidal rule on
 
       K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt,   x > 0,
 
@@ -13,16 +13,18 @@ Two independent routes to the same function:
   the same kernel); higher D follow by the upward order recurrence.  The
   sum is linear in rho, and its term table and Bessel tensor depend on
   (params, grid) only: one cached plan per pair holds them, with the
-  tensor at the first two quadrature levels.  A snapshot maps the
+  tensor at two trapezoid steps, h and h / 2.  A snapshot maps the
   Hermitian part of rho as 2 Re(c K): one real product with the table
-  gives c, which contracts once with the level-1 tensor on the distinct
+  gives c, which contracts once with the finer tensor on the distinct
   |p| columns, one per mirrored pair p, -p on a symmetric window.  A bound
-  on the change from level 0, read from c and the plan, accepts that map;
-  where it cannot, finer levels are built and compared.
+  on the change from the coarser step, read from c and the plan, accepts
+  that map; where it cannot, the two maps are compared, and the map is
+  returned or refused on that comparison alone.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
-  with refinement-controlled quadrature.  It is the testing reference, kept
-  deliberately free of the combinatorics the closed form relies on.
+  with refinement-controlled Gauss-Legendre quadrature.  It is the testing
+  reference, kept deliberately free of the combinatorics and the Bessel
+  quadrature the closed form relies on.
 
 Units are those of the source model: hbar = omega0 = 1, and positions are
 in units of 1/beta, the Morse range parameter.
@@ -41,6 +43,7 @@ conditioning limit.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -65,16 +68,16 @@ _LD = np.longdouble
 
 # log-integrand drop below the peak at which the Bessel integral is truncated
 _TAIL_DROP = 45.0
-# Refinement budgets: bessel_k_complex_order halves its panels up to
-# K_MAX_LEVELS times until two levels agree to K_RTOL; each Wigner route
-# refines up to WIGNER_MAX_LEVELS times
+# Refinement budgets: bessel_k_complex_order halves its trapezoid step up
+# to K_MAX_LEVELS times until two levels agree to K_RTOL; the direct oracle
+# halves its panels up to WIGNER_MAX_LEVELS times
 K_MAX_LEVELS = 8
 K_RTOL = 1e-9
 WIGNER_MAX_LEVELS = 6
 
 
 class BesselAccuracyError(RuntimeError):
-    """Panel refinement exhausted before reaching the accuracy target."""
+    """A quadrature comparison that did not reach its accuracy target."""
 
     def __init__(self, message: str, estimate=None, error: float = float("nan")):
         super().__init__(message)
@@ -152,29 +155,6 @@ def _ld_int(values) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_nodes(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] at longdouble precision.
-
-    Double-precision seeds are polished with Newton steps on the longdouble
-    Legendre recurrence; weights come from the standard derivative formula.
-    """
-
-    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_prev = np.ones_like(x)
-        p_curr = x.copy()
-        for i in range(2, n + 1):
-            p_prev, p_curr = p_curr, ((2 * i - 1) * x * p_curr - (i - 1) * p_prev) / i
-        return p_curr, n * (x * p_curr - p_prev) / (x * x - 1.0)
-
-    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
-    for _ in range(3):
-        p_n, dp = legendre(x)
-        x = x - p_n / dp
-    dp = legendre(x)[1]
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
 def _tail_cutoff(x: float, re_order: float) -> float:
     """Smallest t beyond the integrand peak where the log-integrand has
     dropped _TAIL_DROP below its peak value."""
@@ -202,37 +182,15 @@ def _tail_cutoff(x: float, re_order: float) -> float:
     return hi
 
 
-def _panel_edges(t_max: float, x_large: float, b_max: float) -> np.ndarray:
-    """Graded panel edges on [0, t_max].
-
-    Early panels resolve the exp(-x cosh t) boundary layer (width about
-    1/sqrt(x) for large x); the panel width then grows geometrically up to a
-    cap small enough that 16-node Gauss-Legendre resolves the cos(b t)
-    oscillation to spectral accuracy.
-    """
-    cap = min(0.5, 6.0 / (1.0 + b_max))
-    width = min(cap, 1.6 / math.sqrt(1.0 + x_large))
-    edges = [0.0]
-    t = 0.0
-    while t < t_max:
-        t = min(t + width, t_max)
-        edges.append(t)
-        width = min(width * 1.6, cap)
-    return np.asarray(edges)
-
-
-def _nodes_weights(
-    edges: np.ndarray, level: int, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes/weights per (fine panel, node) after 2^level splits of each panel."""
-    xg, wg = _gl_nodes()
-    xg = xg.astype(dtype)
-    wg = wg.astype(dtype)
+def _nodes_weights(edges: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """16-node Gauss-Legendre nodes/weights per (fine panel, node) after
+    2^level splits of each panel."""
+    xg, wg = np.polynomial.legendre.leggauss(16)
     splits = 2**level
     fine = np.concatenate(
         [np.linspace(a, b, splits + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])]
         + [edges[-1:]]
-    ).astype(dtype)
+    )
     a = fine[:-1][:, None]
     b = fine[1:][:, None]
     nodes = 0.5 * (b - a) * xg[None, :] + 0.5 * (a + b)
@@ -258,31 +216,55 @@ def _refine(evaluate, rtol: float, levels: int, failure):
     raise failure(current, worst, error / max(scale, 1e-300), error)
 
 
+def _trapezoid_step(x_large: float, b_max: float) -> float:
+    """Level-0 step h of the trapezoidal rule for K_{a - ib}(x) with x (plus
+    |a|) up to x_large and |b| up to b_max.
+
+    The rule's relative error is about exp(-2 pi s / h) times the growth
+    exp(x s^2 / 2 + b s) of the integrand on the edge of an analytic strip
+    |Im t| < s (L. N. Trefethen and J. A. C. Weideman, SIAM Review 56 (2014)
+    385).  h = 2 pi / (b + sqrt(2 D x)) with D = _TAIL_DROP makes it exp(-D)
+    at s = sqrt(2 D / x), the drop at which the tail is cut; s stops near
+    pi / 2, where exp(-x cosh t) no longer decays, which sets the 2 D / pi
+    floor for small x.
+    """
+    drop = _TAIL_DROP
+    return 2.0 * math.pi / (b_max + max(math.sqrt(2.0 * drop * x_large), 2.0 * drop / math.pi))
+
+
 def _k_quadrature(
-    xi: np.ndarray, b: np.ndarray, orders: np.ndarray, edges: np.ndarray, level: int
+    xi: np.ndarray, b: np.ndarray, orders: np.ndarray, t_max: float, step: float
 ) -> np.ndarray:
     """K_{a - ib}(xi) for each real order a on the (xi, b) grid.
 
-    K_{a - ib}(xi) = int exp(-xi cosh t) (cosh(at) cos(bt) - i sinh(at)
-    sin(bt)) dt on the panels `edges` split 2^level times, as a clongdouble
-    array of shape (len(xi), len(b), len(orders)).  The two exponentials
-    exp(-xi cosh t +- a t) are kept together so neither overflows alone.
-    Panel sums are added pairwise, which holds the roundoff that the closed
-    form's conditioning amplifies near one ulp.  Chunked over xi for memory.
+    K_{a - ib}(xi) = int_0^inf exp(-xi cosh t) (cosh(at) cos(bt) - i sinh(at)
+    sin(bt)) dt by the trapezoidal rule with nodes j step from 0 past
+    t_max, as a clongdouble array of shape (len(xi), len(b), len(orders)).
+    The integrand is entire and even in t, so the node t = 0 takes half
+    weight and the rule converges geometrically as the step shrinks.  The
+    two exponentials exp(-xi cosh t +- a t) are kept together so neither
+    overflows alone.  The nodes come in blocks of 16, each summed in turn,
+    and the block sums are added pairwise, which holds the round-off that
+    the closed form's conditioning amplifies near one ulp.  Chunked over xi
+    for memory.
     """
     a = np.asarray(orders, dtype=_LD)
-    t, w = _nodes_weights(edges, level, _LD)
+    step = _LD(step)
+    blocks = math.ceil((t_max / float(step) + 1.0) / 16)
+    t = step * np.arange(16 * blocks, dtype=_LD).reshape(blocks, 16)
+    w = np.full(t.shape, step)
+    w[0, 0] *= 0.5
     cosh_t = np.cosh(t)
+    at = a[:, None, None] * t
     cos_b = np.cos(b[:, None, None] * t) * w
     sin_b = np.sin(b[:, None, None] * t) * w
     n_x = len(xi)
     k = np.empty((n_x, len(b), len(a)), dtype=np.clongdouble)
-    # about 24 MB of integrand and per-panel sums (16 bytes a value) per chunk
-    chunk = max(1, int(24e6 // (16 * len(a) * (t.size + len(b) * len(t)))))
+    # about 24 MB of integrand and per-block sums (16 bytes a value) per chunk
+    chunk = max(1, int(24e6 // (16 * len(a) * (t.size + len(b) * blocks))))
     for start in range(0, n_x, chunk):
         sl = slice(start, min(start + chunk, n_x))
         base = -xi[sl, None, None, None] * cosh_t
-        at = a[:, None, None] * t
         plus = np.exp(base + at)
         minus = np.exp(base - at)
         even = 0.5 * (plus + minus)      # exp(-xi cosh t) cosh(a t)
@@ -296,23 +278,27 @@ def _k_quadrature(
 def bessel_k_complex_order(nu: complex, x: float) -> complex:
     """K_nu(x) for arbitrary complex order by refinement-controlled quadrature.
 
-    One point of the extended-precision kernel that also builds the Wigner
-    Bessel tensor.  Panels are refined (halved) until two successive levels
-    agree to K_RTOL; exhaustion after K_MAX_LEVELS raises
-    BesselAccuracyError carrying the best estimate.  Designed for
+    One point of the extended-precision trapezoidal kernel that also builds
+    the Wigner Bessel tensor.  The step is halved until two successive
+    levels agree to K_RTOL; exhaustion after K_MAX_LEVELS raises
+    BesselAccuracyError carrying the best estimate.  A non-finite order or
+    argument, or x <= 0, raises ValueError naming it.  Designed for
     x >= 1e-6 and |Re nu| <= 35, where the result itself stays inside
     double range.
     """
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got x = {x}")
     nu = complex(nu)
+    if not cmath.isfinite(nu):
+        raise ValueError(f"order must be finite, got nu = {nu}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"argument must be positive and finite, got x = {x}")
     t_max = _tail_cutoff(x, nu.real)
-    edges = _panel_edges(t_max, x, abs(nu.imag))
+    step = _trapezoid_step(x + abs(nu.real), abs(nu.imag))
     xi = np.array([x], dtype=_LD)
     b = np.array([-nu.imag], dtype=_LD)
 
     def evaluate(level: int) -> complex:
-        return complex(_k_quadrature(xi, b, np.array([nu.real]), edges, level)[0, 0, 0])
+        k = _k_quadrature(xi, b, np.array([nu.real]), t_max, step / 2**level)
+        return complex(k[0, 0, 0])
 
     def failure(estimate, worst, residual, error):
         return BesselAccuracyError(
@@ -326,7 +312,7 @@ def bessel_k_complex_order(nu: complex, x: float) -> complex:
 
 
 def _k_tensor_level(
-    xi: np.ndarray, b_abs: np.ndarray, d_max: int, edges: np.ndarray, level: int
+    xi: np.ndarray, b_abs: np.ndarray, d_max: int, t_max: float, step: float
 ) -> np.ndarray:
     """K_{D - i b}(xi) for D = 0..d_max on the (xi, b) grid.
 
@@ -334,11 +320,11 @@ def _k_tensor_level(
     Only orders 0 and 1 come from the quadrature; the rest follow by the
     upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / xi) K_nu at nu = D - ib
     (DLMF 10.29.1), the stable direction for K, which grows with the order.
-    No convergence control here: the caller compares successive levels on
-    the quantity it assembles.
+    No convergence control here: the caller compares two steps on the
+    quantity it assembles.
     """
     k = np.empty((len(xi), len(b_abs), d_max + 1), dtype=np.clongdouble)
-    k[..., :2] = _k_quadrature(xi, b_abs, np.arange(min(d_max, 1) + 1), edges, level)
+    k[..., :2] = _k_quadrature(xi, b_abs, np.arange(min(d_max, 1) + 1), t_max, step)
     two_over_xi = (2.0 / xi)[:, None]
     for d in range(2, d_max + 1):
         k[..., d] = k[..., d - 2] + two_over_xi * ((d - 1) - 1j * b_abs) * k[..., d - 1]
@@ -439,16 +425,16 @@ class _ClosedForm:
     xi is the Bessel argument per r point.  b_abs holds the distinct
     |b| = 2|p| values, one per mirrored pair p, -p on a window with
     p_min = -p_max; inverse maps each p point to its |b| and negative_b
-    marks the points with b < 0.  edges are the panels of the Bessel
-    quadrature, terms the packed tails of _term_tails, and k0 and k1 the
-    Bessel tensor (_k_tensor_level) at refinement levels 0 and 1.
-    dk[x, D] = max over b of |K1 - K0| at r point x and order D; with a
-    snapshot's coefficients it bounds that map's change from level 0 to 1.
+    marks the points with b < 0.  terms are the packed tails of
+    _term_tails, and k0 and k1 the Bessel tensor (_k_tensor_level) at
+    trapezoid steps h (level 0) and h / 2 (level 1), with h from
+    _trapezoid_step for the largest xi and |b| on the grid.  dk[x, D] = max
+    over b of |K1 - K0| at r point x and order D; with a snapshot's
+    coefficients it bounds that map's change from level 0 to 1.
     """
 
     xi: np.ndarray
     b_abs: np.ndarray
-    edges: np.ndarray
     inverse: np.ndarray
     negative_b: np.ndarray
     terms: tuple[np.ndarray, ...]
@@ -477,12 +463,11 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
         folded = folded[np.maximum(j, j[::-1])]
     b_abs, inverse = np.unique(folded, return_inverse=True)
     t_max = _tail_cutoff(float(np.min(xi)), 1.0)
-    edges = _panel_edges(t_max, float(np.max(xi)), float(np.max(b_abs, initial=0.0)))
-    k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, edges, level) for level in (0, 1))
+    step = _trapezoid_step(float(np.max(xi)), float(np.max(b_abs)))
+    k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
     plan = _ClosedForm(
         xi=xi,
         b_abs=b_abs,
-        edges=edges,
         inverse=inverse,
         negative_b=b < 0.0,
         terms=_term_tails(params, xi),
@@ -490,7 +475,7 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
         k1=k1,
         dk=np.abs(k1 - k0).max(axis=1),
     )
-    for array in (xi, b_abs, edges, inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
+    for array in (xi, b_abs, inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
         array.setflags(write=False)
     return plan
 
@@ -508,10 +493,13 @@ def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.
     return c
 
 
-def _checked_density(rho: np.ndarray, big_n: int) -> np.ndarray:
-    """rho as a complex array once it has passed the checks both Wigner
-    routes make before any quadrature: shape (N, N) and finite entries.
-    Each failure raises ValueError naming the offence."""
+def _checked_inputs(rho: np.ndarray, big_n: int, rtol: float) -> np.ndarray:
+    """rho as a complex array once the inputs have passed the checks both
+    Wigner routes make before any quadrature: a positive, finite rtol, shape
+    (N, N) and finite entries.  Each failure raises ValueError naming the
+    offence."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (big_n, big_n):
         raise ValueError(f"density matrix shape {rho.shape} != ({big_n}, {big_n})")
@@ -536,20 +524,22 @@ def wigner_closed(
     the coefficients c, which contract once with the level-1 Bessel tensor.
     That map is returned when (2/pi) max_x sum_D (|Re c_D| + |Im c_D|)
     dk[x, D], a bound on its change from level 0, is within rtol of the
-    grid maximum.  Otherwise the panel quadrature is refined until two
-    successive levels of W agree to rtol, building the levels past 1
-    uncached; exhaustion after WIGNER_MAX_LEVELS raises BesselAccuracyError
-    naming the worst grid point.  Before any quadrature, a wrong shape or a
-    non-finite entry in rho raises ValueError, and so does an
-    anti-Hermitian residue max |rho - rho^H| above HERMITICITY_TOL, the
-    bound validate_density holds every state to.
+    grid maximum.  Otherwise the level-0 map is contracted too, and W1 is
+    returned if the two agree to rtol at every grid point; if not,
+    BesselAccuracyError names the worst grid point and its conditioning.
+    No finer quadrature level is built: the quadrature orders of the two
+    tensors already agree to about 1e-17 of their scale, so a finer level
+    would compare round-off.  Before any quadrature, an rtol that is not positive and
+    finite, a wrong shape or a non-finite entry in rho raises ValueError,
+    and so does an anti-Hermitian residue max |rho - rho^H| above
+    HERMITICITY_TOL, the bound validate_density holds every state to.
 
     The plan (term tails, Bessel tensor at levels 0 and 1) depends on
     (params, grid) only; later calls on the same pair reuse it.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
-    rho = _checked_density(rho, big_n)
+    rho = _checked_inputs(rho, big_n, rtol)
     skew = np.abs(rho - rho.conj().T)
     n, m = np.unravel_index(int(np.argmax(skew)), skew.shape)
     if skew[n, m] > HERMITICITY_TOL:
@@ -578,11 +568,6 @@ def wigner_closed(
         values[:, negative_b] = ((re_k + im_k) * prefactor)[:, inverse[negative_b]]
         return values
 
-    def level_map(level: int) -> np.ndarray:
-        if level < 2:
-            return assemble((plan.k0, plan.k1)[level])
-        return assemble(_k_tensor_level(plan.xi, plan.b_abs, big_n - 1, plan.edges, level))
-
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
         # |row . term . K| of its sum against the largest assembled |W|
@@ -605,13 +590,13 @@ def wigner_closed(
         )
 
     # |Re(c dK)| <= (|Re c| + |Im c|) |dK| term by term, so the bound holds
-    # |W1 - W0| at every grid point: when it is within rtol, _refine would
-    # accept level 1 too (up to round-off) and return this very map.  As in
-    # _refine, only a comparison that holds accepts: a NaN rtol refines
-    values = level_map(1)
+    # |W1 - W0| at every grid point: when it is within rtol, the comparison
+    # of the two maps would accept W1 too (up to round-off)
+    values = assemble(plan.k1)
     bound = float(np.max(np.sum((np.abs(re_c) + np.abs(im_c)) * plan.dk, axis=1)) * prefactor)
-    if not bound <= rtol * max(float(np.max(np.abs(values))), 1e-300):
-        values = _refine(level_map, rtol, WIGNER_MAX_LEVELS, failure)
+    if bound > rtol * max(float(np.max(np.abs(values))), 1e-300):
+        w1 = values
+        values = _refine(lambda level: w1 if level else assemble(plan.k0), rtol, 1, failure)
     values = np.asarray(values, dtype=float)
     return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
@@ -645,12 +630,13 @@ def wigner_direct_oracle(
     against exp(-i p y), refining the y-quadrature until two levels agree
     to rtol of the grid maximum, within WIGNER_MAX_LEVELS.  The y-range is
     truncated where the wavefunction tails fall below 1e-12 of their peak.
-    A wrong shape or a non-finite entry in rho raises ValueError first.
+    An rtol that is not positive and finite, a wrong shape or a non-finite
+    entry in rho raises ValueError first.
     Reference implementation for testing, not tuned for speed.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
-    rho = _checked_density(rho, big_n)
+    rho = _checked_inputs(rho, big_n, rtol)
     r_axis, p_axis = grid.axes()
 
     lo, hi = _support_bounds(params)

@@ -25,6 +25,9 @@ from deformed_lindblad import phasespace
 from deformed_lindblad.dissipator import HERMITICITY_TOL
 
 SMALL_GRID = GridSpec(n_r=21, n_p=21)
+# the widest momentum window the tests map (b = 2|p| up to 38) on r <= 16,
+# where xi falls to 3.5e-6
+WIDE_GRID = GridSpec(r_min=-2.0, r_max=16.0, n_r=19, p_min=-19.0, p_max=19.0, n_p=39)
 
 
 def test_bessel_half_order_closed_form():
@@ -82,14 +85,30 @@ def test_bessel_rejects_nonpositive_argument():
         bessel_k_complex_order(1.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
         bessel_k_complex_order(1.0, -2.0)
+    # non-finite input is refused by name before any quadrature is sized
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"x = {x}"):
+            bessel_k_complex_order(1.0, x)
+    for nu in (complex(0.0, math.inf), math.nan, math.inf, complex(2.0, -math.inf)):
+        with pytest.raises(ValueError, match="order must be finite, got nu"):
+            bessel_k_complex_order(nu, 1.0)
 
 
-def test_bessel_tensor_against_mpmath():
+@pytest.mark.parametrize("grid, orders, floor", [
+    (GridSpec(), (0, 1, 7, 14), 0.0), (WIDE_GRID, (0, 1), 1e-16),
+], ids=["default", "wide"])
+def test_bessel_tensor_against_mpmath(grid, orders, floor):
     # orders 0 and 1 come from the quadrature and the rest from the upward
-    # order recurrence; check both kinds at the corners of the default
-    # window, reading each p point's column through the axes' index map
+    # order recurrence; check both kinds at the corners of each window,
+    # reading each p point's column through the axes' index map.  On the
+    # wide window, at b = 38 and xi = 3.5e-6, K_{D - ib} is below
+    # exp(-pi b / 2) = 1e-26 of its b = 0 value, under the longdouble
+    # resolution of the integrand, so an error within floor of that scale
+    # is accepted there.  Only the quadrature orders are checked there: on
+    # the way up, the recurrence multiplies their absolute error by about
+    # prod_d |d - ib| / d, 4e6 from D = 1 to D = 7 at b = 38, whatever the
+    # quadrature of orders 0 and 1
     params = MorseParams(n_bound=15)
-    grid = GridSpec()
     p_axis = grid.axes()[1]
     plan = phasespace._closed_form(params, grid)
     xi, b_abs, inverse, tensor = plan.xi, plan.b_abs, plan.inverse, plan.k1
@@ -97,12 +116,13 @@ def test_bessel_tensor_against_mpmath():
     mpmath.mp.dps = 40
     for x in (int(np.argmin(xi)), int(np.argmax(xi))):
         for p in (0, grid.n_p // 2, grid.n_p - 1):
-            for d in (0, 1, 7, 14):
+            for d in orders:
                 # p_min takes the column of its mirror p_max
                 nu = mpmath.mpc(d, -2.0 * abs(float(p_axis[max(p, grid.n_p - 1 - p)])))
                 ref = complex(mpmath.besselk(nu, mpmath.mpf(float(xi[x]))))
+                scale = float(mpmath.besselk(d, mpmath.mpf(float(xi[x]))))
                 got = complex(tensor[x, inverse[p], d])
-                assert abs(got - ref) <= 1e-9 * abs(ref), (x, p, d)
+                assert abs(got - ref) <= 1e-9 * abs(ref) + floor * scale, (x, p, d)
 
 
 @pytest.mark.parametrize("n_p, columns", [(121, 61), (41, 21)])
@@ -235,18 +255,23 @@ def test_closed_form_rejects_non_finite_before_quadrature(params, fock_state):
     # a non-finite and a non-Hermitian rho both raise before any plan is
     # built, naming the offending entry; the oracle refuses the non-finite
     # one too, where it would otherwise climb every level on NaN residuals.
-    # Hermiticity is the closed form's own premise, not the oracle's
+    # Hermiticity is the closed form's own premise, not the oracle's.  An
+    # rtol that is not positive and finite is refused by both routes
+    # instead of being blamed on the quadrature
     non_finite = fock_state(0)
     non_finite[3, 1] = np.nan
     lopsided = fock_state(0)
     lopsided[2, 4] = 1e-6     # no conjugate partner
-    cases = ((wigner_closed, non_finite, r"entry \(3, 1\) is not finite"),
-             (wigner_direct_oracle, non_finite, r"entry \(3, 1\) is not finite"),
-             (wigner_closed, lopsided, r"residue .* at entry \(2, 4\)"))
-    for route, rho, message in cases:
+    cases = [(wigner_closed, non_finite, 1e-8, r"entry \(3, 1\) is not finite"),
+             (wigner_direct_oracle, non_finite, 1e-8, r"entry \(3, 1\) is not finite"),
+             (wigner_closed, lopsided, 1e-8, r"residue .* at entry \(2, 4\)")]
+    cases += [(route, fock_state(0), rtol, f"rtol must be positive and finite, got {rtol}")
+              for route in (wigner_closed, wigner_direct_oracle)
+              for rtol in (math.nan, 0.0, -1e-8, math.inf)]
+    for route, rho, rtol, message in cases:
         builds = phasespace._closed_form.cache_info()
         with pytest.raises(ValueError, match=message):
-            route(rho, params, SMALL_GRID)
+            route(rho, params, SMALL_GRID, rtol=rtol)
         assert phasespace._closed_form.cache_info() == builds
 
 
@@ -289,7 +314,7 @@ def test_diagnostics_maximally_mixed(params):
     assert 0.99 < diag.norm < 1.001
 
 
-def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
+def test_top_level_state_needs_relaxed_tolerance(params, fock_state, monkeypatch):
     # |N-1> is the worst-conditioned input: the default tolerance must be
     # refused honestly rather than met with noise
     from deformed_lindblad import BesselAccuracyError
@@ -304,6 +329,16 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
     assert found, str(exc.value)
     assert float(found.group(1)) > 1e10
     assert float(found.group(2)) < 8.0
+    # once the plan exists, neither the acceptance nor the refusal runs any
+    # quadrature: both are decided from the plan's two levels alone
+    quadratures = []
+    kernel = phasespace._k_quadrature
+
+    def counted(*args):
+        quadratures.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(phasespace, "_k_quadrature", counted)
     grid = wigner_closed(rho, params, SMALL_GRID, rtol=1e-4)
     direct = wigner_direct_oracle(rho, params, SMALL_GRID)
     scale = np.max(np.abs(direct.values))
@@ -311,6 +346,7 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state):
     # the refusal is repeatable
     with pytest.raises(BesselAccuracyError, match="stabilize"):
         wigner_closed(rho, params, SMALL_GRID)
+    assert quadratures == []
 
 
 def _cold(rho, params, grid):
@@ -326,7 +362,7 @@ def test_warm_cache_is_bit_identical_to_cold(params, rho_docs):
 
 
 @pytest.mark.parametrize("grid", [
-    SMALL_GRID, GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16),
+    SMALL_GRID, GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16), WIDE_GRID,
 ])
 def test_level_one_bound_dominates_the_level_change(params, fock_state, rho_docs, rho_aocs,
                                                     rho_cat, grid):
@@ -351,9 +387,29 @@ def test_level_one_bound_dominates_the_level_change(params, fock_state, rho_docs
         assert bound / scale >= np.max(np.abs(maps[1] - maps[0])) / scale - 1e-18
 
 
+@pytest.mark.parametrize("grid", [GridSpec(), WIDE_GRID], ids=["default", "wide"])
+def test_quadrature_steps_agree_to_the_tensor_scale(params, grid):
+    # the trapezoid step comes from the strip bound for the largest xi and
+    # |b| on the grid; at that step and its half, orders 0 and 1 agree to
+    # 1e-16 of max_b |K| at every r point (at most 5e-18 measured), so the
+    # level change is round-off and a finer level would compare noise.
+    # The recurrence orders above inherit this change amplified, as they
+    # would from any quadrature (see test_bessel_tensor_against_mpmath)
+    plan = phasespace._closed_form(params, grid)
+    scale = np.abs(plan.k1[..., :2]).max(axis=1)
+    assert np.max(plan.dk[:, :2] / scale) <= 1e-16
+
+
+def test_unresolvable_window_raises_at_once(params, fock_state):
+    # b = 2e300 asks for a step of about 3e-300: sizing its nodes fails at
+    # once instead of looping or allocating
+    with pytest.raises(ValueError):
+        wigner_closed(fock_state(0), params, GridSpec(p_min=-1e300, p_max=1e300))
+
+
 def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):
-    # |8> on SMALL_GRID: the bound reads 1.36e-8 of max |W| against a true
-    # level-0/1 change of 4.29e-9.  At rtol = 1e-7 the bound accepts the
+    # |8> on SMALL_GRID: the bound reads 2.41e-8 of max |W| against a true
+    # level-0/1 change of 3.67e-9.  At rtol = 1e-7 the bound accepts the
     # single contraction; at 1e-8 it refuses, and _refine accepts level 1
     # on the true change, so both calls return the same map
     calls = []
@@ -399,7 +455,7 @@ def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
     plan = phasespace._closed_form(params, SMALL_GRID)
     arrays = (plan.k0, plan.k1, plan.dk, *plan.terms,
-              plan.xi, plan.b_abs, plan.inverse, plan.negative_b, plan.edges)
+              plan.xi, plan.b_abs, plan.inverse, plan.negative_b)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
