@@ -120,6 +120,15 @@ class SimulationConfig:
                 f"target_mean_n must be finite and in [0, {self.n_bound - 1}), "
                 f"got {self.target_mean_n}"
             )
+        # even_cat populates even levels only: its mean is 0 (the vacuum) or
+        # stays below the top even level
+        if self.scenario == "even_cat" and self.target_mean_n > 0.0:
+            top_even = 2 * ((self.n_bound - 1) // 2)
+            if self.target_mean_n >= top_even:
+                raise ConfigError(
+                    f"even_cat target_mean_n must be below its top even level {top_even} "
+                    f"(n_bound = {self.n_bound}), got {self.target_mean_n}"
+                )
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"dt must be finite and positive, got {self.dt}")
         samples = self.resolved_t_samples()

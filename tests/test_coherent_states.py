@@ -179,24 +179,173 @@ def test_alpha_solver_reports_unreachable(model):
         alpha_for_mean_n(5.0, aocs, model, alpha_max=1.0)
 
 
-def test_alpha_solver_builds_each_alpha_once(model, params):
-    # each doubling step of the bracket search builds its state once
+def reference_alpha(target, builder, model, alpha_max=None):
+    """Doubling bracket + bisection to the last bit of alpha: the solver's oracle.
+
+    It raises where the bracket saturates below the target or reaches
+    alpha_max, as the solver did before it used the amplitude weights.
+    """
+    if target == 0.0:
+        return 0.0
+    if not 0.0 < target < model.dim - 1:
+        raise ValueError("outside the reachable range")
+
+    def mean_at(a):
+        return mean_excitation(builder(a, model))
+
+    lo, hi = 0.0, 1.0 if alpha_max is None else min(1.0, alpha_max)
+    prev = -1.0
+    while (value := mean_at(hi)) < target:
+        if value <= prev * (1.0 + 1e-12) + 1e-15 or hi == alpha_max:
+            raise ValueError("unreachable")
+        prev, lo = value, hi
+        hi = 2.0 * hi if alpha_max is None else min(2.0 * hi, alpha_max)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sweep_builders(n_bound):
+    params = MorseParams(n_bound)
     cap = (math.pi / 2 - 1e-9) / params.chi
-    for builder, alpha_max in (
-        (aocs, None),
-        (even_cat, None),
-        (lambda a, m: docs_from_alpha(a, params), cap),
+    return {
+        "aocs": (aocs, None),
+        "docs": (lambda a, m: docs_from_alpha(a, params), cap),
+        "even_cat": (even_cat, None),
+    }
+
+
+SWEEP = [
+    (n_bound, name, float(target))
+    for n_bound in (2, 3, 10, 15, 16, 30)
+    for name in ("aocs", "docs", "even_cat")
+    for target in np.linspace(0.0, 0.97 * (n_bound - 1), 12)
+] + [(120, "docs", float(target)) for target in np.linspace(0.0, 0.97 * 119, 12)]
+
+
+def check_against_reference(n_bound, name, target):
+    model = morse_model(MorseParams(n_bound))
+    builder, alpha_max = sweep_builders(n_bound)[name]
+    try:
+        want = reference_alpha(target, builder, model, alpha_max)
+    except ValueError:
+        with pytest.raises(ValueError, match="unreachable"):
+            alpha_for_mean_n(target, builder, model, alpha_max=alpha_max)
+        return
+    got = alpha_for_mean_n(target, builder, model, alpha_max=alpha_max)
+    assert abs(mean_excitation(builder(got, model)) - target) <= 1e-12 * max(1.0, target)
+    assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("n_bound", sorted({case[0] for case in SWEEP}))
+def test_alpha_solver_matches_reference_bisection(n_bound):
+    # same raise-or-return outcome as the bisection, <n> to 1e-12 of the
+    # target and alpha to 1e-8; docs at N = 120 starts from a reference
+    # (alpha = 1) whose top populations are below 1e-300 of the vacuum's
+    for case in SWEEP:
+        if case[0] == n_bound:
+            check_against_reference(*case)
+
+
+def test_alpha_solver_does_not_cycle_on_aocs_n30():
+    # plain Newton in s with steps clipped to +-2 cycles here between
+    # s = 1.464 and 3.464 (<n> = 4.78 and 28.11); the bracket stops it
+    check_against_reference(30, "aocs", 24.65)
+
+
+def counted(builder):
+    seen = []
+
+    def counting(a, m):
+        seen.append(a)
+        return builder(a, m)
+
+    return counting, seen
+
+
+def test_alpha_solver_builder_call_budget(model, params):
+    # aocs and even_cat: the reference and the exact first step (3 at most);
+    # docs: the reference and a few interpolation steps (10 at most)
+    cap = (math.pi / 2 - 1e-9) / params.chi
+    for builder, alpha_max, budget in (
+        (aocs, None, 3),
+        (even_cat, None, 3),
+        (lambda a, m: docs_from_alpha(a, params), cap, 10),
+        (aocs, 1.5, 3),
     ):
-        seen = []
+        for target in (1.8, 1.9, 2.0, 2.1, 2.2):
+            counting, seen = counted(builder)
+            alpha = alpha_for_mean_n(target, counting, model, alpha_max=alpha_max)
+            assert alpha == alpha_for_mean_n(target, builder, model, alpha_max=alpha_max)
+            assert len(seen) <= budget, (target, seen)
+            assert len(seen) == len(set(seen)), sorted(seen)
+            assert alpha_max is None or max(seen) < alpha_max
 
-        def counting(a, m):
-            seen.append(a)
-            return builder(a, m)
 
-        alpha = alpha_for_mean_n(4.0, counting, model, alpha_max=alpha_max)
-        assert alpha == alpha_for_mean_n(4.0, builder, model, alpha_max=alpha_max)
-        assert len(seen) > 3
-        assert len(seen) == len(set(seen)), sorted(seen)
+def test_alpha_solver_never_builds_at_the_cap(model):
+    # <n> = 5 lies past <n>(1) = 1.07: the state just below the cap decides
+    # it, and the message names that supremum
+    counting, seen = counted(aocs)
+    with pytest.raises(ValueError, match="below alpha_max = 1.0 is 1.07316126616"):
+        alpha_for_mean_n(5.0, counting, model, alpha_max=1.0)
+    assert seen == [math.nextafter(1.0, 0.0)]
+    counting, seen = counted(aocs)
+    with pytest.raises(ValueError, match="below alpha_max = 3.0 is"):
+        alpha_for_mean_n(13.0, counting, model, alpha_max=3.0)
+    assert max(seen) < 3.0
+    assert len(seen) == len(set(seen))
+
+
+def test_alpha_solver_names_the_supremum_of_even_cat():
+    # even_cat populates even levels only: <n> stays below the top even level
+    for n_bound, target, top in ((2, 0.5, 0), (10, 8.5, 8), (10, 8.0, 8), (16, 14.5, 14)):
+        model = morse_model(MorseParams(n_bound))
+        with pytest.raises(ValueError, match=f"supremum of <n> is {top}, the top level"):
+            alpha_for_mean_n(target, even_cat, model)
+
+
+def test_alpha_solver_rejects_a_builder_not_of_the_form(model):
+    # a weight that depends on alpha, and an s(alpha) that falls with alpha,
+    # must raise rather than return an alpha
+    def reweighted(a, m):
+        c = aocs(a, m).amplitudes.copy()
+        c[5] *= 1.0 + a
+        return StateVector(amplitudes=c / np.linalg.norm(c))
+
+    def falling(a, m):
+        return aocs(1.0 / (1.0 + a), m)
+
+    for builder in (reweighted, falling):
+        for target in (1.0, 3.0, 7.5):
+            with pytest.raises(ValueError, match="does not fit"):
+                alpha_for_mean_n(target, builder, model)
+
+
+def test_alpha_solver_refreshes_a_reference_that_lost_levels():
+    # docs at N = 150 and alpha = 1 underflows zeta^n past level 130 before
+    # it multiplies by the binomial: the reference stops there, and the
+    # state built for the target, populating the rest, becomes the reference
+    params = MorseParams(150)
+    model = morse_model(params)
+    cap = (math.pi / 2 - 1e-9) / params.chi
+    builder = lambda a, m: docs_from_alpha(a, params)
+    assert np.flatnonzero(builder(1.0, model).amplitudes)[-1] == 130
+    for target in (74.5, 134.1):
+        alpha = alpha_for_mean_n(target, builder, model, alpha_max=cap)
+        assert abs(mean_excitation(builder(alpha, model)) - target) <= 1e-12 * target
+        assert abs(alpha - reference_alpha(target, builder, model, cap)) <= 1e-8 * alpha
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_alpha_solver_rejects_bad_targets_before_building(model, target):
+    counting, seen = counted(aocs)
+    with pytest.raises(ValueError, match="outside the reachable range"):
+        alpha_for_mean_n(target, counting, model)
+    assert seen == []
 
 
 def test_to_density_invariants(model, alpha_aocs):

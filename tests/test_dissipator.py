@@ -1033,5 +1033,5 @@ def test_growing_coherences_raise_at_the_first_breach_without_warnings(model, et
             integrate(rho_cat, model, hot, etas, 400.0, 1e-3, [0.0, 0.5, 1.0, 2.0, 40.0, 400.0])
     assert info.value.invariant == "eigenvalue"
     assert info.value.time == 0.5
-    assert info.value.drift == pytest.approx(-37.70598456183532, rel=1e-12)
+    assert info.value.drift == pytest.approx(-37.70598455652969, rel=1e-12)
     assert "negative eigenvalue -3.771e+01 below -0.01 at t = 0.5" in str(info.value)

@@ -369,6 +369,25 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert bad_scenario == 2
 
 
+def test_cli_unreachable_even_cat_target_is_config_error(tmp_path, capsys):
+    # even_cat populates even levels only: at n_bound = 10 its <n> stays
+    # below 8, so 8 and 8.5 are refused as config (exit 2) before any solve
+    for target in (8.0, 8.5):
+        config_path = tmp_path / "cat.cfg"
+        config_path.write_text(
+            f"scenario = even_cat\nn_bound = 10\ntarget_mean_n = {target}\n"
+            "t_samples = 0\n" + FAST_GRID
+        )
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert "top even level 8" in capsys.readouterr().err
+    for n_bound, target in ((2, 0.5), (12, 10.5)):
+        with pytest.raises(ConfigError, match="top even level"):
+            SimulationConfig(scenario="even_cat", n_bound=n_bound, target_mean_n=target).validate()
+    # below the top even level, and the vacuum at n_bound = 2, still validate
+    SimulationConfig(scenario="even_cat", n_bound=10, target_mean_n=7.9).validate()
+    SimulationConfig(scenario="even_cat", n_bound=2, target_mean_n=0.0).validate()
+
+
 def test_cli_numerical_breach_exit_code(tmp_path):
     # a unit-trace Hermitian matrix with a negative eigenvalue fails the
     # density invariants on load, which is a numerical error (exit 3)
