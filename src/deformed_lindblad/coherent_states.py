@@ -67,8 +67,8 @@ class StateVector:
 
 def _normalized(amplitudes: np.ndarray, label: str) -> StateVector:
     norm = np.linalg.norm(amplitudes)
-    if not norm > 0.0:
-        raise ValueError(f"cannot normalize a zero {label} state")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize the {label} state: its norm is {norm}")
     return StateVector(amplitudes=amplitudes / norm)
 
 

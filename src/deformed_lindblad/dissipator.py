@@ -152,7 +152,8 @@ class RateTable:
     All arrays run over n = 0..dim-1 in units of omega0.  Entries at n = 0
     that would reference the gap below the ground state are zero; they always
     multiply the structural zero g(-1).  The identities K3(n+1) = K2(n) and
-    K4(n-1) = K1(n) hold bitwise by construction.
+    K4(n-1) = K1(n) hold bitwise by construction, and so do their shift
+    counterparts delta3(n+1) = -delta2(n) and delta1(n+1) = -delta4(n).
 
     A table also keeps integrate's last propagator stack (read only), so
     the propagations of one study under one table exponentiate once; see
@@ -210,11 +211,10 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     k1[1:] = k4[:-1]
     k3[1:] = k2[:-1]
 
-    zeros = np.zeros(dim)
     if reservoir.shifts_enabled:
         d1, d2, d3, d4 = shift_table(model, reservoir)
     else:
-        d1 = d2 = d3 = d4 = zeros
+        d1, d2, d3, d4 = np.zeros((4, dim))
     return RateTable(K1=k1, K2=k2, K3=k3, K4=k4,
                      delta1=d1, delta2=d2, delta3=d3, delta4=d4)
 
@@ -254,8 +254,10 @@ def shift_table(
     (w^3 / Omega^3) occupancy(w) / (Omega - w); delta1/delta4 use the
     stimulated-plus-spontaneous weight (nbar + 1), delta2/delta3 the thermal
     weight nbar.  delta1 and delta3 at level n sit at the lower gap
-    Omega(n-1) and are zero at n = 0 where no lower gap exists.  Requires
-    shifts_enabled; with shifts off, rate_table fills the deltas with zeros.
+    Omega(n-1) with the opposite sign, delta1(n) = -delta4(n-1) and
+    delta3(n) = -delta2(n-1), and are zero at n = 0 where no lower gap
+    exists.  Requires shifts_enabled; with shifts off, rate_table fills the
+    deltas with zeros.
     """
     if not reservoir.shifts_enabled:
         raise ValueError("shift_table requires shifts_enabled")
@@ -275,21 +277,17 @@ def shift_table(
     def thermal(w):
         return w**3 / np.expm1(theta * w)
 
-    dim = model.dim
-    d1 = np.zeros(dim)
-    d2 = np.zeros(dim)
-    d3 = np.zeros(dim)
-    d4 = np.zeros(dim)
-    pv_spont = [ _principal_value(spontaneous, g, cutoff) for g in gaps ]
-    pv_therm = [ _principal_value(thermal, g, cutoff) for g in gaps ]
-    for n in range(dim):
-        scale = half_gamma[n] / (np.pi * gaps[n] ** 3)
-        d2[n] = -scale * pv_therm[n]
-        d4[n] = -scale * pv_spont[n]
-        if n >= 1:
-            scale_lo = half_gamma[n - 1] / (np.pi * gaps[n - 1] ** 3)
-            d1[n] = scale_lo * pv_spont[n - 1]
-            d3[n] = scale_lo * pv_therm[n - 1]
+    # expm1(theta w) overflows to inf past theta w ~ 710, where nbar = 1 / inf = 0
+    with np.errstate(over="ignore"):
+        pv_spont = np.array([_principal_value(spontaneous, g, cutoff) for g in gaps])
+        pv_therm = np.array([_principal_value(thermal, g, cutoff) for g in gaps])
+    scale = half_gamma / (np.pi * gaps**3)
+    d2 = -scale * pv_therm
+    d4 = -scale * pv_spont
+    d1 = np.zeros(model.dim)
+    d3 = np.zeros(model.dim)
+    d1[1:] = -d4[:-1]
+    d3[1:] = -d2[:-1]
     return d1, d2, d3, d4
 
 

@@ -134,27 +134,6 @@ class WignerDiagnostics:
     max_w: float
 
 
-def _ld_int(values) -> np.ndarray:
-    """Exact non-negative python ints -> longdouble, elementwise.
-
-    Python ints can exceed 2^53 (and 2^64), so each value is split into
-    base-2^53 digits, each exact in float64, and the digits are combined by
-    Horner in longdouble from the top: exact below 2^64, rounded as
-    hi * 2^53 + lo beyond.  Leading zero digits leave the sum exactly 0.
-    """
-    values = np.array(values, dtype=object)
-    digits = []
-    while True:
-        digits.append((values & (2**53 - 1)).astype(np.float64))
-        values = values >> 53
-        if not values.any():
-            break
-    out = np.zeros(digits[0].shape, dtype=_LD)
-    for digit in reversed(digits):
-        out = out * _LD(2**53) + digit
-    return out
-
-
 def _tail_cutoff(x: float, re_order: float) -> float:
     """Smallest t beyond the integrand peak where the log-integrand has
     dropped _TAIL_DROP below its peak value."""
@@ -346,8 +325,10 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
-    is a sum of positive terms.  Each weight is an exact integer ratio
-    rounded once, and Horner in xi^2 runs k from n - D down to
+    is a sum of positive terms.  Each weight is a ratio of exact integers
+    whose numerator and denominator are each rounded once to longdouble
+    (numpy's correctly rounded conversion of Python ints) and then
+    divided, and Horner in xi^2 runs k from n - D down to
     k_start = max(0, -s) for every pair of a tail at once: weights[t, j] is
     what step t (of N - D) adds to pair j, so every pair ends on k_start at
     the last step, and a pair with fewer terms starts with zero weights,
@@ -371,8 +352,8 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
     levels = range(big_n)
     # norms[n] = N_n = sqrt(n! (k - 2n - 1) / (k - n - 1)!)
     norms = np.sqrt(
-        _ld_int([factorial[n] * (k_total - 2 * n - 1) for n in levels])
-        / _ld_int([factorial[k_total - n - 1] for n in levels])
+        np.array([factorial[n] * (k_total - 2 * n - 1) for n in levels], dtype=object).astype(_LD)
+        / np.array([factorial[k_total - n - 1] for n in levels], dtype=object).astype(_LD)
     )
     # comb_m[m, a] = C(2N-m, a) and comb_n[n, k] = C(2N-n, n-k), exact ints
     comb_m = np.array(
@@ -382,7 +363,9 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
         [[math.comb(two_n - n, n - k) if k <= n else 0 for k in levels] for n in levels],
         dtype=object,
     )
-    denominators = _ld_int([[factorial[j] * factorial[k] for k in levels] for j in levels])
+    denominators = np.array(
+        [[factorial[j] * factorial[k] for k in levels] for j in levels], dtype=object
+    ).astype(_LD)
     # powers[e] = xi^e for the pair prefactor xi^(2N-n-m) and the lowest
     # power xi^|s| of G_s
     powers = np.array([xi ** _LD(e) for e in range(2 * big_n + 1)])
@@ -398,7 +381,7 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
         n_used, m_used, k_used = (np.broadcast_to(v, used.shape)[used] for v in (n, m, k))
         weights = np.zeros(used.shape, dtype=_LD)
         weights[used] = (
-            _ld_int(comb_m[m_used, n_used - d - k_used] * comb_n[n_used, k_used])
+            (comb_m[m_used, n_used - d - k_used] * comb_n[n_used, k_used]).astype(_LD)
             / denominators[d - n_used + m_used + k_used, k_used]
         )
         tail = np.zeros((len(xi), big_n * steps), dtype=_LD)

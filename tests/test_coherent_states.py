@@ -82,6 +82,20 @@ def test_docs_rejects_overlong_displacement(params):
         docs_from_alpha(1.01 * (math.pi / 2) / params.chi, params)
 
 
+@pytest.mark.parametrize("label", ["docs", "aocs"])
+def test_overflowing_state_is_refused(model, label):
+    build = {
+        # zeta^n binom(300, n)^(1/2) overflows the norm's dot at N = 150
+        "docs": lambda: docs(20.0, MorseParams(150)),
+        # alpha^n overflows level by level, and inf * 0 turns later levels nan
+        "aocs": lambda: aocs(1e200, model),
+    }[label]
+    # the overflow warns first; the refusal must follow it, not a zero state
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"cannot normalize the {label} state: its norm is (inf|nan)"):
+            build()
+
+
 def test_even_cat_parity(model, alpha_cat):
     state = even_cat(alpha_cat, model)
     assert np.max(np.abs(state.amplitudes[1::2])) < 1e-14

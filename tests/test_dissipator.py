@@ -870,10 +870,32 @@ def test_shift_cutoff_below_pole_rejected(model):
 def test_shift_sign_structure(model):
     reservoir = ReservoirParams(theta=4.0, shifts_enabled=True, shift_cutoff=50.0)
     d1, d2, d3, d4 = shift_table(model, reservoir)
-    # delta3 at the next level shares delta2's integral with opposite sign
-    assert np.max(np.abs(d3[1:] + d2[:-1])) < 1e-12 * np.max(np.abs(d2))
+    # delta1 and delta3 at the next level share delta4's and delta2's
+    # integrals with opposite sign, bitwise, like K1 and K3 in the rates
+    assert np.array_equal(d1[1:], -d4[:-1])
+    assert np.array_equal(d3[1:], -d2[:-1])
     assert np.max(np.abs(d1)) > 0 and np.max(np.abs(d4)) > 0
     assert d1[0] == 0.0 and d3[0] == 0.0
+
+
+@pytest.mark.parametrize("theta, cutoff", [(20.0, 40.0), (12.0, 80.0)])
+def test_cold_shift_table_builds_without_warnings(model, theta, cutoff):
+    # expm1(theta w) overflows inside the integrands far above the gaps,
+    # where the occupation 1 / inf = 0 is right; no warning may escape
+    reservoir = ReservoirParams(theta=theta, shifts_enabled=True, shift_cutoff=cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = rate_table(model, reservoir)
+    shifts = (rates.delta1, rates.delta2, rates.delta3, rates.delta4)
+    assert all(np.all(np.isfinite(d)) for d in shifts)
+
+
+def test_zero_shift_arrays_are_separate(model):
+    # with shifts off each delta is its own array: writing one leaves the
+    # other three at zero
+    rates = rate_table(model, ReservoirParams(theta=4.0))
+    rates.delta1[3] = 0.25
+    assert not np.any(rates.delta2) and not np.any(rates.delta3) and not np.any(rates.delta4)
 
 
 def test_shift_cutoff_sensitivity_is_visible(model):

@@ -572,6 +572,48 @@ def test_packed_tails_equal_the_dense_loop(n_bound):
         assert not np.any(dense[:, d, :d * n_bound]), d
 
 
+def _ld_nearest_reference(value):
+    """Positive int -> the nearest longdouble (ties to even), by integer
+    rounding to the 64-bit significand."""
+    shift = max(0, value.bit_length() - 64)
+    top, rest = divmod(value, 2**shift)
+    half = 2**shift // 2
+    if shift and (rest > half or (rest == half and top % 2)):
+        top += 1
+    return np.ldexp(np.longdouble(top), shift)
+
+
+def test_term_weights_are_correctly_rounded_above_2_64():
+    # at N = 30 the denominator 8! 29! of the pair (n, m) = (29, 8) rounds
+    # twice when split into base-2^53 digits; the table takes the nearest
+    # longdouble of numerator and denominator, so the column equals the
+    # scalar Horner loop over correctly rounded weights bit for bit
+    params = MorseParams(30)
+    n, m = 29, 8
+    denominator = math.factorial(8) * math.factorial(29)
+    assert _ld_int_reference(denominator) != _ld_nearest_reference(denominator)
+    ld = np.longdouble
+    r_axis = SMALL_GRID.axes()[0]
+    xi = ld(params.k) * np.exp(-r_axis.astype(ld))
+    two_n, k_total, s = 2 * params.n_bound, params.k, m - n
+
+    def norm(level):
+        top = math.factorial(level) * (k_total - 2 * level - 1)
+        return np.sqrt(_ld_nearest_reference(top)
+                       / _ld_nearest_reference(math.factorial(k_total - level - 1)))
+
+    value = np.zeros(len(xi), dtype=ld)
+    for k in range(n, -s - 1, -1):
+        coef = _ld_nearest_reference(
+            math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k)
+        ) / _ld_nearest_reference(math.factorial(s + k) * math.factorial(k))
+        value = value * (xi * xi) + coef
+    value *= xi ** ld(-s)
+    expected = -norm(n) * norm(m) * xi ** ld(two_n - n - m) * value * 0.5
+    column = phasespace._term_tails(params, xi)[0][:, n * params.n_bound + m]
+    assert np.array_equal(column, expected)
+
+
 @pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
 def test_tail_product_equals_the_dense_product(request, params, model, rates, etas, state):
     # summing each order over its tail only skips exact zeros of a
