@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-invariant breach.
+Exit codes: 0 success, 2 configuration error (an unreadable config file or
+an unwritable output directory included), 3 numerical-invariant breach.
 """
 
 from __future__ import annotations
@@ -35,32 +36,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # ConfigError is a ValueError, so it is caught first
     try:
-        source = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(source)
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.scenario is not None:
             config = replace(config, scenario=args.scenario)
             config.validate()
         if args.output_dir is not None:
             config = replace(config, output_dir=args.output_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_scenario(config)
-    except ConfigError as exc:
+        manifest = write_outputs(run_scenario(config), config.output_dir)
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, BesselAccuracyError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    manifest = write_outputs(result, config.output_dir)
     for name, size in manifest:
         print(f"{name}  {size} bytes")
     return EXIT_OK

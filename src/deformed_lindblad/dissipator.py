@@ -29,7 +29,7 @@ K3(n+1) = K2(n) and K4(n-1) = K1(n) make trace conservation exact.
 Optional frequency-shift coefficients delta1..delta4 (Stark and Lamb type)
 enter as commutator terms that perturb off-diagonal elements only.  They are
 principal-value integrals that diverge without an ultraviolet cutoff, so
-they are disabled by default and require an explicit cutoff when enabled.
+they are on exactly when a cutoff is given, and off by default.
 Like the gain terms below, the shift commutators are not in completely
 positive form either.
 
@@ -124,14 +124,13 @@ class ReservoirParams:
     theta is hbar omega0 / (k_B T); gamma_scale is the dimensionless damping
     prefactor multiplying Omega(n)^3.  The default 4/3 corresponds to
     setting every physical constant in the dipole decay rate to one.
-    shift_cutoff (in units of omega0) is required only when shifts_enabled,
-    because the shift integrals grow without bound as the upper limit
-    increases.
+    shift_cutoff (in units of omega0) turns the frequency shifts on: the
+    shift integrals grow without bound as the upper limit increases, so
+    without a cutoff there are no shifts.
     """
 
     theta: float
     gamma_scale: float = DEFAULT_GAMMA_SCALE
-    shifts_enabled: bool = False
     shift_cutoff: float | None = None
 
     def __post_init__(self) -> None:
@@ -141,8 +140,6 @@ class ReservoirParams:
             raise ValueError(f"gamma_scale must be finite and >= 0, got {self.gamma_scale}")
         if self.shift_cutoff is not None and not np.isfinite(self.shift_cutoff):
             raise ValueError(f"shift_cutoff must be finite, got {self.shift_cutoff}")
-        if self.shifts_enabled and self.shift_cutoff is None:
-            raise ValueError("shift_cutoff is required when shifts_enabled")
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ class IntegrationError(RuntimeError):
 
 
 def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
-    """Build K1..K4 (and shifts, when enabled) for every level of the model."""
+    """Build K1..K4 (and shifts, given a cutoff) for every level of the model."""
     dim = model.dim
     gaps = gap_frequencies(model)
     bad = np.flatnonzero(gaps <= 0.0)
@@ -211,7 +208,7 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     k1[1:] = k4[:-1]
     k3[1:] = k2[:-1]
 
-    if reservoir.shifts_enabled:
+    if reservoir.shift_cutoff is not None:
         d1, d2, d3, d4 = shift_table(model, reservoir)
     else:
         d1, d2, d3, d4 = np.zeros((4, dim))
@@ -256,11 +253,11 @@ def shift_table(
     weight nbar.  delta1 and delta3 at level n sit at the lower gap
     Omega(n-1) with the opposite sign, delta1(n) = -delta4(n-1) and
     delta3(n) = -delta2(n-1), and are zero at n = 0 where no lower gap
-    exists.  Requires shifts_enabled; with shifts off, rate_table fills the
+    exists.  Requires a shift_cutoff; without one, rate_table fills the
     deltas with zeros.
     """
-    if not reservoir.shifts_enabled:
-        raise ValueError("shift_table requires shifts_enabled")
+    if reservoir.shift_cutoff is None:
+        raise ValueError("shift_table requires a shift_cutoff")
     cutoff = float(reservoir.shift_cutoff)
     gaps = gap_frequencies(model)
     if cutoff <= np.max(gaps):
@@ -704,7 +701,9 @@ def detailed_balance_populations(rates: RateTable) -> np.ndarray:
     state, not a substitute for it.
     """
     ratios = rates.K2[:-1] / rates.K1[1:]
-    log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
+    # a cold reservoir's K2 underflows to 0: log 0 = -inf gives p = 0 above
+    with np.errstate(divide="ignore"):
+        log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
     p = np.exp(log_p - np.max(log_p))
     return p / np.sum(p)
 

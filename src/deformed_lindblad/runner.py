@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .dissipator import (
     rate_table,
     validate_density,
 )
+from .fock_algebra import gap_frequencies
 from .morse import MorseParams, eta_values, morse_model
 from .phasespace import GridSpec, WignerGrid, wigner_closed, wigner_diagnostics
 
@@ -70,13 +71,12 @@ class SimulationConfig:
     target_mean_n: float = 2.0
     t_samples: tuple[float, ...] | None = None
     dt: float = 1e-3    # accepted and validated, unused: propagation is exact
-    r_min: float = -2.0
-    r_max: float = 10.0
-    n_r: int = 121
-    p_min: float = -6.0
-    p_max: float = 6.0
-    n_p: int = 121
-    shifts_enabled: bool = False
+    r_min: float = GridSpec.r_min
+    r_max: float = GridSpec.r_max
+    n_r: int = GridSpec.n_r
+    p_min: float = GridSpec.p_min
+    p_max: float = GridSpec.p_max
+    n_p: int = GridSpec.n_p
     shift_cutoff: float | None = None
     rho_path: str | None = None
     output_dir: str = "."
@@ -93,7 +93,6 @@ class SimulationConfig:
         return ReservoirParams(
             theta=self.theta,
             gamma_scale=self.gamma_scale,
-            shifts_enabled=self.shifts_enabled,
             shift_cutoff=self.shift_cutoff,
         )
 
@@ -114,6 +113,14 @@ class SimulationConfig:
             self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # shift_table's principal values need the cutoff above every pole
+        if self.shift_cutoff is not None:
+            top_gap = float(np.max(gap_frequencies(morse_model(self.morse_params()))))
+            if self.shift_cutoff <= top_gap:
+                raise ConfigError(
+                    f"shift_cutoff must exceed the largest gap {top_gap} omega0 "
+                    f"(n_bound = {self.n_bound}), got {self.shift_cutoff}"
+                )
         # the alpha solver reaches means in [0, n_bound - 1) only
         if self.scenario != "custom_rho" and not 0.0 <= self.target_mean_n < self.n_bound - 1:
             raise ConfigError(
@@ -145,38 +152,21 @@ class SimulationConfig:
             raise ConfigError("scenario custom_rho requires rho_path")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_samples(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-_PARSERS = {
-    "n_bound": int,
-    "theta": float,
-    "gamma_scale": float,
-    "scenario": str,
-    "target_mean_n": float,
-    "t_samples": _parse_samples,
-    "dt": float,
-    "r_min": float,
-    "r_max": float,
-    "n_r": int,
-    "p_min": float,
-    "p_max": float,
-    "n_p": int,
-    "shifts_enabled": _parse_bool,
-    "shift_cutoff": float,
-    "rho_path": str,
-    "output_dir": str,
+# each key is a SimulationConfig field, parsed by its annotation; a key
+# annotated "| None" is None only by leaving it out
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": float,
+    "str | None": str,
+    "tuple[float, ...] | None": _parse_samples,
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimulationConfig)}
 
 
 def parse_config(source: str) -> SimulationConfig:
@@ -326,8 +316,6 @@ def run_scenario(config: SimulationConfig) -> ScenarioResult:
 def _format_config_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(f"{v:.12g}" for v in value)
     if isinstance(value, float):

@@ -272,14 +272,14 @@ def test_blocks_reassemble_generator_harmonic(reservoir):
 def test_blocks_reassemble_generator_with_shifts(model, etas):
     with_shifts = rate_table(
         model,
-        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0),
     )
     # delta3/delta4 give the gain couplings an imaginary part
     assert np.any(build_generator(model, with_shifts, etas).below.imag)
     assert_blocks_reassemble(model, with_shifts, etas, 22)
 
 
-SHIFTED = ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0)
+SHIFTED = ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0)
 
 
 def test_mirror_blocks_are_conjugate_bitwise(model, rates, etas, reservoir):
@@ -597,7 +597,7 @@ def test_integrate_with_shifts_matches_full_propagator(model, etas, rho_aocs):
     # beyond what the fixed-step RK4 oracle can follow
     table = rate_table(
         model,
-        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0),
     )
     gen = build_generator(model, table, etas)
     dim = model.dim
@@ -675,6 +675,22 @@ def test_harmonic_relaxation_analytic(reservoir):
         assert mean_occupation(rho) == pytest.approx(want, rel=1e-4)
 
 
+@pytest.mark.parametrize("theta, dim", [(400.0, 30), (4.0, 30), (1.0, 60)])
+def test_harmonic_damping_basis_spectrum(theta, dim):
+    # the damped harmonic oscillator's Liouvillian has the eigenvalues
+    # -i k - gamma (k / 2 + j), j = 0, 1, ..., at every temperature
+    # (H.-J. Briegel and B.-G. Englert, PRA 47 (1993) 3311); truncation
+    # moves only the fast end of each block's spectrum
+    model = OscillatorModel(dim, harmonic_deformation())
+    table = rate_table(model, ReservoirParams(theta=theta, gamma_scale=0.1))
+    gen = build_generator(model, table, np.ones(dim))
+    for k in range(6):
+        eigenvalues = np.linalg.eigvals(gen.block(k)[2])
+        slowest = eigenvalues[np.argsort(-eigenvalues.real)][:4]
+        want = -0.1 * (k / 2 + np.arange(4)) - 1j * k
+        assert np.max(np.abs(slowest - want)) < 1e-10
+
+
 def test_step_halving_agreement(rho_docs, model, rates, etas):
     # dt sets no step: halving it changes nothing, and halving the sample
     # interval instead agrees to round-off (the propagator is a semigroup)
@@ -710,8 +726,8 @@ def test_integrate_rejects_non_finite_sample_times(model, rates, etas, rho_docs,
     [
         ({"gamma_scale": math.nan}, "gamma_scale"),
         ({"gamma_scale": math.inf}, "gamma_scale"),
-        ({"shifts_enabled": True, "shift_cutoff": math.nan}, "shift_cutoff"),
-        ({"shifts_enabled": True, "shift_cutoff": math.inf}, "shift_cutoff"),
+        ({"shift_cutoff": math.nan}, "shift_cutoff"),
+        ({"shift_cutoff": math.inf}, "shift_cutoff"),
     ],
 )
 def test_reservoir_rejects_non_finite_values(kwargs, key):
@@ -808,15 +824,16 @@ def test_steady_state_matches_detailed_balance_per_level(model, rates, etas, res
         assert np.max(np.abs(populations / predicted - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("theta", [20.0, 60.0, 400.0])
+@pytest.mark.parametrize("theta", [20.0, 60.0, 400.0, 1000.0, math.inf])
 def test_steady_state_extreme_cold(model, etas, theta):
     # upper populations underflow to zero at theta = 400; the relative-rate
-    # check must skip them rather than read 0/0
+    # check must skip them rather than read 0/0.  From theta = 1000 on K2 is
+    # 0, and the balance takes log 0 = -inf without a warning
     table = rate_table(model, ReservoirParams(theta=theta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         populations = np.diag(steady_state(model, table, etas)).real
-    predicted = detailed_balance_populations(table)
+        predicted = detailed_balance_populations(table)
     occupied = populations != 0.0
     assert occupied[0]
     assert np.max(np.abs(populations[occupied] / predicted[occupied] - 1.0)) <= 1e-12
@@ -847,28 +864,24 @@ def test_purity_relaxation_for_diagonal_starts(model, rates, etas):
     assert purity(late.states[0]) == pytest.approx(target, abs=1e-3)
 
 
-def test_shift_table_requires_shifts_enabled(model, rates, etas):
-    # shifts off: rate_table fills zeros and the gain couplings stay real
+def test_shift_requires_cutoff(model, rates, etas):
+    # no cutoff, no shifts: rate_table fills zeros and the gain couplings
+    # stay real
     assert not any(np.any(d) for d in (rates.delta1, rates.delta2, rates.delta3, rates.delta4))
     gen = build_generator(model, rates, etas)
     assert not np.any(gen.below.imag) and not np.any(gen.above.imag)
-    with pytest.raises(ValueError, match="shifts_enabled"):
+    with pytest.raises(ValueError, match="shift_cutoff"):
         shift_table(model, ReservoirParams(theta=4.0))
 
 
-def test_shift_requires_cutoff():
-    with pytest.raises(ValueError, match="shift_cutoff"):
-        ReservoirParams(theta=4.0, shifts_enabled=True)
-
-
 def test_shift_cutoff_below_pole_rejected(model):
-    bad = ReservoirParams(theta=4.0, shifts_enabled=True, shift_cutoff=0.5)
+    bad = ReservoirParams(theta=4.0, shift_cutoff=0.5)
     with pytest.raises(ValueError, match="cutoff"):
         shift_table(model, bad)
 
 
 def test_shift_sign_structure(model):
-    reservoir = ReservoirParams(theta=4.0, shifts_enabled=True, shift_cutoff=50.0)
+    reservoir = ReservoirParams(theta=4.0, shift_cutoff=50.0)
     d1, d2, d3, d4 = shift_table(model, reservoir)
     # delta1 and delta3 at the next level share delta4's and delta2's
     # integrals with opposite sign, bitwise, like K1 and K3 in the rates
@@ -882,7 +895,7 @@ def test_shift_sign_structure(model):
 def test_cold_shift_table_builds_without_warnings(model, theta, cutoff):
     # expm1(theta w) overflows inside the integrands far above the gaps,
     # where the occupation 1 / inf = 0 is right; no warning may escape
-    reservoir = ReservoirParams(theta=theta, shifts_enabled=True, shift_cutoff=cutoff)
+    reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rates = rate_table(model, reservoir)
@@ -900,7 +913,7 @@ def test_zero_shift_arrays_are_separate(model):
 
 def test_shift_cutoff_sensitivity_is_visible(model):
     base, wide = (
-        shift_table(model, ReservoirParams(theta=4.0, shifts_enabled=True, shift_cutoff=cutoff))
+        shift_table(model, ReservoirParams(theta=4.0, shift_cutoff=cutoff))
         for cutoff in (30.0, 60.0)
     )
     change = [float(np.max(np.abs(w - b))) for b, w in zip(base, wide)]
@@ -913,9 +926,45 @@ def test_shift_cutoff_sensitivity_is_visible(model):
     assert change[2] < 1e-6
 
 
+def mpmath_principal_value(weight, pole, cutoff):
+    """P.V. of integral_0^cutoff weight(w) / (pole - w) dw at 30 digits.
+
+    For cutoff > 2 pole: (0, 2 pole) is split at the pole and its symmetric
+    points paired, and (2 pole, cutoff) has no pole.
+    """
+    with mpmath.workdps(30):
+        pole, cutoff = mpmath.mpf(pole), mpmath.mpf(cutoff)
+        paired = mpmath.quad(lambda u: (weight(pole - u) - weight(pole + u)) / u, [0, pole])
+        tail = mpmath.quad(lambda w: weight(w) / (pole - w), [2 * pole, cutoff])
+        return paired + tail
+
+
+@pytest.mark.parametrize("theta, cutoff, tol", [(4.0, 40.0, 1e-9), (12.0, 80.0, 1e-6)])
+def test_shift_integrals_against_mpmath(model, theta, cutoff, tol):
+    # delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
+    # of w^3 nbar(w) / (Omega - w), resp. w^3 (nbar(w) + 1) / (Omega - w);
+    # levels 3 and 13 are the worst measured at theta = 12 and 4
+    reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
+    _, d2, _, d4 = shift_table(model, reservoir)
+    gaps = gap_frequencies(model)
+    scale = -reservoir.gamma_scale / (2 * math.pi)
+    x = mpmath.mpf(theta)
+
+    def thermal(w):
+        return w**3 / mpmath.expm1(x * w)
+
+    def spontaneous(w):
+        return w**3 * (1 / mpmath.expm1(x * w) + 1)
+
+    for n in (0, 3, 9, 13):
+        for got, weight in ((d2[n], thermal), (d4[n], spontaneous)):
+            want = scale * float(mpmath_principal_value(weight, gaps[n], cutoff))
+            assert abs(got - want) <= tol * abs(want), (n, got, want)
+
+
 def test_shifts_preserve_trace_and_hermiticity(model, etas):
     reservoir = ReservoirParams(
-        theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0
+        theta=4.0, gamma_scale=0.5, shift_cutoff=40.0
     )
     table = rate_table(model, reservoir)
     assert np.any(table.delta2)
@@ -933,7 +982,7 @@ def test_shift_terms_match_operator_form(model, etas):
     # the ladder operator independently of the generator's arrays
     from deformed_lindblad import ladder_pair
 
-    reservoir = ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0)
+    reservoir = ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0)
     with_shifts = rate_table(model, reservoir)
     without = rate_table(model, ReservoirParams(theta=4.0, gamma_scale=0.5))
     a, _ = ladder_pair(model)
@@ -961,7 +1010,7 @@ def test_shift_terms_match_operator_form(model, etas):
 def test_shifts_leave_populations_untouched(model, etas):
     with_shifts = rate_table(
         model,
-        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0),
     )
     without = rate_table(model, ReservoirParams(theta=4.0, gamma_scale=0.5))
     rho = random_density(model.dim, 10)

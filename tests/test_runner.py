@@ -104,7 +104,7 @@ def test_validation_catches_bad_samples():
         parse_config("dt = 0")
     with pytest.raises(ConfigError, match="scenario"):
         parse_config("scenario = quench")
-    with pytest.raises(ConfigError, match="shift_cutoff"):
+    with pytest.raises(ConfigError, match="unknown key 'shifts_enabled'"):
         parse_config("shifts_enabled = true")
     with pytest.raises(ConfigError, match="rho_path"):
         parse_config("scenario = custom_rho")
@@ -130,8 +130,8 @@ def test_snapshot_file_collision_rejected(samples, name):
         ("t_samples = 0, inf", "t_samples"),
         ("gamma_scale = nan", "gamma_scale"),
         ("gamma_scale = inf", "gamma_scale"),
-        ("shifts_enabled = true\nshift_cutoff = nan", "shift_cutoff"),
-        ("shifts_enabled = true\nshift_cutoff = inf", "shift_cutoff"),
+        ("shift_cutoff = nan", "shift_cutoff"),
+        ("shift_cutoff = inf", "shift_cutoff"),
         ("p_max = inf", "p_max"),
         ("r_min = -inf", "r_min"),
         ("dt = nan", "dt"),
@@ -369,6 +369,31 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert bad_scenario == 2
 
 
+def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("t_samples = 0\n" + FAST_GRID)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Not a directory" in err
+
+
+def test_shift_cutoff_below_the_top_gap_is_config_error(tmp_path, capsys):
+    # shift_table needs the cutoff above every gap; the largest Morse gap
+    # at n_bound = 15 is Omega(0) = 29/31
+    with pytest.raises(ConfigError, match=r"shift_cutoff must exceed the largest gap 0\.935"):
+        parse_config("shift_cutoff = 0.5")
+    parse_config("shift_cutoff = 0.94")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(with_fast_grid("shift_cutoff = 0.5"))
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    assert "config error: shift_cutoff must exceed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_unreachable_even_cat_target_is_config_error(tmp_path, capsys):
     # even_cat populates even levels only: at n_bound = 10 its <n> stays
     # below 8, so 8 and 8.5 are refused as config (exit 2) before any solve
@@ -490,13 +515,13 @@ def test_shift_table_from_a_cold_process_matches(tmp_path):
         "import numpy as np\n"
         "from deformed_lindblad import MorseParams, ReservoirParams, morse_model, rate_table\n"
         "table = rate_table(morse_model(MorseParams(15)), ReservoirParams(\n"
-        "    theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0))\n"
+        "    theta=4.0, gamma_scale=0.5, shift_cutoff=40.0))\n"
         "np.save('deltas.npy', np.stack([table.delta1, table.delta2, table.delta3, table.delta4]))\n",
         tmp_path,
     )
     table = rate_table(
         morse_model(MorseParams(15)),
-        ReservoirParams(theta=4.0, gamma_scale=0.5, shifts_enabled=True, shift_cutoff=40.0),
+        ReservoirParams(theta=4.0, gamma_scale=0.5, shift_cutoff=40.0),
     )
     cold = np.load(tmp_path / "deltas.npy")
     for got, want in zip(cold, (table.delta1, table.delta2, table.delta3, table.delta4)):
