@@ -864,7 +864,7 @@ def test_purity_relaxation_for_diagonal_starts(model, rates, etas):
     assert purity(late.states[0]) == pytest.approx(target, abs=1e-3)
 
 
-def test_shift_requires_cutoff(model, rates, etas):
+def test_shift_table_requires_cutoff(model, rates, etas):
     # no cutoff, no shifts: rate_table fills zeros and the gain couplings
     # stay real
     assert not any(np.any(d) for d in (rates.delta1, rates.delta2, rates.delta3, rates.delta4))
@@ -872,6 +872,17 @@ def test_shift_requires_cutoff(model, rates, etas):
     assert not np.any(gen.below.imag) and not np.any(gen.above.imag)
     with pytest.raises(ValueError, match="shift_cutoff"):
         shift_table(model, ReservoirParams(theta=4.0))
+
+
+def test_shift_requires_cutoff(model):
+    # the cutoff alone turns the shifts on: rate_table then fills all four
+    # with shift_table's values
+    reservoir = ReservoirParams(theta=4.0, shift_cutoff=40.0)
+    table = rate_table(model, reservoir)
+    deltas = (table.delta1, table.delta2, table.delta3, table.delta4)
+    assert all(np.any(d) for d in deltas)
+    for got, want in zip(deltas, shift_table(model, reservoir)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_shift_cutoff_below_pole_rejected(model):
