@@ -61,11 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     # ConfigError is a ValueError, so it is caught first
     try:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        if args.scenario is not None:
-            config = replace(config, scenario=args.scenario)
-            config.validate()
-        if args.output_dir is not None:
-            config = replace(config, output_dir=args.output_dir)
+        overrides = {"scenario": args.scenario, "output_dir": args.output_dir}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         _require_writable(Path(config.output_dir))
         manifest = write_outputs(run_scenario(config), config.output_dir)
     except (OSError, ConfigError) as exc:

@@ -24,7 +24,8 @@ omega0.  In the number basis,
 Note the downward gain carries the full product g(m) g(n), i.e. the factor
 sqrt((m+1)(n+1)) is present.  Without it the generator does not conserve
 trace even in the harmonic limit; with it, the index identities
-K3(n+1) = K2(n) and K4(n-1) = K1(n) make trace conservation exact.
+K3(n+1) = K2(n) and K4(n-1) = K1(n), which every RateTable holds by
+construction, make trace conservation exact.
 
 Optional frequency-shift coefficients delta1..delta4 (Stark and Lamb type)
 enter as commutator terms that perturb off-diagonal elements only.  They are
@@ -142,15 +143,22 @@ class ReservoirParams:
             raise ValueError(f"shift_cutoff must be finite, got {self.shift_cutoff}")
 
 
+def _gap_below(per_gap: np.ndarray) -> np.ndarray:
+    """per_gap(n - 1) at each level n, 0 at n = 0 (read only)."""
+    below = np.concatenate(([0.0], per_gap[:-1]))
+    below.setflags(write=False)
+    return below
+
+
 @dataclass(frozen=True)
 class RateTable:
-    """Per-level rates K1..K4 and frequency shifts delta1..delta4.
+    """Absorption rate K2, emission rate K4 and their shifts delta2, delta4
+    of each gap n <-> n+1, n = 0..dim-1, in units of omega0.
 
-    All arrays run over n = 0..dim-1 in units of omega0.  Entries at n = 0
-    that would reference the gap below the ground state are zero; they always
-    multiply the structural zero g(-1).  The identities K3(n+1) = K2(n) and
-    K4(n-1) = K1(n) hold bitwise by construction, and so do their shift
-    counterparts delta3(n+1) = -delta2(n) and delta1(n+1) = -delta4(n).
+    K1(n) = K4(n-1), K3(n) = K2(n-1), delta1(n) = -delta4(n-1) and
+    delta3(n) = -delta2(n-1) are derived on access as read-only arrays, 0
+    at n = 0 (where they multiply the structural zero g(-1)), so every
+    table, an edited one too, keeps the identities trace conservation needs.
 
     A table also keeps integrate's last propagator stack (read only), so
     the propagations of one study under one table exponentiate once; see
@@ -158,19 +166,20 @@ class RateTable:
     dataclasses.replace included, and a table holds at most one.
     """
 
-    K1: np.ndarray
     K2: np.ndarray
-    K3: np.ndarray
     K4: np.ndarray
-    delta1: np.ndarray
     delta2: np.ndarray
-    delta3: np.ndarray
     delta4: np.ndarray
     _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    K1 = property(lambda self: _gap_below(self.K4))
+    K3 = property(lambda self: _gap_below(self.K2))
+    delta1 = property(lambda self: _gap_below(-self.delta4))
+    delta3 = property(lambda self: _gap_below(-self.delta2))
+
     @property
     def dim(self) -> int:
-        return len(self.K1)
+        return len(self.K4)
 
 
 class IntegrationError(RuntimeError):
@@ -187,8 +196,7 @@ class IntegrationError(RuntimeError):
 
 
 def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
-    """Build K1..K4 (and shifts, given a cutoff) for every level of the model."""
-    dim = model.dim
+    """Build K2 and K4 (and shifts, given a cutoff) for every gap of the model."""
     gaps = gap_frequencies(model)
     bad = np.flatnonzero(gaps <= 0.0)
     if bad.size:
@@ -200,20 +208,11 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     half_gamma = 0.5 * reservoir.gamma_scale * gaps**3
     with np.errstate(over="ignore"):
         nbar = 1.0 / np.expm1(reservoir.theta * gaps)
-
-    k1 = np.zeros(dim)
-    k2 = half_gamma * nbar
-    k3 = np.zeros(dim)
-    k4 = half_gamma * (nbar + 1.0)
-    k1[1:] = k4[:-1]
-    k3[1:] = k2[:-1]
-
     if reservoir.shift_cutoff is not None:
-        d1, d2, d3, d4 = shift_table(model, reservoir)
+        d2, d4 = shift_table(model, reservoir)
     else:
-        d1, d2, d3, d4 = np.zeros((4, dim))
-    return RateTable(K1=k1, K2=k2, K3=k3, K4=k4,
-                     delta1=d1, delta2=d2, delta3=d3, delta4=d4)
+        d2, d4 = np.zeros(model.dim), np.zeros(model.dim)
+    return RateTable(K2=half_gamma * nbar, K4=half_gamma * (nbar + 1.0), delta2=d2, delta4=d4)
 
 
 def _principal_value(weight, pole: float, cutoff: float) -> float:
@@ -224,8 +223,6 @@ def _principal_value(weight, pole: float, cutoff: float) -> float:
     """
     from scipy.integrate import quad  # loaded only when shifts are on
 
-    if cutoff <= pole:
-        raise ValueError(f"cutoff {cutoff} must exceed the pole {pole}")
     half = min(pole, cutoff - pole)
 
     def paired(u):
@@ -242,29 +239,35 @@ def _principal_value(weight, pole: float, cutoff: float) -> float:
     return total
 
 
+def check_shift_cutoff(model: OscillatorModel, cutoff: float) -> None:
+    """Refuse a shift cutoff at or below the largest gap: each gap's principal
+    value needs the cutoff above its pole."""
+    top_gap = float(np.max(gap_frequencies(model)))
+    if not cutoff > top_gap:
+        raise ValueError(
+            f"shift_cutoff must exceed the largest gap {top_gap} omega0 "
+            f"({model.dim} levels), got {cutoff}"
+        )
+
+
 def shift_table(
     model: OscillatorModel, reservoir: ReservoirParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency-shift coefficients delta1..delta4 by principal-value quadrature.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency shifts (delta2, delta4) of every gap by principal-value quadrature.
 
     Each integral runs over w in (0, cutoff) with the integrand
-    (w^3 / Omega^3) occupancy(w) / (Omega - w); delta1/delta4 use the
-    stimulated-plus-spontaneous weight (nbar + 1), delta2/delta3 the thermal
-    weight nbar.  delta1 and delta3 at level n sit at the lower gap
-    Omega(n-1) with the opposite sign, delta1(n) = -delta4(n-1) and
-    delta3(n) = -delta2(n-1), and are zero at n = 0 where no lower gap
-    exists.  Requires a shift_cutoff; without one, rate_table fills the
-    deltas with zeros.
+    (w^3 / Omega^3) occupancy(w) / (Omega - w) at the gap's Omega(n);
+    delta4 uses the stimulated-plus-spontaneous weight (nbar + 1), delta2
+    the thermal weight nbar.  delta1 and delta3 are these read at the gap
+    below with the opposite sign (see RateTable).  Requires a shift_cutoff
+    above the largest gap; without a cutoff, rate_table fills the deltas
+    with zeros.
     """
     if reservoir.shift_cutoff is None:
         raise ValueError("shift_table requires a shift_cutoff")
     cutoff = float(reservoir.shift_cutoff)
+    check_shift_cutoff(model, cutoff)
     gaps = gap_frequencies(model)
-    if cutoff <= np.max(gaps):
-        raise ValueError(
-            f"shift_cutoff {reservoir.shift_cutoff} omega0 lies below the "
-            f"largest gap {np.max(gaps)} omega0"
-        )
     theta = reservoir.theta
     half_gamma = 0.5 * reservoir.gamma_scale * gaps**3
 
@@ -279,13 +282,7 @@ def shift_table(
         pv_spont = np.array([_principal_value(spontaneous, g, cutoff) for g in gaps])
         pv_therm = np.array([_principal_value(thermal, g, cutoff) for g in gaps])
     scale = half_gamma / (np.pi * gaps**3)
-    d2 = -scale * pv_therm
-    d4 = -scale * pv_spont
-    d1 = np.zeros(model.dim)
-    d3 = np.zeros(model.dim)
-    d1[1:] = -d4[:-1]
-    d3[1:] = -d2[:-1]
-    return d1, d2, d3, d4
+    return -scale * pv_therm, -scale * pv_spont
 
 
 def jump_amplitudes(model: OscillatorModel, eta_values: Sequence[float]) -> np.ndarray:
@@ -421,25 +418,24 @@ def build_generator(
         )
     g = jump_amplitudes(model, eta_values)
     g2 = g * g
-    g2_below = np.concatenate(([0.0], g2[:-1]))   # g(n-1)^2 with g(-1) = 0
-    g_below = np.concatenate(([0.0], g[:-1]))
-    pair_below = np.outer(g_below, g_below)        # g(m-1) g(n-1)
     pair = np.outer(g, g)                          # g(m) g(n)
+    k2, k4, d2, d4 = rates.K2, rates.K4, rates.delta2, rates.delta4
 
+    # each level loses through its own gap and the gap below
     energies = np.diag(hamiltonian(model))
     omega_diff = energies[:, None] - energies[None, :]
-    loss = rates.K1 * g2_below + rates.K2 * g2
-    gain_up = (rates.K3[:, None] + rates.K3[None, :]) * pair_below
-    gain_down = (rates.K4[:, None] + rates.K4[None, :]) * pair
-
-    level_shift = rates.delta1 * g2_below + rates.delta2 * g2
+    loss = k2 * g2 + _gap_below(k4 * g2)
+    level_shift = d2 * g2 + _gap_below(-d4 * g2)
     shift_diff = level_shift[:, None] - level_shift[None, :]
-    shift_up = (rates.delta3[:, None] - rates.delta3[None, :]) * pair_below
-    shift_down = (rates.delta4[:, None] - rates.delta4[None, :]) * pair
+    # the gain across gaps m and n: absorption feeds rho_{m+1,n+1} from
+    # rho_mn, one level down and right in below, and emission the reverse
+    up = (k2[:, None] + k2[None, :]) * pair + 1j * ((d2[:, None] - d2[None, :]) * pair)
+    below = np.zeros_like(up)
+    below[1:, 1:] = up[:-1, :-1]
     return _Generator(
         same=-1j * omega_diff - (loss[:, None] + loss[None, :]) - 1j * shift_diff,
-        below=gain_up - 1j * shift_up,
-        above=gain_down - 1j * shift_down,
+        below=below,
+        above=(k4[:, None] + k4[None, :]) * pair - 1j * ((d4[:, None] - d4[None, :]) * pair),
     )
 
 
@@ -695,15 +691,15 @@ def steady_state(
 def detailed_balance_populations(rates: RateTable) -> np.ndarray:
     """Stationary populations predicted by rung-by-rung flux balance.
 
-    Upward flux from n equals downward flux from n+1 when
-    p(n+1)/p(n) = K2(n)/K1(n+1), which is the Boltzmann factor over the local
-    gap.  This is an independent cross-check route for the evolved steady
-    state, not a substitute for it.  Without damping there is no flux to
-    balance: ValueError, as from steady_state.
+    Upward flux from n equals downward flux from n+1 when p(n+1)/p(n) =
+    K2(n)/K4(n), absorption over emission across gap n: the Boltzmann factor
+    over that gap.  This is an independent cross-check route for the evolved
+    steady state, not a substitute for it.  Without damping there is no flux
+    to balance: ValueError, as from steady_state.
     """
-    if not np.any(rates.K1[1:]):
+    if not np.any(rates.K4[:-1]):
         raise ValueError("steady state requires nonzero damping")
-    ratios = rates.K2[:-1] / rates.K1[1:]
+    ratios = rates.K2[:-1] / rates.K4[:-1]
     # a cold reservoir's K2 underflows to 0: log 0 = -inf gives p = 0 above
     with np.errstate(divide="ignore"):
         log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))

@@ -68,6 +68,8 @@ _LD = np.longdouble
 
 # log-integrand drop below the peak at which the Bessel integral is truncated
 _TAIL_DROP = 45.0
+# float64 cosh overflows past this argument
+_COSH_MAX = math.acosh(np.finfo(float).max)
 # Refinement budgets: bessel_k_complex_order halves its trapezoid step up
 # to K_MAX_LEVELS times until two levels agree to K_RTOL; the direct oracle
 # halves its panels up to WIGNER_MAX_LEVELS times
@@ -136,25 +138,27 @@ class WignerDiagnostics:
 
 def _tail_cutoff(x: float, re_order: float) -> float:
     """Smallest t beyond the integrand peak where the log-integrand has
-    dropped _TAIL_DROP below its peak value."""
+    dropped _TAIL_DROP below its peak value.  A search in float64 that
+    would take cosh past _COSH_MAX (at re_order 1, x below about 1e-306)
+    raises ValueError."""
     re = abs(re_order)
-    t_peak = math.asinh(re / x) if re > 0.0 else 0.0
-    log_peak = -x * math.cosh(t_peak) + re * t_peak
+    t_peak = math.asinh(re / x) if x > 0.0 else math.inf
 
-    def excess(t: float) -> float:
-        return (-x * math.cosh(t) + re * t) - (log_peak - _TAIL_DROP)
+    def log_integrand(t: float) -> float:
+        if not t <= _COSH_MAX:
+            raise ValueError(
+                f"at x = {x:.4g} the tail passes t = {_COSH_MAX:.2f}, where cosh overflows"
+            )
+        return -x * math.cosh(t) + re * t
 
+    floor = log_integrand(t_peak) - _TAIL_DROP
     hi = t_peak + 1.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
+    while log_integrand(hi) >= floor:
         hi = t_peak + 1.5 * (hi - t_peak)
-    else:
-        return hi
     lo = t_peak
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
+        if log_integrand(mid) >= floor:
             lo = mid
         else:
             hi = mid
@@ -426,6 +430,20 @@ class _ClosedForm:
     dk: np.ndarray
 
 
+def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
+    """Where the closed form on grid truncates its Bessel integrals: the
+    _tail_cutoff of the smallest argument xi = (2N+1) e^(-r_max), where they
+    decay slowest.  ValueError names r_max and xi where that search fails."""
+    xi = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
+    try:
+        return _tail_cutoff(xi, 1.0)
+    except ValueError as exc:
+        raise ValueError(
+            f"r_max = {grid.r_max} is out of the closed form's reach: its smallest "
+            f"Bessel argument is xi = {params.k} e^(-r_max), and {exc}"
+        ) from exc
+
+
 # One plan per (params, grid), shared by every snapshot on it: the tails take
 # 8 n_r N^2 (N + 1) bytes, each tensor level 32 n_r n_b N bytes and dk
 # 16 n_r N, with n_b the number of distinct |b| (61 on the default window).
@@ -445,7 +463,7 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
         j = np.arange(len(b))
         folded = folded[np.maximum(j, j[::-1])]
     b_abs, inverse = np.unique(folded, return_inverse=True)
-    t_max = _tail_cutoff(float(np.min(xi)), 1.0)
+    t_max = bessel_tail(params, grid)
     step = _trapezoid_step(float(np.max(xi)), float(np.max(b_abs)))
     k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
     plan = _ClosedForm(

@@ -362,6 +362,14 @@ def test_alpha_solver_rejects_bad_targets_before_building(model, target):
     assert seen == []
 
 
+@pytest.mark.parametrize("alpha_max", [0.0, -1.0, math.nan])
+def test_alpha_solver_rejects_a_bad_cap_before_building(model, alpha_max):
+    counting, seen = counted(aocs)
+    with pytest.raises(ValueError, match="alpha_max must be positive"):
+        alpha_for_mean_n(2.0, counting, model, alpha_max=alpha_max)
+    assert seen == []
+
+
 def test_to_density_invariants(model, alpha_aocs):
     rho = to_density(aocs(alpha_aocs, model))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)

@@ -423,9 +423,7 @@ def test_a_changed_generator_or_sample_set_recomputes(model, reservoir, etas, rh
     integrate(rho_cat, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
     call_etas, times = etas, RELAXATION_TIMES
     if change == "K4 in place":
-        # K1 too, so the edited table still conserves the trace
         table.K4[3] *= 1.5
-        table.K1[4] = table.K4[3]
     elif change == "etas":
         call_etas = 0.9 * np.asarray(etas)
     else:
@@ -713,6 +711,11 @@ def test_integrate_validates_input_shape(model, rates, etas):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [1.0, 0.5])
     with pytest.raises(ValueError, match="sample_times must contain at least one time"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="t_final must be >= 0"):
+            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, bad, 1e-3)
+    with pytest.raises(ValueError, match="last sample time 2.0 exceeds t_final 1.0"):
+        integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [0.0, 2.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -869,6 +872,20 @@ def test_purity_relaxation_for_diagonal_starts(model, rates, etas):
     assert purity(late.states[0]) == pytest.approx(target, abs=1e-3)
 
 
+def test_an_edited_table_keeps_the_trace(model, etas):
+    # a table stores one rate and one shift array per direction and gap, so
+    # an in-place edit moves a level's loss and its neighbour's gain
+    # together; the level-indexed arrays derived from them refuse writes
+    table = rate_table(model, ReservoirParams(theta=4.0, shift_cutoff=40.0))
+    table.K4[3] *= 1.5
+    table.delta2[5] += 0.1
+    derivative = build_generator(model, table, etas).apply(random_density(model.dim, 5))
+    assert abs(np.trace(derivative)) < 1e-12
+    assert table.K1[4] == table.K4[3]
+    with pytest.raises(ValueError, match="read-only"):
+        table.K1[4] = 0.0
+
+
 def test_shift_table_requires_cutoff(model, rates, etas):
     # no cutoff, no shifts: rate_table fills zeros and the gain couplings
     # stay real
@@ -880,13 +897,12 @@ def test_shift_table_requires_cutoff(model, rates, etas):
 
 
 def test_shift_requires_cutoff(model):
-    # the cutoff alone turns the shifts on: rate_table then fills all four
-    # with shift_table's values
+    # the cutoff alone turns the shifts on: rate_table then fills both
+    # per-gap arrays with shift_table's values, and all four are nonzero
     reservoir = ReservoirParams(theta=4.0, shift_cutoff=40.0)
     table = rate_table(model, reservoir)
-    deltas = (table.delta1, table.delta2, table.delta3, table.delta4)
-    assert all(np.any(d) for d in deltas)
-    for got, want in zip(deltas, shift_table(model, reservoir)):
+    assert all(np.any(d) for d in (table.delta1, table.delta2, table.delta3, table.delta4))
+    for got, want in zip((table.delta2, table.delta4), shift_table(model, reservoir), strict=True):
         np.testing.assert_array_equal(got, want)
 
 
@@ -898,7 +914,8 @@ def test_shift_cutoff_below_pole_rejected(model):
 
 def test_shift_sign_structure(model):
     reservoir = ReservoirParams(theta=4.0, shift_cutoff=50.0)
-    d1, d2, d3, d4 = shift_table(model, reservoir)
+    table = rate_table(model, reservoir)
+    d1, d2, d3, d4 = table.delta1, table.delta2, table.delta3, table.delta4
     # delta1 and delta3 at the next level share delta4's and delta2's
     # integrals with opposite sign, bitwise, like K1 and K3 in the rates
     assert np.array_equal(d1[1:], -d4[:-1])
@@ -920,11 +937,11 @@ def test_cold_shift_table_builds_without_warnings(model, theta, cutoff):
 
 
 def test_zero_shift_arrays_are_separate(model):
-    # with shifts off each delta is its own array: writing one leaves the
-    # other three at zero
+    # with shifts off each per-gap delta is its own array: writing one
+    # leaves the other at zero
     rates = rate_table(model, ReservoirParams(theta=4.0))
-    rates.delta1[3] = 0.25
-    assert not np.any(rates.delta2) and not np.any(rates.delta3) and not np.any(rates.delta4)
+    rates.delta2[3] = 0.25
+    assert not np.any(rates.delta4) and not np.any(rates.delta1)
 
 
 def test_shift_cutoff_sensitivity_is_visible(model):
@@ -932,36 +949,42 @@ def test_shift_cutoff_sensitivity_is_visible(model):
         shift_table(model, ReservoirParams(theta=4.0, shift_cutoff=cutoff))
         for cutoff in (30.0, 60.0)
     )
-    change = [float(np.max(np.abs(w - b))) for b, w in zip(base, wide)]
-    # the spontaneous-weight integrals (delta1, delta4) are cutoff dominated
-    # by construction
-    assert change[0] > 1e-3
-    assert change[3] > 1e-3
+    thermal, spontaneous = (float(np.max(np.abs(w - b))) for b, w in zip(base, wide, strict=True))
+    # the spontaneous-weight integrals (delta4, and delta1 from it) are
+    # cutoff dominated by construction
+    assert spontaneous > 1e-3
     # the thermal-weight integrals converge once the cutoff clears the bath
-    assert change[1] < 1e-6
-    assert change[2] < 1e-6
+    assert thermal < 1e-6
 
 
 def mpmath_principal_value(weight, pole, cutoff):
     """P.V. of integral_0^cutoff weight(w) / (pole - w) dw at 30 digits.
 
-    For cutoff > 2 pole: (0, 2 pole) is split at the pole and its symmetric
-    points paired, and (2 pole, cutoff) has no pole.
+    For cutoff > pole: with half = min(pole, cutoff - pole), the pole's
+    symmetric points are paired over (pole - half, pole + half), and the
+    rest of (0, cutoff), left or right of that, has no pole.
     """
     with mpmath.workdps(30):
         pole, cutoff = mpmath.mpf(pole), mpmath.mpf(cutoff)
-        paired = mpmath.quad(lambda u: (weight(pole - u) - weight(pole + u)) / u, [0, pole])
-        tail = mpmath.quad(lambda w: weight(w) / (pole - w), [2 * pole, cutoff])
-        return paired + tail
+        half = min(pole, cutoff - pole)
+        total = mpmath.quad(lambda u: (weight(pole - u) - weight(pole + u)) / u, [0, half])
+        for a, b in ((0, pole - half), (pole + half, cutoff)):
+            if a < b:
+                total += mpmath.quad(lambda w: weight(w) / (pole - w), [a, b])
+        return total
 
 
-@pytest.mark.parametrize("theta, cutoff, tol", [(4.0, 40.0, 1e-9), (12.0, 80.0, 1e-6)])
+@pytest.mark.parametrize(
+    "theta, cutoff, tol", [(4.0, 40.0, 1e-9), (12.0, 80.0, 1e-6), (4.0, 1.2, 1e-9)]
+)
 def test_shift_integrals_against_mpmath(model, theta, cutoff, tol):
     # delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
     # of w^3 nbar(w) / (Omega - w), resp. w^3 (nbar(w) + 1) / (Omega - w);
-    # levels 3 and 13 are the worst measured at theta = 12 and 4
+    # levels 3 and 13 are the worst measured at theta = 12 and 4.  At
+    # cutoff 1.2 every gap above 0.6 lies past half the cutoff, so the
+    # integral's pole-free part is left of the pole
     reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
-    _, d2, _, d4 = shift_table(model, reservoir)
+    d2, d4 = shift_table(model, reservoir)
     gaps = gap_frequencies(model)
     scale = -reservoir.gamma_scale / (2 * math.pi)
     x = mpmath.mpf(theta)

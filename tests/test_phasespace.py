@@ -407,6 +407,16 @@ def test_unresolvable_window_raises_at_once(params, fock_state):
         wigner_closed(fock_state(0), params, GridSpec(p_min=-1e300, p_max=1e300))
 
 
+@pytest.mark.parametrize("r_max", [709.0, 800.0])
+def test_window_past_float64_reach_raises_before_quadrature(params, fock_state, r_max):
+    # the Bessel tail at xi = 31 e^(-r_max) is sized in float64, whose cosh
+    # overflows past t = 710.48; at 800 xi itself underflows to 0
+    builds = phasespace._closed_form.cache_info()
+    with pytest.raises(ValueError, match=r"r_max = .* xi = 31 e\^\(-r_max\)"):
+        wigner_closed(fock_state(0), params, GridSpec(r_max=r_max, n_r=5, n_p=5))
+    assert phasespace._closed_form.cache_info().currsize == builds.currsize
+
+
 def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):
     # |8> on SMALL_GRID: the bound reads 2.41e-8 of max |W| against a true
     # level-0/1 change of 3.67e-9.  At rtol = 1e-7 the bound accepts the

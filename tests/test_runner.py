@@ -114,6 +114,36 @@ def test_validation_catches_bad_samples():
         parse_config("shifts_enabled = true")
     with pytest.raises(ConfigError, match="rho_path"):
         parse_config("scenario = custom_rho")
+    for line in ("t_samples = ,", "t_samples ="):
+        with pytest.raises(ConfigError, match="t_samples must contain at least one time"):
+            parse_config(line)
+
+
+def test_a_replaced_config_checks_itself():
+    with pytest.raises(ConfigError, match="unknown scenario 'quench'"):
+        dataclasses.replace(SimulationConfig(), scenario="quench")
+
+
+@pytest.mark.parametrize("r_max", [709.0, 720.0, 800.0])
+def test_window_past_the_closed_forms_reach_is_config_error(tmp_path, capsys, r_max):
+    # the closed form sizes its Bessel tail at xi = 31 e^(-r_max) in
+    # float64: cosh overflows past r_max = 708 at n_bound = 15, and xi
+    # underflows to 0 past 748; both are refused before any run
+    config_path = tmp_path / "far.cfg"
+    config_path.write_text(f"n_r = 5\nn_p = 5\nt_samples = 0\nr_max = {r_max}\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: r_max = {r_max} is out of the closed form's reach" in err
+    assert "xi = 31 e^(-r_max)" in err
+    assert not out_dir.exists()
+
+
+def test_window_at_the_closed_forms_reach_runs(tmp_path):
+    config_path = tmp_path / "far.cfg"
+    config_path.write_text("n_r = 5\nn_p = 5\nt_samples = 0\nr_max = 708\n")
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "wigner_t0.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -487,10 +517,10 @@ def test_cli_unreachable_even_cat_target_is_config_error(tmp_path, capsys):
         assert "top even level 8" in capsys.readouterr().err
     for n_bound, target in ((2, 0.5), (12, 10.5)):
         with pytest.raises(ConfigError, match="top even level"):
-            SimulationConfig(scenario="even_cat", n_bound=n_bound, target_mean_n=target).validate()
+            SimulationConfig(scenario="even_cat", n_bound=n_bound, target_mean_n=target)
     # below the top even level, and the vacuum at n_bound = 2, still validate
-    SimulationConfig(scenario="even_cat", n_bound=10, target_mean_n=7.9).validate()
-    SimulationConfig(scenario="even_cat", n_bound=2, target_mean_n=0.0).validate()
+    SimulationConfig(scenario="even_cat", n_bound=10, target_mean_n=7.9)
+    SimulationConfig(scenario="even_cat", n_bound=2, target_mean_n=0.0)
 
 
 def test_cli_numerical_breach_exit_code(tmp_path):
