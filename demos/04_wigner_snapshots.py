@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deformed_lindblad import parse_config, run_scenario, write_outputs
+from deformed_lindblad import parse_config, purity, run_scenario, write_outputs
 
 out_dir = Path("demo04_output")
 config = parse_config(
@@ -24,11 +24,11 @@ manifest = write_outputs(result, out_dir)
 
 print("docs scenario at defaults (theta = 4, gamma_scale = 4/3, <n>_0 = 2)\n")
 print("  t     trace       purity     min W      <n>")
-for record in result.samples:
-    mean = float(np.dot(np.arange(15), record.populations))
+for grid, rho in zip(result.grids, result.states):
+    mean = float(np.dot(np.arange(15), np.diag(rho).real))
     print(
-        f"{record.time:5.2f}   {record.trace:.7f}   {record.purity:.5f}"
-        f"   {record.min_w:+.2e}   {mean:.4f}"
+        f"{grid.time:5.2f}   {np.trace(rho).real:.7f}   {purity(rho):.5f}"
+        f"   {np.min(grid.values):+.2e}   {mean:.4f}"
     )
 
 print("\nFiles written:")

@@ -17,6 +17,8 @@ from .dissipator import IntegrationError
 from .phasespace import BesselAccuracyError
 from .runner import ConfigError, parse_config, run_scenario, write_outputs
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3

@@ -76,6 +76,13 @@ _COSH_MAX = math.acosh(np.finfo(float).max)
 K_MAX_LEVELS = 8
 K_RTOL = 1e-9
 WIGNER_MAX_LEVELS = 6
+# Memory the Bessel tensor's quadrature may take on one window.  A node of
+# the finer trapezoid step costs 64 bytes per |b| column (at most n_p): cos
+# and sin of b t as 16-byte longdoubles and the temporaries that build
+# them.  The node, its weight and one xi row of its integrand cost about as
+# much as 8 more columns, so a window may take _QUADRATURE_BYTES /
+# (64 (n_p + 8)) nodes
+_QUADRATURE_BYTES = 2**30
 
 
 class BesselAccuracyError(RuntimeError):
@@ -433,15 +440,33 @@ class _ClosedForm:
 def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
     """Where the closed form on grid truncates its Bessel integrals: the
     _tail_cutoff of the smallest argument xi = (2N+1) e^(-r_max), where they
-    decay slowest.  ValueError names r_max and xi where that search fails."""
+    decay slowest.  ValueError names r_max and xi where that search fails,
+    and r_min and xi where the nodes up to that cutoff, at the finer of the
+    plan's two trapezoid steps, would pass the _QUADRATURE_BYTES budget:
+    the step shrinks as the largest argument (2N+1) e^(-r_min) and the
+    largest |b| = 2|p| grow."""
     xi = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
     try:
-        return _tail_cutoff(xi, 1.0)
+        t_max = _tail_cutoff(xi, 1.0)
     except ValueError as exc:
         raise ValueError(
             f"r_max = {grid.r_max} is out of the closed form's reach: its smallest "
             f"Bessel argument is xi = {params.k} e^(-r_max), and {exc}"
         ) from exc
+    with np.errstate(over="ignore"):  # past longdouble range xi is inf: refused below
+        xi_max = float(_LD(params.k) * np.exp(-_LD(grid.r_min)))
+    b_max = 2.0 * max(abs(grid.p_min), abs(grid.p_max))
+    step = _trapezoid_step(xi_max, b_max) / 2
+    budget = _QUADRATURE_BYTES // (64 * (grid.n_p + 8))
+    if not t_max <= budget * step:
+        raise ValueError(
+            f"r_min = {grid.r_min} and |p| <= {b_max / 2:.4g} are out of the closed form's "
+            f"reach: its largest Bessel argument is xi = {params.k} e^(-r_min) = "
+            f"{xi_max:.4g}, and with |b| = 2|p| the trapezoid step {step:.3g} needs "
+            f"{t_max / step if step else math.inf:.3g} nodes up to t = {t_max:.4g}, "
+            f"past the {budget} that {_QUADRATURE_BYTES >> 20} MiB hold at n_p = {grid.n_p}"
+        )
+    return t_max
 
 
 # One plan per (params, grid), shared by every snapshot on it: the tails take
@@ -452,6 +477,7 @@ def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
 @functools.lru_cache(maxsize=2)
 def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
     """The read-only closed-form plan for (params, grid), built once."""
+    t_max = bessel_tail(params, grid)
     r_axis, p_axis = grid.axes()
     xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
     b = 2.0 * p_axis.astype(_LD)
@@ -463,7 +489,6 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
         j = np.arange(len(b))
         folded = folded[np.maximum(j, j[::-1])]
     b_abs, inverse = np.unique(folded, return_inverse=True)
-    t_max = bessel_tail(params, grid)
     step = _trapezoid_step(float(np.max(xi)), float(np.max(b_abs)))
     k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
     plan = _ClosedForm(

@@ -2,15 +2,15 @@
 
 A scenario builds a Morse ladder, prepares one of the initial states (docs,
 aocs, even_cat, or a user-supplied density matrix), relaxes it against the
-thermal reservoir, and records occupation series plus one Wigner grid per
-sample time.  Outputs are plain CSV so any plotting tool can consume them;
-identical configs produce byte-identical files.
+thermal reservoir, and keeps the state and its Wigner grid per sample time,
+from which the occupation series is written.  Outputs are plain CSV so any
+plotting tool can consume them; identical configs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +35,11 @@ from .dissipator import (
     validate_density,
 )
 from .morse import MorseParams, eta_values, morse_model
-from .phasespace import GridSpec, WignerGrid, bessel_tail, wigner_closed, wigner_diagnostics
+from .phasespace import GridSpec, WignerGrid, bessel_tail, wigner_closed
 
 __all__ = [
     "ConfigError",
     "SimulationConfig",
-    "SampleRecord",
     "ScenarioResult",
     "parse_config",
     "run_scenario",
@@ -193,25 +192,14 @@ def parse_config(source: str) -> SimulationConfig:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """Scalar series entry for one sample time."""
-
-    time: float
-    trace: float
-    purity: float
-    min_w: float
-    populations: np.ndarray
-
-
-@dataclass
 class ScenarioResult:
-    """Everything a scenario run produced, ready for write_outputs."""
+    """Everything a scenario run produced, ready for write_outputs: per
+    sample time, the density matrix and its Wigner grid (which holds t)."""
 
     config: SimulationConfig
     metadata: dict[str, str]
-    samples: list[SampleRecord] = field(default_factory=list)
-    grids: list[WignerGrid] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
+    grids: list[WignerGrid]
+    states: list[np.ndarray]
 
 
 def _initial_state(config: SimulationConfig, params: MorseParams, model):
@@ -274,21 +262,10 @@ def run_scenario(config: SimulationConfig) -> ScenarioResult:
     )
 
     grid_spec = config.grid()
-    result = ScenarioResult(config=config, metadata={})
-    for t, rho in zip(evolution.times, evolution.states):
-        grid = wigner_closed(rho, params, grid_spec, time=t)
-        diag = wigner_diagnostics(grid, rho)
-        result.samples.append(
-            SampleRecord(
-                time=t,
-                trace=float(np.trace(rho).real),
-                purity=purity(rho),
-                min_w=diag.min_w,
-                populations=np.diag(rho).real.copy(),
-            )
-        )
-        result.grids.append(grid)
-        result.states.append(rho)
+    grids = [
+        wigner_closed(rho, params, grid_spec, time=t)
+        for t, rho in zip(evolution.times, evolution.states)
+    ]
 
     meta = {name: _format_config_value(getattr(config, name)) for name in _PARSERS}
     meta["t_samples"] = ",".join(f"{t:g}" for t in samples)
@@ -302,8 +279,7 @@ def run_scenario(config: SimulationConfig) -> ScenarioResult:
     meta["propagation"] = "exact (coherence-order blocks, expm)"
     for key, value in evolution.diagnostics.items():
         meta[key] = f"{value:.6e}"
-    result.metadata = meta
-    return result
+    return ScenarioResult(config=config, metadata=meta, grids=grids, states=evolution.states)
 
 
 def _format_config_value(value) -> str:
@@ -323,6 +299,10 @@ def _snapshot_name(t: float) -> str:
 def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str, int]]:
     """Write series.csv, one wigner_t{T}.csv per sample, and metadata.txt.
 
+    A series.csv row is computed from one state and its grid as the file
+    is written: t, Tr rho (real part), Tr rho^2, the grid's minimum W and
+    the populations diag(rho).
+
     Numbers are decimal text with 12 significant digits, byte for byte
     Python's "%.12g".  A Wigner CSV is "r,p,w" and then a line "{r},{p},{w}"
     per grid point with p varying fastest.  Its values are formatted by
@@ -338,9 +318,9 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
     n_levels = result.config.n_bound
     header = ["t", "trace", "purity", "min_w"] + [f"p{i}" for i in range(n_levels)]
     lines = [",".join(header)]
-    for record in result.samples:
-        row = [record.time, record.trace, record.purity, record.min_w]
-        row.extend(record.populations.tolist())
+    for grid, rho in zip(result.grids, result.states):
+        min_w = grid.values.flat[np.argmin(grid.values)]
+        row = [grid.time, np.trace(rho).real, purity(rho), min_w, *np.diag(rho).real.tolist()]
         lines.append(",".join(f"{value:.12g}" for value in row))
     manifest.append(_write_bytes(out / "series.csv", ("\n".join(lines) + "\n").encode()))
 

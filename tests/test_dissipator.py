@@ -738,6 +738,23 @@ def test_reservoir_rejects_non_finite_values(kwargs, key):
         ReservoirParams(theta=4.0, **kwargs)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, -math.inf])
+def test_reservoir_rejects_a_non_positive_theta(theta):
+    with pytest.raises(ValueError, match="theta must be positive"):
+        ReservoirParams(theta=theta)
+
+
+def test_generator_refuses_a_rate_table_of_another_dimension(model, etas):
+    small = rate_table(morse_model(MorseParams(10)), ReservoirParams(theta=4.0))
+    with pytest.raises(ValueError, match="rate table dimension 10 != model dimension 15"):
+        build_generator(model, small, etas)
+
+
+def test_jump_amplitudes_refuse_too_few_etas(model):
+    with pytest.raises(ValueError, match=r"need eta values for levels 0\.\.14, got 10"):
+        dissipator.jump_amplitudes(model, eta_values(MorseParams(10)))
+
+
 def test_integrate_aborts_on_trace_breach(model, rates, etas, rho_docs):
     # a non-trace-preserving initial matrix must trip the drift abort
     with pytest.raises(IntegrationError, match="trace"):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 import scipy.special as sp
 
 from deformed_lindblad import (
+    BesselAccuracyError,
     GridSpec,
     MorseParams,
     alpha_for_mean_n,
@@ -78,6 +80,15 @@ def test_bessel_conjugation():
         a = bessel_k_complex_order(np.conj(nu), x)
         b = np.conj(bessel_k_complex_order(nu, x))
         assert abs(a - b) <= 1e-10 * max(abs(a), 1e-300)
+
+
+def test_bessel_refinement_budget_exhaustion_raises():
+    # order 18i at x = 1e-5 oscillates faster than K_MAX_LEVELS halvings of
+    # the step resolve: the error names the point and keeps the best estimate
+    with pytest.raises(BesselAccuracyError, match=r"nu = 18j, x = 1e-05 \(achieved") as exc:
+        bessel_k_complex_order(18j, 1e-5)
+    assert exc.value.error > 0.0
+    assert cmath.isfinite(exc.value.estimate)
 
 
 def test_bessel_rejects_nonpositive_argument():
@@ -415,6 +426,32 @@ def test_window_past_float64_reach_raises_before_quadrature(params, fock_state, 
     with pytest.raises(ValueError, match=r"r_max = .* xi = 31 e\^\(-r_max\)"):
         wigner_closed(fock_state(0), params, GridSpec(r_max=r_max, n_r=5, n_p=5))
     assert phasespace._closed_form.cache_info().currsize == builds.currsize
+
+
+@pytest.mark.parametrize("r_min", [-40.0, -700.0, -1e6])
+def test_window_past_the_node_budget_raises_before_quadrature(params, fock_state, monkeypatch, r_min):
+    # the trapezoid step shrinks as xi = 31 e^(-r_min) grows: at -40 the
+    # finer step needs 9.1e10 nodes (the cos and sin tables alone would
+    # take 8.7 TB at n_p = 5), and at -1e6 xi overflows even longdouble; each
+    # window is refused before any quadrature is sized
+    def no_quadrature(*args):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(phasespace, "_k_quadrature", no_quadrature)
+    builds = phasespace._closed_form.cache_info()
+    with pytest.raises(ValueError, match=r"r_min = .* xi = 31 e\^\(-r_min\)"):
+        wigner_closed(fock_state(0), params, GridSpec(r_min=r_min, n_r=5, n_p=5))
+    assert phasespace._closed_form.cache_info().currsize == builds.currsize
+
+
+def test_node_budget_follows_the_momentum_points(params):
+    # at 64 (n_p + 8) bytes per node, r_min = -15 (about 340,000 nodes at
+    # the finer step) fits the budget at n_p = 5 and not at n_p = 121; the
+    # tail itself depends on r_max alone
+    tail = phasespace.bessel_tail(params, GridSpec())
+    assert phasespace.bessel_tail(params, GridSpec(r_min=-15.0, n_p=5)) == tail
+    with pytest.raises(ValueError, match=r"r_min = -15\.0 .* at n_p = 121"):
+        phasespace.bessel_tail(params, GridSpec(r_min=-15.0))
 
 
 def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):

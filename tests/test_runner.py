@@ -16,6 +16,7 @@ from deformed_lindblad import (
     aocs,
     morse_model,
     parse_config,
+    purity,
     rate_table,
     run_scenario,
     to_density,
@@ -108,6 +109,8 @@ def test_validation_catches_bad_samples():
         parse_config("t_samples = 1.0, 0.5")
     with pytest.raises(ConfigError, match="dt"):
         parse_config("dt = 0")
+    with pytest.raises(ConfigError, match="theta must be positive, got 0.0"):
+        parse_config("theta = 0")
     with pytest.raises(ConfigError, match="scenario"):
         parse_config("scenario = quench")
     with pytest.raises(ConfigError, match="unknown key 'shifts_enabled'"):
@@ -136,6 +139,21 @@ def test_window_past_the_closed_forms_reach_is_config_error(tmp_path, capsys, r_
     err = capsys.readouterr().err
     assert f"config error: r_max = {r_max} is out of the closed form's reach" in err
     assert "xi = 31 e^(-r_max)" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("r_min", [-40.0, -700.0])
+def test_window_past_the_node_budget_is_config_error(tmp_path, capsys, r_min):
+    # the closed form's trapezoid step shrinks as xi = 31 e^(-r_min) grows;
+    # a window whose nodes pass the quadrature budget is refused before any
+    # run
+    config_path = tmp_path / "wide.cfg"
+    config_path.write_text(f"n_r = 5\nn_p = 5\nt_samples = 0\nr_min = {r_min}\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: r_min = {r_min} and |p| <= 6 are out of the closed form's reach" in err
+    assert "xi = 31 e^(-r_min)" in err
     assert not out_dir.exists()
 
 
@@ -218,10 +236,10 @@ def test_cold_reservoir_aborts_loudly():
 def test_run_scenario_docs_fast():
     config = fast_config()
     result = run_scenario(config)
-    assert len(result.samples) == 2
+    assert len(result.states) == 2
     assert len(result.grids) == 2
-    assert result.samples[0].purity == pytest.approx(1.0, abs=1e-12)
-    assert abs(result.samples[-1].trace - 1.0) < 1e-9
+    assert purity(result.states[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.trace(result.states[-1]).real - 1.0) < 1e-9
     assert "alpha" in result.metadata and "zeta" in result.metadata
     assert result.metadata["scenario"] == "docs"
     assert "generator_note" in result.metadata
@@ -229,17 +247,17 @@ def test_run_scenario_docs_fast():
     from deformed_lindblad.runner import _PARSERS
 
     assert set(_PARSERS) <= set(result.metadata)
-    mean0 = float(np.dot(np.arange(15), result.samples[0].populations))
+    mean0 = float(np.dot(np.arange(15), np.diag(result.states[0]).real))
     assert mean0 == pytest.approx(2.0, abs=1e-6)
 
 
 def test_run_scenario_unitary_limit():
     config = fast_config("gamma_scale = 0\n")
     result = run_scenario(config)
-    p0 = result.samples[0].populations
-    p1 = result.samples[-1].populations
+    p0 = np.diag(result.states[0]).real
+    p1 = np.diag(result.states[-1]).real
     assert np.max(np.abs(p1 - p0)) < 1e-12
-    assert result.samples[-1].purity == pytest.approx(1.0, abs=1e-12)
+    assert purity(result.states[-1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_scenario_custom_rho(tmp_path):
@@ -248,7 +266,7 @@ def test_run_scenario_custom_rho(tmp_path):
     np.save(path, rho)
     config = fast_config(f"scenario = custom_rho\nrho_path = {path}\n")
     result = run_scenario(config)
-    assert result.samples[0].purity == pytest.approx(1.0, abs=1e-10)
+    assert purity(result.states[0]) == pytest.approx(1.0, abs=1e-10)
     assert "alpha" not in result.metadata
 
 
@@ -314,6 +332,19 @@ def test_write_outputs_schema(tmp_path):
     assert "alpha = " in meta
 
 
+def test_series_rows_are_computed_from_the_states_and_grids(tmp_path):
+    # each row is "%.12g" of t, Tr rho, Tr rho^2, the grid's minimum W and
+    # the populations, for one state and its grid
+    result = run_scenario(fast_config())
+    write_outputs(result, tmp_path)
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(result.states) == len(result.grids)
+    for row, grid, rho in zip(rows, result.grids, result.states):
+        values = [grid.time, np.trace(rho).real, purity(rho), np.min(grid.values)]
+        values += np.diag(rho).real.tolist()
+        assert row == ",".join(f"{value:.12g}" for value in values)
+
+
 def test_wigner_csv_matches_per_point_format(tmp_path):
     # pins the snapshot bytes to one f"{r},{p},{w}" line per grid point at
     # 12 significant digits, p varying fastest, on a non-square grid
@@ -322,7 +353,7 @@ def test_wigner_csv_matches_per_point_format(tmp_path):
     values = np.array([[-0.0, 1e-13, 123456789012.345], [1e16, 0.123456789012, -7.5e-300]])
     result = ScenarioResult(
         config=SimulationConfig(), metadata={},
-        grids=[WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=0.5)],
+        grids=[WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=0.5)], states=[],
     )
     write_outputs(result, tmp_path)
     expected = ["r,p,w"] + [
@@ -345,7 +376,7 @@ def test_wigner_csv_template_per_axis_pair(tmp_path):
         WignerGrid(r_axis=r, p_axis=p, values=rng.normal(size=(len(r), len(p))), time=t)
         for t, (r, p) in zip((0.0, 0.5, 1.0, 2.5), pairs)
     ]
-    result = ScenarioResult(config=SimulationConfig(), metadata={}, grids=grids)
+    result = ScenarioResult(config=SimulationConfig(), metadata={}, grids=grids, states=[])
     write_outputs(result, tmp_path)
     for grid in grids:
         expected = ["r,p,w"] + [
