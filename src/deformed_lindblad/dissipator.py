@@ -29,8 +29,10 @@ construction, make trace conservation exact.
 
 Optional frequency-shift coefficients delta1..delta4 (Stark and Lamb type)
 enter as commutator terms that perturb off-diagonal elements only.  They are
-principal-value integrals that diverge without an ultraviolet cutoff, so
-they are on exactly when a cutoff is given, and off by default.
+principal-value integrals over the bath frequencies.  The thermal ones
+(delta2, delta3) converge, but the spontaneous part of delta4 (and delta1)
+grows like the cube of an ultraviolet cutoff, so the shifts are on exactly
+when a cutoff is given, and off by default.
 Like the gain terms below, the shift commutators are not in completely
 positive form either.
 
@@ -126,8 +128,8 @@ class ReservoirParams:
     prefactor multiplying Omega(n)^3.  The default 4/3 corresponds to
     setting every physical constant in the dipole decay rate to one.
     shift_cutoff (in units of omega0) turns the frequency shifts on: the
-    shift integrals grow without bound as the upper limit increases, so
-    without a cutoff there are no shifts.
+    spontaneous shift delta4 grows like the cube of the upper limit (delta2
+    converges), so without a cutoff there are no shifts.
     """
 
     theta: float
@@ -215,30 +217,6 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     return RateTable(K2=half_gamma * nbar, K4=half_gamma * (nbar + 1.0), delta2=d2, delta4=d4)
 
 
-def _principal_value(weight, pole: float, cutoff: float) -> float:
-    """P.V. of integral_0^cutoff weight(w) / (pole - w) dw.
-
-    Splits at the pole and pairs symmetric points across it, leaving a
-    regular integrand for adaptive quadrature.
-    """
-    from scipy.integrate import quad  # loaded only when shifts are on
-
-    half = min(pole, cutoff - pole)
-
-    def paired(u):
-        return (weight(pole + u) - weight(pole - u)) / u
-
-    total, _ = quad(paired, 0.0, half, limit=200)
-    total = -total  # 1/(pole - w) = -1/(w - pole)
-    if pole - half > 0.0:
-        left, _ = quad(lambda w: weight(w) / (pole - w), 0.0, pole - half, limit=200)
-        total += left
-    if pole + half < cutoff:
-        right, _ = quad(lambda w: weight(w) / (pole - w), pole + half, cutoff, limit=200)
-        total += right
-    return total
-
-
 def check_shift_cutoff(model: OscillatorModel, cutoff: float) -> None:
     """Refuse a shift cutoff at or below the largest gap: each gap's principal
     value needs the cutoff above its pole."""
@@ -253,15 +231,25 @@ def check_shift_cutoff(model: OscillatorModel, cutoff: float) -> None:
 def shift_table(
     model: OscillatorModel, reservoir: ReservoirParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency shifts (delta2, delta4) of every gap by principal-value quadrature.
+    """Frequency shifts (delta2, delta4) of every gap, as principal values.
 
-    Each integral runs over w in (0, cutoff) with the integrand
-    (w^3 / Omega^3) occupancy(w) / (Omega - w) at the gap's Omega(n);
-    delta4 uses the stimulated-plus-spontaneous weight (nbar + 1), delta2
-    the thermal weight nbar.  delta1 and delta3 are these read at the gap
-    below with the opposite sign (see RateTable).  Requires a shift_cutoff
-    above the largest gap; without a cutoff, rate_table fills the deltas
-    with zeros.
+    delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
+    over w in (0, c), c the cutoff, of T(w) / (Omega - w), resp.
+    (T(w) + w^3) / (Omega - w), at each gap Omega(n), T(w) = w^3 nbar(w).
+    The w^3 part is Omega^3 ln(Omega / (c - Omega)) - c (c^2/3 + Omega c/2
+    + Omega^2), which grows like c^3; delta2 converges.  T is below 1e-22
+    of its peak past theta w = 64, so delta2 integrates over (0, u),
+    u = min(c, 64 / theta), and is the same at every cutoff past 64 / theta.
+    For each gap below u, T(Omega) is subtracted from T(w) and
+    T(Omega) ln(Omega / (u - Omega)) added back; a gap at or past u has no
+    pole inside (0, u).  What remains is one composite Gauss-Legendre rule
+    of 21 panels of 32 nodes.  Its integrand's only singularities are the
+    poles of nbar at w = 2 pi i k / theta, k != 0, and a panel is at most
+    64 / (21 theta) < pi / theta wide, so they lie over 4 half-widths off
+    the axis and the rule's error (about 8.4^-64) is far below rounding.
+    delta1 and delta3 are these read at the gap below with the opposite
+    sign (see RateTable).  Requires a shift_cutoff above the largest gap;
+    without one, rate_table fills the deltas with zeros.
     """
     if reservoir.shift_cutoff is None:
         raise ValueError("shift_table requires a shift_cutoff")
@@ -269,20 +257,24 @@ def shift_table(
     check_shift_cutoff(model, cutoff)
     gaps = gap_frequencies(model)
     theta = reservoir.theta
-    half_gamma = 0.5 * reservoir.gamma_scale * gaps**3
-
-    def spontaneous(w):
-        return w**3 * (1.0 / np.expm1(theta * w) + 1.0)
-
-    def thermal(w):
-        return w**3 / np.expm1(theta * w)
-
-    # expm1(theta w) overflows to inf past theta w ~ 710, where nbar = 1 / inf = 0
-    with np.errstate(over="ignore"):
-        pv_spont = np.array([_principal_value(spontaneous, g, cutoff) for g in gaps])
-        pv_therm = np.array([_principal_value(thermal, g, cutoff) for g in gaps])
-    scale = half_gamma / (np.pi * gaps**3)
-    return -scale * pv_therm, -scale * pv_spont
+    scale = reservoir.gamma_scale / (2.0 * np.pi)
+    cube = gaps**3 * np.log(gaps / (cutoff - gaps)) - cutoff * (
+        cutoff**2 / 3.0 + gaps * cutoff / 2.0 + gaps**2
+    )
+    reach = min(cutoff, 64.0 / theta)
+    thermal = np.zeros_like(gaps)
+    if reach > 0.0:  # at theta = inf, nbar and with it T vanish
+        x, weights = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * reach / 21
+        w = (half * (2 * np.arange(21)[:, None] + 1 + x)).ravel()
+        below = gaps < reach
+        pole = np.zeros_like(gaps)
+        pole[below] = gaps[below] ** 3 / np.expm1(theta * gaps[below])
+        regular = (w**3 / np.expm1(theta * w) - pole[:, None]) / (gaps[:, None] - w)
+        thermal = regular @ np.tile(half * weights, 21)
+        thermal[below] += pole[below] * np.log(gaps[below] / (reach - gaps[below]))
+    delta2 = -scale * thermal
+    return delta2, delta2 - scale * cube
 
 
 def jump_amplitudes(model: OscillatorModel, eta_values: Sequence[float]) -> np.ndarray:

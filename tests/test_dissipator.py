@@ -943,8 +943,8 @@ def test_shift_sign_structure(model):
 
 @pytest.mark.parametrize("theta, cutoff", [(20.0, 40.0), (12.0, 80.0)])
 def test_cold_shift_table_builds_without_warnings(model, theta, cutoff):
-    # expm1(theta w) overflows inside the integrands far above the gaps,
-    # where the occupation 1 / inf = 0 is right; no warning may escape
+    # the thermal rule stops at theta w = 64, far below where expm1(theta w)
+    # overflows, however cold the bath; no warning may escape
     reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -970,8 +970,31 @@ def test_shift_cutoff_sensitivity_is_visible(model):
     # the spontaneous-weight integrals (delta4, and delta1 from it) are
     # cutoff dominated by construction
     assert spontaneous > 1e-3
-    # the thermal-weight integrals converge once the cutoff clears the bath
-    assert thermal < 1e-6
+    # the thermal-weight integrals end at the bath's reach, below both cutoffs
+    assert thermal == 0.0
+
+
+def test_thermal_shifts_do_not_depend_on_a_cutoff_past_the_reach(model):
+    # the thermal weight is cut at theta w = 64, so delta2 is the same
+    # table at any cutoff beyond 64 / theta
+    narrow, wide = (
+        shift_table(model, ReservoirParams(theta=4.0, shift_cutoff=cutoff))[0]
+        for cutoff in (40.0, 1e6)
+    )
+    assert np.array_equal(narrow, wide)
+
+
+@pytest.mark.parametrize("n", [0, 7, 14])
+def test_shift_table_with_the_reach_on_a_gap(model, n):
+    # at theta = 64 / Omega(n) the reach 64 / theta is Omega(n) exactly, so
+    # that gap's pole sits on the end of the thermal rule
+    gaps = gap_frequencies(model)
+    theta = 64.0 / gaps[n]
+    assert 64.0 / theta == gaps[n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d2, d4 = shift_table(model, ReservoirParams(theta=theta, shift_cutoff=40.0))
+    assert np.all(np.isfinite(d2)) and np.all(np.isfinite(d4))
 
 
 def mpmath_principal_value(weight, pole, cutoff):
@@ -992,14 +1015,15 @@ def mpmath_principal_value(weight, pole, cutoff):
 
 
 @pytest.mark.parametrize(
-    "theta, cutoff, tol", [(4.0, 40.0, 1e-9), (12.0, 80.0, 1e-6), (4.0, 1.2, 1e-9)]
+    "theta, cutoff",
+    [(4.0, 40.0), (12.0, 80.0), (4.0, 1.2), (4.0, 1e4), (400.0, 40.0), (math.inf, 40.0)],
 )
-def test_shift_integrals_against_mpmath(model, theta, cutoff, tol):
+def test_shift_integrals_against_mpmath(model, theta, cutoff):
     # delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
-    # of w^3 nbar(w) / (Omega - w), resp. w^3 (nbar(w) + 1) / (Omega - w);
-    # levels 3 and 13 are the worst measured at theta = 12 and 4.  At
-    # cutoff 1.2 every gap above 0.6 lies past half the cutoff, so the
-    # integral's pole-free part is left of the pole
+    # of w^3 nbar(w) / (Omega - w), resp. w^3 (nbar(w) + 1) / (Omega - w).
+    # At cutoff 1.2 every gap above 0.6 lies past half the cutoff, so the
+    # integral's pole-free part is left of the pole; at theta = inf the
+    # thermal weight, and with it delta2, is exactly 0
     reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
     d2, d4 = shift_table(model, reservoir)
     gaps = gap_frequencies(model)
@@ -1012,10 +1036,10 @@ def test_shift_integrals_against_mpmath(model, theta, cutoff, tol):
     def spontaneous(w):
         return w**3 * (1 / mpmath.expm1(x * w) + 1)
 
-    for n in (0, 3, 9, 13):
+    for n in (0, 2, 3, 9, 13):
         for got, weight in ((d2[n], thermal), (d4[n], spontaneous)):
             want = scale * float(mpmath_principal_value(weight, gaps[n], cutoff))
-            assert abs(got - want) <= tol * abs(want), (n, got, want)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, got, want)
 
 
 def test_shifts_preserve_trace_and_hermiticity(model, etas):

@@ -635,13 +635,14 @@ def scipy_modules(listing):
 
 
 def test_import_and_default_scenarios_load_no_scipy(tmp_path):
-    # the package needs numpy only; scipy.integrate is loaded on first use
-    # by the frequency shifts, which are off by default
+    # the package needs numpy only, with the frequency shifts on as well
     listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
     package = run_fresh_python(
         "from deformed_lindblad import parse_config, run_scenario\n"
+        "from deformed_lindblad import MorseParams, ReservoirParams, morse_model, rate_table\n"
         "for name in ('docs', 'aocs', 'even_cat'):\n"
         "    run_scenario(parse_config(f'scenario = {name}\\nn_r = 9\\nn_p = 9\\n'))\n"
+        "rate_table(morse_model(MorseParams(15)), ReservoirParams(theta=4.0, shift_cutoff=40.0))\n"
         + listing,
         tmp_path,
     )
@@ -650,8 +651,8 @@ def test_import_and_default_scenarios_load_no_scipy(tmp_path):
 
 
 def test_shift_table_from_a_cold_process_matches(tmp_path):
-    # the quadrature behind the shifts is imported on first use; a process
-    # whose first use is this table must build the same deltas
+    # a process whose first table has the shifts on must build the same
+    # deltas as one that has built other tables before
     run_fresh_python(
         "import numpy as np\n"
         "from deformed_lindblad import MorseParams, ReservoirParams, morse_model, rate_table\n"
