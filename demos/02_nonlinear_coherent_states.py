@@ -46,13 +46,13 @@ print(f"  even cat: alpha = {alpha_c:.6f}\n")
 
 print(" n   P(n) aocs   P(n) docs   P(n) cat")
 for n in range(8):
-    row = [abs(states[k].amplitudes[n]) ** 2 for k in states]
+    row = [abs(states[k][n]) ** 2 for k in states]
     print(f"{n:2d}   {row[0]:9.5f}   {row[1]:9.5f}   {row[2]:9.5f}")
 print("(the cat populates even levels only)\n")
 
 a_matrix, _ = ladder_pair(model)
 for name, state in states.items():
-    resid = np.linalg.norm(a_matrix @ state.amplitudes - alpha_a * state.amplitudes)
+    resid = np.linalg.norm(a_matrix @ state - alpha_a * state)
     mean = mean_excitation(state)
     print(f"{name:9s}: <n> = {mean:.6f}, lowering-eigenstate residual = {resid:.3f}")
 print("\nOnly the aocs is built to be an approximate eigenstate of the")
@@ -69,7 +69,7 @@ try:
     n = np.arange(15)
     width = 0.27
     for i, (name, state) in enumerate(states.items()):
-        ax.bar(n + (i - 1) * width, np.abs(state.amplitudes) ** 2, width, label=name)
+        ax.bar(n + (i - 1) * width, np.abs(state) ** 2, width, label=name)
     ax.set_xlabel("level n")
     ax.set_ylabel("P(n)")
     ax.set_xlim(-0.7, 9)

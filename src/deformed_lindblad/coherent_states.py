@@ -26,7 +26,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,7 +34,6 @@ from .fock_algebra import OscillatorModel
 from .morse import MorseParams
 
 __all__ = [
-    "StateVector",
     "aocs",
     "docs",
     "docs_from_alpha",
@@ -54,25 +52,15 @@ _NEWTON_STEPS = 200
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm complex amplitudes over the truncated number basis."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
-
-def _normalized(amplitudes: np.ndarray, label: str) -> StateVector:
+def _normalized(amplitudes: np.ndarray, label: str) -> np.ndarray:
+    """The unit-norm complex amplitudes c_n over the truncated number basis."""
     norm = np.linalg.norm(amplitudes)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"cannot normalize the {label} state: its norm is {norm}")
-    return StateVector(amplitudes=amplitudes / norm)
+    return amplitudes / norm
 
 
-def aocs(alpha: complex, model: OscillatorModel) -> StateVector:
+def aocs(alpha: complex, model: OscillatorModel) -> np.ndarray:
     """Lowering-operator coherent state on the truncated ladder.
 
     c_n follows the recurrence c_n = c_{n-1} alpha / (f(n) sqrt(n)), which is
@@ -93,7 +81,7 @@ def aocs(alpha: complex, model: OscillatorModel) -> StateVector:
     return _normalized(c, "aocs")
 
 
-def docs(zeta: complex, params: MorseParams) -> StateVector:
+def docs(zeta: complex, params: MorseParams) -> np.ndarray:
     """Displacement-operator coherent state of the Morse ladder.
 
     Amplitudes proportional to binomial(2N, n)^(1/2) zeta^n for
@@ -117,7 +105,7 @@ def _half_log_binomials(n_bound: int) -> np.ndarray:
     return half_logs
 
 
-def docs_from_alpha(alpha: complex, params: MorseParams) -> StateVector:
+def docs_from_alpha(alpha: complex, params: MorseParams) -> np.ndarray:
     """docs with zeta = e^(i phi) tan(|alpha| chi) derived from alpha."""
     mag = abs(alpha)
     if mag * params.chi >= math.pi / 2:
@@ -129,7 +117,7 @@ def docs_from_alpha(alpha: complex, params: MorseParams) -> StateVector:
     return docs(phase * math.tan(mag * params.chi), params)
 
 
-def even_cat(alpha: complex, model: OscillatorModel) -> StateVector:
+def even_cat(alpha: complex, model: OscillatorModel) -> np.ndarray:
     """Even superposition of aocs(alpha) and aocs(-alpha).
 
     Odd amplitudes cancel exactly, so the state populates even levels only.
@@ -139,21 +127,21 @@ def even_cat(alpha: complex, model: OscillatorModel) -> StateVector:
     two-call sum; for real alpha >= 0 its bits do too (elsewhere a zero
     part may differ in sign).
     """
-    plus = aocs(alpha, model).amplitudes
+    plus = aocs(alpha, model)
     cat = np.zeros_like(plus)
     cat[::2] = plus[::2] + plus[::2]
     return _normalized(cat, "even_cat")
 
 
-def mean_excitation(state: StateVector) -> float:
-    """<n> = sum_n n |c_n|^2."""
-    weights = np.abs(state.amplitudes) ** 2
-    return float(np.dot(np.arange(state.dim), weights))
+def mean_excitation(state: np.ndarray) -> float:
+    """<n> = sum_n n |c_n|^2 of the amplitudes c_n."""
+    weights = np.abs(state) ** 2
+    return float(np.dot(np.arange(len(state)), weights))
 
 
 def alpha_for_mean_n(
     target: float,
-    builder: Callable[[float, OscillatorModel], StateVector],
+    builder: Callable[[float, OscillatorModel], np.ndarray],
     model: OscillatorModel,
     alpha_max: float | None = None,
 ) -> float:
@@ -211,7 +199,7 @@ def alpha_for_mean_n(
         mean = mean_excitation(state)
         if not math.isfinite(mean):
             raise ValueError(f"builder returned a non-finite state at alpha = {alpha!r}")
-        return np.abs(state.amplitudes), mean
+        return np.abs(state), mean
 
     alpha = min(1.0, top_alpha)
     reference, mean = build(alpha)
@@ -374,7 +362,6 @@ def _solve_s(levels: np.ndarray, log_w: np.ndarray, target: float) -> float:
     raise ValueError(f"Newton solve for <n> = {target} did not converge")
 
 
-def to_density(state: StateVector) -> np.ndarray:
+def to_density(state: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |psi><psi| (Hermitian, unit trace, purity 1)."""
-    c = state.amplitudes
-    return np.outer(c, c.conj())
+    return np.outer(state, state.conj())

@@ -242,7 +242,10 @@ def shift_table(
     u = min(c, 64 / theta), and is the same at every cutoff past 64 / theta.
     For each gap below u, T(Omega) is subtracted from T(w) and
     T(Omega) ln(Omega / (u - Omega)) added back; a gap at or past u has no
-    pole inside (0, u).  What remains is one composite Gauss-Legendre rule
+    pole inside (0, u).  Within Omega / 4 of a gap, where the subtraction
+    cancels (0/0 on the gap itself), the quotient is taken with its factor
+    w - Omega divided out exactly, so a node on or next to a gap costs no
+    digits.  What remains is one composite Gauss-Legendre rule
     of 21 panels of 32 nodes.  Its integrand's only singularities are the
     poles of nbar at w = 2 pi i k / theta, k != 0, and a panel is at most
     64 / (21 theta) < pi / theta wide, so they lie over 4 half-widths off
@@ -270,7 +273,19 @@ def shift_table(
         below = gaps < reach
         pole = np.zeros_like(gaps)
         pole[below] = gaps[below] ** 3 / np.expm1(theta * gaps[below])
-        regular = (w**3 / np.expm1(theta * w) - pole[:, None]) / (gaps[:, None] - w)
+        nbar = 1.0 / np.expm1(theta * w)
+        gap = gaps[:, None]
+        step = w - gap
+        # T(w) - T(Omega) = (w - Omega) nbar(w) [w^2 + w Omega + Omega^2
+        # - Omega^3 (nbar(Omega) + 1) expm1(theta (w - Omega)) / (w - Omega)],
+        # whose last quotient (theta at w = Omega) loses no digits; taken
+        # near a gap below u, where the plain difference cancels
+        near = below[:, None] & (np.abs(step) < 0.25 * gap)
+        slope = np.divide(
+            np.expm1(theta * step), step, out=np.full_like(step, theta), where=step != 0.0
+        )
+        regular = nbar * ((pole + gaps**3)[:, None] * slope - (w * w + w * gap + gap * gap))
+        np.divide(w**3 * nbar - pole[:, None], -step, out=regular, where=~near)
         thermal = regular @ np.tile(half * weights, 21)
         thermal[below] += pole[below] * np.log(gaps[below] / (reach - gaps[below]))
     delta2 = -scale * thermal

@@ -83,6 +83,8 @@ WIGNER_MAX_LEVELS = 6
 # much as 8 more columns, so a window may take _QUADRATURE_BYTES /
 # (64 (n_p + 8)) nodes
 _QUADRATURE_BYTES = 2**30
+# Memory one closed-form plan may take (see the note above _closed_form)
+_PLAN_BYTES = 2**30
 
 
 class BesselAccuracyError(RuntimeError):
@@ -437,6 +439,20 @@ class _ClosedForm:
     dk: np.ndarray
 
 
+def _momentum_columns(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b = 2p per p point, the distinct |b| (sorted) and each point's index
+    into them.  np.linspace is not bitwise antisymmetric: p_j and p_{n-1-j}
+    may differ in magnitude by an ulp, so on a window with p_min = -p_max
+    both take the |b| of the later (p >= 0) point and share its column."""
+    b = 2.0 * grid.axes()[1].astype(_LD)
+    folded = np.abs(b)
+    if grid.p_min == -grid.p_max:
+        j = np.arange(len(b))
+        folded = folded[np.maximum(j, j[::-1])]
+    b_abs, inverse = np.unique(folded, return_inverse=True)
+    return b, b_abs, inverse
+
+
 def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
     """Where the closed form on grid truncates its Bessel integrals: the
     _tail_cutoff of the smallest argument xi = (2N+1) e^(-r_max), where they
@@ -444,7 +460,8 @@ def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
     and r_min and xi where the nodes up to that cutoff, at the finer of the
     plan's two trapezoid steps, would pass the _QUADRATURE_BYTES budget:
     the step shrinks as the largest argument (2N+1) e^(-r_min) and the
-    largest |b| = 2|p| grow."""
+    largest |b| = 2|p| grow.  It also names N, n_r and the distinct |b|
+    count where the plan's arrays would pass the _PLAN_BYTES budget."""
     xi = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
     try:
         t_max = _tail_cutoff(xi, 1.0)
@@ -466,29 +483,30 @@ def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
             f"{t_max / step if step else math.inf:.3g} nodes up to t = {t_max:.4g}, "
             f"past the {budget} that {_QUADRATURE_BYTES >> 20} MiB hold at n_p = {grid.n_p}"
         )
+    big_n, n_b = params.n_bound, len(_momentum_columns(grid)[1])
+    size = np.dtype(_LD).itemsize * grid.n_r * big_n * (big_n * (big_n + 1) // 2 + 4 * n_b + 1)
+    if size > _PLAN_BYTES:
+        raise ValueError(
+            f"the closed-form plan for N = {big_n} on n_r = {grid.n_r} r points and "
+            f"{n_b} distinct |b| would take {size} bytes, past its "
+            f"{_PLAN_BYTES >> 20} MiB budget"
+        )
     return t_max
 
 
 # One plan per (params, grid), shared by every snapshot on it: the tails take
 # 8 n_r N^2 (N + 1) bytes, each tensor level 32 n_r n_b N bytes and dk
-# 16 n_r N, with n_b the number of distinct |b| (61 on the default window).
-# That is 10.1 MiB at the default 121 x 121 window and N = 15, 85 MiB at
-# 401 x 401.
+# 16 n_r N, with n_b the number of distinct |b| (61 on the default window)
+# and 16-byte longdoubles.  That is 10.1 MiB at the default 121 x 121 window
+# and N = 15, 85 MiB at 401 x 401; bessel_tail refuses a plan past
+# _PLAN_BYTES.
 @functools.lru_cache(maxsize=2)
 def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
     """The read-only closed-form plan for (params, grid), built once."""
     t_max = bessel_tail(params, grid)
-    r_axis, p_axis = grid.axes()
+    r_axis, _ = grid.axes()
     xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
-    b = 2.0 * p_axis.astype(_LD)
-    folded = np.abs(b)
-    if grid.p_min == -grid.p_max:
-        # np.linspace is not bitwise antisymmetric: p_j and p_{n-1-j} may
-        # differ in magnitude by an ulp, so both take the |b| of the later
-        # (p >= 0) point and share its column
-        j = np.arange(len(b))
-        folded = folded[np.maximum(j, j[::-1])]
-    b_abs, inverse = np.unique(folded, return_inverse=True)
+    b, b_abs, inverse = _momentum_columns(grid)
     step = _trapezoid_step(float(np.max(xi)), float(np.max(b_abs)))
     k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
     plan = _ClosedForm(

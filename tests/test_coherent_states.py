@@ -18,13 +18,21 @@ from deformed_lindblad import (
     morse_model,
     to_density,
 )
-from deformed_lindblad.coherent_states import StateVector
+
+
+def test_constructors_return_unit_norm_amplitude_arrays(params, model):
+    for state in (aocs(0.7, model), docs(0.3j, params), docs_from_alpha(2.0, params),
+                  even_cat(0.7, model)):
+        assert type(state) is np.ndarray
+        assert state.shape == (model.dim,) and state.dtype == complex
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(to_density(state), np.outer(state, state.conj()))
 
 
 def test_aocs_vacuum(model):
     state = aocs(0.0, model)
-    assert state.amplitudes[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.max(np.abs(state.amplitudes[1:])) == 0.0
+    assert state[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(state[1:])) == 0.0
 
 
 def test_aocs_harmonic_limit_matches_glauber():
@@ -32,14 +40,14 @@ def test_aocs_harmonic_limit_matches_glauber():
     state = aocs(1.0, model)
     n = np.arange(30)
     glauber = np.exp(-0.5 - 0.5 * gammaln(n + 1))  # |alpha| = 1
-    assert np.max(np.abs(state.amplitudes.real - glauber)) < 1e-10
-    assert np.max(np.abs(state.amplitudes.imag)) == 0.0
+    assert np.max(np.abs(state.real - glauber)) < 1e-10
+    assert np.max(np.abs(state.imag)) == 0.0
 
 
 def test_aocs_is_approximate_eigenstate(model, alpha_aocs):
     state = aocs(alpha_aocs, model)
     a, _ = ladder_pair(model)
-    residual = np.linalg.norm(a @ state.amplitudes - alpha_aocs * state.amplitudes)
+    residual = np.linalg.norm(a @ state - alpha_aocs * state)
     assert residual < 0.05
 
 
@@ -54,13 +62,13 @@ def test_aocs_rejects_vanishing_deformation():
 
 def test_docs_vacuum(params):
     state = docs(0.0, params)
-    assert state.amplitudes[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.max(np.abs(state.amplitudes[1:])) == 0.0
+    assert state[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(state[1:])) == 0.0
 
 
 def test_docs_single_peak_at_mean_two(params, model, alpha_docs):
     state = docs_from_alpha(alpha_docs, params)
-    weights = np.abs(state.amplitudes) ** 2
+    weights = np.abs(state) ** 2
     peak = int(np.argmax(weights))
     assert peak in (1, 2)
     # single-peaked: increasing up to the peak, decreasing after
@@ -98,16 +106,16 @@ def test_overflowing_state_is_refused(model, label):
 
 def test_even_cat_parity(model, alpha_cat):
     state = even_cat(alpha_cat, model)
-    assert np.max(np.abs(state.amplitudes[1::2])) < 1e-14
+    assert np.max(np.abs(state[1::2])) < 1e-14
 
 
 def two_aocs_cat(alpha, model):
     """aocs(alpha) + aocs(-alpha), normalized: even_cat built from two calls."""
-    cat = aocs(alpha, model).amplitudes + aocs(-alpha, model).amplitudes
+    cat = aocs(alpha, model) + aocs(-alpha, model)
     norm = np.linalg.norm(cat)
     if not norm > 0.0:
         raise ValueError("cannot normalize a zero even_cat state")
-    return StateVector(amplitudes=cat / norm)
+    return cat / norm
 
 
 def test_even_cat_equals_the_two_aocs_sum_bitwise():
@@ -118,7 +126,7 @@ def test_even_cat_equals_the_two_aocs_sum_bitwise():
     def outcome(build, alpha, model):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return build(alpha, model).amplitudes
+                return build(alpha, model)
         except ValueError as error:
             return str(error)
 
@@ -154,7 +162,7 @@ def test_even_cat_alpha_solves_are_unchanged():
 
 def test_even_cat_degenerates_to_vacuum(model):
     state = even_cat(1e-12, model)
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(state[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat_is_pure_before_evolution(model, alpha_cat):
@@ -326,9 +334,9 @@ def test_alpha_solver_rejects_a_builder_not_of_the_form(model):
     # a weight that depends on alpha, and an s(alpha) that falls with alpha,
     # must raise rather than return an alpha
     def reweighted(a, m):
-        c = aocs(a, m).amplitudes.copy()
+        c = aocs(a, m)
         c[5] *= 1.0 + a
-        return StateVector(amplitudes=c / np.linalg.norm(c))
+        return c / np.linalg.norm(c)
 
     def falling(a, m):
         return aocs(1.0 / (1.0 + a), m)
@@ -347,7 +355,7 @@ def test_alpha_solver_refreshes_a_reference_that_lost_levels():
     model = morse_model(params)
     cap = (math.pi / 2 - 1e-9) / params.chi
     builder = lambda a, m: docs_from_alpha(a, params)
-    assert np.flatnonzero(builder(1.0, model).amplitudes)[-1] == 130
+    assert np.flatnonzero(builder(1.0, model))[-1] == 130
     for target in (74.5, 134.1):
         alpha = alpha_for_mean_n(target, builder, model, alpha_max=cap)
         assert abs(mean_excitation(builder(alpha, model)) - target) <= 1e-12 * target

@@ -1016,14 +1016,19 @@ def mpmath_principal_value(weight, pole, cutoff):
 
 @pytest.mark.parametrize(
     "theta, cutoff",
-    [(4.0, 40.0), (12.0, 80.0), (4.0, 1.2), (4.0, 1e4), (400.0, 40.0), (math.inf, 40.0)],
+    [(4.0, 40.0), (12.0, 80.0), (4.0, 1.2), (4.0, 1e4), (400.0, 40.0), (math.inf, 40.0),
+     (12.26886721969377, 40.0), (37.41333635178506, 40.0),
+     (12.2688672196815, 40.0), (12.268867207424902, 40.0)],
 )
 def test_shift_integrals_against_mpmath(model, theta, cutoff):
     # delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
     # of w^3 nbar(w) / (Omega - w), resp. w^3 (nbar(w) + 1) / (Omega - w).
     # At cutoff 1.2 every gap above 0.6 lies past half the cutoff, so the
     # integral's pole-free part is left of the pole; at theta = inf the
-    # thermal weight, and with it delta2, is exactly 0
+    # thermal weight, and with it delta2, is exactly 0.  Of the cases at
+    # cutoff 40 past theta 12, the first two put a quadrature node on
+    # Omega(2), resp. Omega(5), and the last two put one 8e-13 and 8e-10
+    # from Omega(2)
     reservoir = ReservoirParams(theta=theta, shift_cutoff=cutoff)
     d2, d4 = shift_table(model, reservoir)
     gaps = gap_frequencies(model)
@@ -1036,7 +1041,7 @@ def test_shift_integrals_against_mpmath(model, theta, cutoff):
     def spontaneous(w):
         return w**3 * (1 / mpmath.expm1(x * w) + 1)
 
-    for n in (0, 2, 3, 9, 13):
+    for n in (0, 2, 3, 5, 9, 13):
         for got, weight in ((d2[n], thermal), (d4[n], spontaneous)):
             want = scale * float(mpmath_principal_value(weight, gaps[n], cutoff))
             assert abs(got - want) <= 1e-12 * abs(want), (n, got, want)

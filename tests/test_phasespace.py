@@ -444,6 +444,38 @@ def test_window_past_the_node_budget_raises_before_quadrature(params, fock_state
     assert phasespace._closed_form.cache_info().currsize == builds.currsize
 
 
+@pytest.mark.parametrize(
+    "n_bound, grid", [(200, GridSpec()), (15, GridSpec(n_r=4001, n_p=4001))]
+)
+def test_plan_past_the_byte_budget_raises_before_building(monkeypatch, n_bound, grid):
+    # 7.8e9 bytes of term tails at N = 200, two 3.8e9-byte Bessel tensor
+    # levels on 4001 x 4001: each plan is refused before any array of it
+    def no_build(*args):
+        raise AssertionError("plan build reached")
+
+    monkeypatch.setattr(phasespace, "_term_tails", no_build)
+    monkeypatch.setattr(phasespace, "_k_tensor_level", no_build)
+    builds = phasespace._closed_form.cache_info()
+    rho = np.zeros((n_bound, n_bound), dtype=complex)
+    rho[0, 0] = 1.0
+    with pytest.raises(ValueError, match=rf"plan for N = {n_bound} on n_r = {grid.n_r} r points"):
+        wigner_closed(rho, MorseParams(n_bound), grid)
+    assert phasespace._closed_form.cache_info().currsize == builds.currsize
+
+
+@pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec(n_r=7, p_min=-2.0, n_p=9)])
+def test_plan_budget_counts_the_plans_bytes(params, monkeypatch, grid):
+    # the size bessel_tail checks is the bytes of the plan's arrays: a
+    # budget of exactly that admits the plan, one byte less refuses it
+    plan = phasespace._closed_form(params, grid)
+    size = sum(a.nbytes for a in (*plan.terms, plan.k0, plan.k1, plan.dk))
+    monkeypatch.setattr(phasespace, "_PLAN_BYTES", size)
+    phasespace.bessel_tail(params, grid)
+    monkeypatch.setattr(phasespace, "_PLAN_BYTES", size - 1)
+    with pytest.raises(ValueError, match=rf"{len(plan.b_abs)} distinct \|b\| would take {size} bytes"):
+        phasespace.bessel_tail(params, grid)
+
+
 def test_node_budget_follows_the_momentum_points(params):
     # at 64 (n_p + 8) bytes per node, r_min = -15 (about 340,000 nodes at
     # the finer step) fits the budget at n_p = 5 and not at n_p = 121; the

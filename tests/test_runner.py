@@ -157,6 +157,25 @@ def test_window_past_the_node_budget_is_config_error(tmp_path, capsys, r_min):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, plan",
+    [
+        ("n_bound = 200", "N = 200 on n_r = 121 r points and 61 distinct |b| would take 7877584000 bytes"),
+        ("n_r = 4001\nn_p = 4001", "N = 15 on n_r = 4001 r points and 2001 distinct |b| would take 7801950000 bytes"),
+    ],
+)
+def test_plan_past_the_byte_budget_is_config_error(tmp_path, capsys, lines, plan):
+    # the closed-form plan would take 7.9e9 bytes: term tails at N = 200,
+    # two Bessel tensor levels on 4001 x 4001; both are refused before any run
+    config_path = tmp_path / "big.cfg"
+    config_path.write_text(f"t_samples = 0\n{lines}\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the closed-form plan for {plan}, past its 1024 MiB budget" in err
+    assert not out_dir.exists()
+
+
 def test_window_at_the_closed_forms_reach_runs(tmp_path):
     config_path = tmp_path / "far.cfg"
     config_path.write_text("n_r = 5\nn_p = 5\nt_samples = 0\nr_max = 708\n")
