@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deformed_lindblad import parse_config, purity, run_scenario, write_outputs
+from deformed_lindblad import mean_occupation, parse_config, purity, run_scenario, write_outputs
 
 out_dir = Path("demo04_output")
 config = parse_config(
@@ -25,10 +25,9 @@ manifest = write_outputs(result, out_dir)
 print("docs scenario at defaults (theta = 4, gamma_scale = 4/3, <n>_0 = 2)\n")
 print("  t     trace       purity     min W      <n>")
 for grid, rho in zip(result.grids, result.states):
-    mean = float(np.dot(np.arange(15), np.diag(rho).real))
     print(
         f"{grid.time:5.2f}   {np.trace(rho).real:.7f}   {purity(rho):.5f}"
-        f"   {np.min(grid.values):+.2e}   {mean:.4f}"
+        f"   {np.min(grid.values):+.2e}   {mean_occupation(rho):.4f}"
     )
 
 print("\nFiles written:")

@@ -62,7 +62,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # ConfigError is a ValueError, so it is caught first
     try:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
+        config = parse_config(text)
         overrides = {"scenario": args.scenario, "output_dir": args.output_dir}
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         _require_writable(Path(config.output_dir))

@@ -317,7 +317,8 @@ def _reachable_goal(target: float, levels: np.ndarray, dim: int) -> float:
 def _solve_s(levels: np.ndarray, log_w: np.ndarray, target: float) -> float:
     """s with <n>(s) = target for |c_n|^2 proportional to e^(log_w + n s).
 
-    Newton with Var(n) as the derivative, kept inside a bracket that every
+    Newton with Var(n) as the derivative (on ln<n>, with Var(n) / <n>, more
+    than a factor e from the target), kept inside a bracket that every
     evaluation narrows by the sign of <n> - target; a step that leaves it
     bisects instead.  The first bracket holds s* by construction: at its
     upper end every level below the top carries at most
@@ -350,6 +351,11 @@ def _solve_s(levels: np.ndarray, log_w: np.ndarray, target: float) -> float:
             hi = s
         var = second / z - mean * mean
         step = (target - mean) / var if var > 0.0 else math.nan
+        if mean > 0.0 and abs(math.log(target / mean)) > 1.0:
+            # more than a factor e off the target, Newton runs on ln<n>
+            # (slope Var / <n>), near-linear in s where <n> falls towards
+            # a level 0 like e^(s (n1 - n0))
+            step *= math.log(target / mean) * mean / (target - mean)
         if lo < s + step < hi:
             # quadratic convergence leaves an error near step^2 after it
             if abs(step) <= 1e-9 * max(1.0, abs(s)):

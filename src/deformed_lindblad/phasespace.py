@@ -47,6 +47,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -418,19 +419,14 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
 class _ClosedForm:
     """Everything in the closed-form map that does not depend on rho.
 
-    xi is the Bessel argument per r point.  b_abs holds the distinct
-    |b| = 2|p| values, one per mirrored pair p, -p on a window with
-    p_min = -p_max; inverse maps each p point to its |b| and negative_b
-    marks the points with b < 0.  terms are the packed tails of
-    _term_tails, and k0 and k1 the Bessel tensor (_k_tensor_level) at
-    trapezoid steps h (level 0) and h / 2 (level 1), with h from
-    _trapezoid_step for the largest xi and |b| on the grid.  dk[x, D] = max
-    over b of |K1 - K0| at r point x and order D; with a snapshot's
-    coefficients it bounds that map's change from level 0 to 1.
+    inverse (the window's) maps each p point to its |b| column and
+    negative_b marks the points with b < 0.  terms are the packed tails of
+    _term_tails, and k0 and k1 the Bessel tensor (_k_tensor_level) at the
+    window's steps h (level 0) and h / 2 (level 1).  dk[x, D] = max over b
+    of |K1 - K0| at r point x and order D; with a snapshot's coefficients
+    it bounds that map's change from level 0 to 1.
     """
 
-    xi: np.ndarray
-    b_abs: np.ndarray
     inverse: np.ndarray
     negative_b: np.ndarray
     terms: tuple[np.ndarray, ...]
@@ -439,32 +435,35 @@ class _ClosedForm:
     dk: np.ndarray
 
 
-def _momentum_columns(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b = 2p per p point, the distinct |b| (sorted) and each point's index
-    into them.  np.linspace is not bitwise antisymmetric: p_j and p_{n-1-j}
-    may differ in magnitude by an ulp, so on a window with p_min = -p_max
-    both take the |b| of the later (p >= 0) point and share its column."""
-    b = 2.0 * grid.axes()[1].astype(_LD)
-    folded = np.abs(b)
-    if grid.p_min == -grid.p_max:
-        j = np.arange(len(b))
-        folded = folded[np.maximum(j, j[::-1])]
-    b_abs, inverse = np.unique(folded, return_inverse=True)
-    return b, b_abs, inverse
+class ClosedFormWindow(NamedTuple):
+    """What the closed form reads of one (params, grid): see closed_form_window."""
+
+    xi: np.ndarray
+    b: np.ndarray
+    b_abs: np.ndarray
+    inverse: np.ndarray
+    t_max: float
+    step: float
 
 
-def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
-    """Where the closed form on grid truncates its Bessel integrals: the
-    _tail_cutoff of the smallest argument xi = (2N+1) e^(-r_max), where they
-    decay slowest.  ValueError names r_max and xi where that search fails,
-    and r_min and xi where the nodes up to that cutoff, at the finer of the
-    plan's two trapezoid steps, would pass the _QUADRATURE_BYTES budget:
-    the step shrinks as the largest argument (2N+1) e^(-r_min) and the
-    largest |b| = 2|p| grow.  It also names N, n_r and the distinct |b|
-    count where the plan's arrays would pass the _PLAN_BYTES budget."""
-    xi = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
+def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
+    """The closed form's window on grid, refused where it is out of reach.
+
+    xi = (2N+1) e^(-r) is the Bessel argument per r point and b = 2p per p
+    point; b_abs holds the distinct |b| (sorted), inverse each p point's
+    index into them.  np.linspace is not bitwise antisymmetric, so with
+    p_min = -p_max, p_j and p_{n-1-j} both take the later point's |b|.
+    t_max, where the integrals are cut, is the _tail_cutoff of the smallest
+    xi, and step (the level-0 h) the _trapezoid_step of the largest xi and |b|.
+    ValueError names r_max and xi where the tail search fails, r_min and xi
+    where the nodes up to t_max at the finer step h / 2 would pass the
+    _QUADRATURE_BYTES budget, and N, n_r and the distinct |b| count where
+    the plan's arrays would pass the _PLAN_BYTES budget.  The first two
+    need the grid's extents only, so they refuse before any array exists.
+    """
+    xi_min = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
     try:
-        t_max = _tail_cutoff(xi, 1.0)
+        t_max = _tail_cutoff(xi_min, 1.0)
     except ValueError as exc:
         raise ValueError(
             f"r_max = {grid.r_max} is out of the closed form's reach: its smallest "
@@ -473,17 +472,24 @@ def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
     with np.errstate(over="ignore"):  # past longdouble range xi is inf: refused below
         xi_max = float(_LD(params.k) * np.exp(-_LD(grid.r_min)))
     b_max = 2.0 * max(abs(grid.p_min), abs(grid.p_max))
-    step = _trapezoid_step(xi_max, b_max) / 2
+    step = _trapezoid_step(xi_max, b_max)
     budget = _QUADRATURE_BYTES // (64 * (grid.n_p + 8))
-    if not t_max <= budget * step:
+    if not t_max <= budget * step / 2:
         raise ValueError(
             f"r_min = {grid.r_min} and |p| <= {b_max / 2:.4g} are out of the closed form's "
             f"reach: its largest Bessel argument is xi = {params.k} e^(-r_min) = "
-            f"{xi_max:.4g}, and with |b| = 2|p| the trapezoid step {step:.3g} needs "
-            f"{t_max / step if step else math.inf:.3g} nodes up to t = {t_max:.4g}, "
+            f"{xi_max:.4g}, and with |b| = 2|p| the trapezoid step {step / 2:.3g} needs "
+            f"{t_max / (step / 2) if step else math.inf:.3g} nodes up to t = {t_max:.4g}, "
             f"past the {budget} that {_QUADRATURE_BYTES >> 20} MiB hold at n_p = {grid.n_p}"
         )
-    big_n, n_b = params.n_bound, len(_momentum_columns(grid)[1])
+    r_axis, p_axis = grid.axes()
+    b = 2.0 * p_axis.astype(_LD)
+    folded = np.abs(b)
+    if grid.p_min == -grid.p_max:
+        j = np.arange(len(b))
+        folded = folded[np.maximum(j, j[::-1])]
+    b_abs, inverse = np.unique(folded, return_inverse=True)
+    big_n, n_b = params.n_bound, len(b_abs)
     size = np.dtype(_LD).itemsize * grid.n_r * big_n * (big_n * (big_n + 1) // 2 + 4 * n_b + 1)
     if size > _PLAN_BYTES:
         raise ValueError(
@@ -491,27 +497,21 @@ def bessel_tail(params: MorseParams, grid: GridSpec) -> float:
             f"{n_b} distinct |b| would take {size} bytes, past its "
             f"{_PLAN_BYTES >> 20} MiB budget"
         )
-    return t_max
+    xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
+    return ClosedFormWindow(xi, b, b_abs, inverse, t_max, step)
 
 
 # One plan per (params, grid), shared by every snapshot on it: the tails take
 # 8 n_r N^2 (N + 1) bytes, each tensor level 32 n_r n_b N bytes and dk
 # 16 n_r N, with n_b the number of distinct |b| (61 on the default window)
-# and 16-byte longdoubles.  That is 10.1 MiB at the default 121 x 121 window
-# and N = 15, 85 MiB at 401 x 401; bessel_tail refuses a plan past
-# _PLAN_BYTES.
+# and 16-byte longdoubles: 10.1 MiB at the default 121 x 121 window and
+# N = 15, 85 MiB at 401 x 401.  closed_form_window refuses one past _PLAN_BYTES.
 @functools.lru_cache(maxsize=2)
 def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
     """The read-only closed-form plan for (params, grid), built once."""
-    t_max = bessel_tail(params, grid)
-    r_axis, _ = grid.axes()
-    xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
-    b, b_abs, inverse = _momentum_columns(grid)
-    step = _trapezoid_step(float(np.max(xi)), float(np.max(b_abs)))
+    xi, b, b_abs, inverse, t_max, step = closed_form_window(params, grid)
     k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
     plan = _ClosedForm(
-        xi=xi,
-        b_abs=b_abs,
         inverse=inverse,
         negative_b=b < 0.0,
         terms=_term_tails(params, xi),
@@ -519,7 +519,7 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
         k1=k1,
         dk=np.abs(k1 - k0).max(axis=1),
     )
-    for array in (xi, b_abs, inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
+    for array in (inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
         array.setflags(write=False)
     return plan
 

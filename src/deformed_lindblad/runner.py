@@ -35,7 +35,7 @@ from .dissipator import (
     validate_density,
 )
 from .morse import MorseParams, eta_values, morse_model
-from .phasespace import GridSpec, WignerGrid, bessel_tail, wigner_closed
+from .phasespace import GridSpec, WignerGrid, closed_form_window, wigner_closed
 
 __all__ = [
     "ConfigError",
@@ -111,7 +111,7 @@ class SimulationConfig:
         try:
             params = self.morse_params()
             self.reservoir()
-            bessel_tail(params, self.grid())
+            closed_form_window(params, self.grid())
             if self.shift_cutoff is not None:
                 check_shift_cutoff(morse_model(params), self.shift_cutoff)
         except ValueError as exc:

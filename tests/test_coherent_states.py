@@ -330,6 +330,36 @@ def test_alpha_solver_names_the_supremum_of_even_cat():
             alpha_for_mean_n(target, even_cat, model)
 
 
+def test_alpha_solver_names_the_supremum_of_a_support_that_stops(model):
+    # levels 6 and up are cut in mid-pattern: the solve aims at the middle
+    # of the support, and the state it builds there shows level 5 is the top
+    def truncated(a, m):
+        c = aocs(a, m)
+        c[6:] = 0.0
+        return c / np.linalg.norm(c)
+
+    with pytest.raises(ValueError, match="the supremum of <n> is 5, the top level"):
+        alpha_for_mean_n(7.0, truncated, model)
+
+
+@pytest.mark.parametrize("target", [1e-100, 1e-300])
+def test_alpha_solver_reaches_tiny_targets(model, params, target):
+    # <n> falls like alpha^2 towards the vacuum, so the solve for s covers
+    # ln(target / 2) in a few steps, where plain Newton in s moved by about 1
+    # a step; the contract is MEAN_N_TOL absolute below 1, but the state
+    # lands on the target itself to within 1e-3 of it
+    cap = (math.pi / 2 - 1e-9) / params.chi
+    for builder, alpha_max in (
+        (aocs, None),
+        (lambda a, m: docs_from_alpha(a, params), cap),
+        (even_cat, None),
+    ):
+        counting, seen = counted(builder)
+        alpha = alpha_for_mean_n(target, counting, model, alpha_max=alpha_max)
+        assert mean_excitation(builder(alpha, model)) == pytest.approx(target, rel=1e-3)
+        assert len(seen) <= 3
+
+
 def test_alpha_solver_rejects_a_builder_not_of_the_form(model):
     # a weight that depends on alpha, and an s(alpha) that falls with alpha,
     # must raise rather than return an alpha

@@ -121,8 +121,9 @@ def test_bessel_tensor_against_mpmath(grid, orders, floor):
     # quadrature of orders 0 and 1
     params = MorseParams(n_bound=15)
     p_axis = grid.axes()[1]
-    plan = phasespace._closed_form(params, grid)
-    xi, b_abs, inverse, tensor = plan.xi, plan.b_abs, plan.inverse, plan.k1
+    window = phasespace.closed_form_window(params, grid)
+    xi, b_abs, inverse = window.xi, window.b_abs, window.inverse
+    tensor = phasespace._closed_form(params, grid).k1
     assert b_abs[0] == 0.0
     mpmath.mp.dps = 40
     for x in (int(np.argmin(xi)), int(np.argmax(xi))):
@@ -145,7 +146,8 @@ def test_symmetric_window_merges_mirrored_columns(params, n_p, columns):
     p_axis = grid.axes()[1]
     assert not np.array_equal(p_axis, -p_axis[::-1])
     plan = phasespace._closed_form(params, grid)
-    b_abs, inverse, negative_b = plan.b_abs, plan.inverse, plan.negative_b
+    b_abs = phasespace.closed_form_window(params, grid).b_abs
+    inverse, negative_b = plan.inverse, plan.negative_b
     assert len(b_abs) == columns
     assert np.array_equal(inverse, inverse[::-1])
     upper = np.arange(n_p // 2, n_p)
@@ -194,6 +196,17 @@ def test_asymmetric_momentum_window(params, model):
     direct = wigner_direct_oracle(rho, params, grid)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(closed.values - direct.values)) < 1e-7 * scale
+
+
+def test_window_beyond_every_support_maps_to_zero(params):
+    # the bound states end near r = 33 at 1e-12 of their peak, so on
+    # r in [60, 70] the oracle has no kernel to integrate and returns zeros;
+    # the closed form agrees to its true values there, which the top level
+    # keeps below 1e-45 (its wavefunction is of order xi = 31 e^(-r))
+    grid = GridSpec(r_min=60.0, r_max=70.0, n_r=5, p_min=-3.0, p_max=3.0, n_p=7)
+    rho = np.eye(15, dtype=complex) / 15
+    assert not np.any(wigner_direct_oracle(rho, params, grid).values)
+    assert np.max(np.abs(wigner_closed(rho, params, grid).values)) < 1e-45
 
 
 @pytest.mark.parametrize("n_bound", [10, 15, 20, 30])
@@ -465,25 +478,38 @@ def test_plan_past_the_byte_budget_raises_before_building(monkeypatch, n_bound, 
 
 @pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec(n_r=7, p_min=-2.0, n_p=9)])
 def test_plan_budget_counts_the_plans_bytes(params, monkeypatch, grid):
-    # the size bessel_tail checks is the bytes of the plan's arrays: a
-    # budget of exactly that admits the plan, one byte less refuses it
+    # the size closed_form_window checks is the bytes of the plan's arrays:
+    # a budget of exactly that admits the plan, one byte less refuses it
     plan = phasespace._closed_form(params, grid)
     size = sum(a.nbytes for a in (*plan.terms, plan.k0, plan.k1, plan.dk))
     monkeypatch.setattr(phasespace, "_PLAN_BYTES", size)
-    phasespace.bessel_tail(params, grid)
+    n_b = len(phasespace.closed_form_window(params, grid).b_abs)
     monkeypatch.setattr(phasespace, "_PLAN_BYTES", size - 1)
-    with pytest.raises(ValueError, match=rf"{len(plan.b_abs)} distinct \|b\| would take {size} bytes"):
-        phasespace.bessel_tail(params, grid)
+    with pytest.raises(ValueError, match=rf"{n_b} distinct \|b\| would take {size} bytes"):
+        phasespace.closed_form_window(params, grid)
 
 
 def test_node_budget_follows_the_momentum_points(params):
     # at 64 (n_p + 8) bytes per node, r_min = -15 (about 340,000 nodes at
     # the finer step) fits the budget at n_p = 5 and not at n_p = 121; the
     # tail itself depends on r_max alone
-    tail = phasespace.bessel_tail(params, GridSpec())
-    assert phasespace.bessel_tail(params, GridSpec(r_min=-15.0, n_p=5)) == tail
+    tail = phasespace.closed_form_window(params, GridSpec()).t_max
+    assert phasespace.closed_form_window(params, GridSpec(r_min=-15.0, n_p=5)).t_max == tail
     with pytest.raises(ValueError, match=r"r_min = -15\.0 .* at n_p = 121"):
-        phasespace.bessel_tail(params, GridSpec(r_min=-15.0))
+        phasespace.closed_form_window(params, GridSpec(r_min=-15.0))
+
+
+def test_extent_refusals_come_before_any_window_array(params, monkeypatch):
+    # the node budget reads the grid's extents and n_p only: 10^8 momentum
+    # points are refused before an axis of them exists
+    def no_axes(self):
+        raise AssertionError("grid axes built")
+
+    monkeypatch.setattr(GridSpec, "axes", no_axes)
+    with pytest.raises(ValueError, match=r"r_min = -2\.0 .* at n_p = 100000000"):
+        phasespace.closed_form_window(params, GridSpec(n_p=10**8))
+    with pytest.raises(ValueError, match=r"r_max = 800\.0 is out of the closed form's reach"):
+        phasespace.closed_form_window(params, GridSpec(r_max=800.0))
 
 
 def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):
@@ -515,7 +541,7 @@ def test_cache_key_separates_inputs(params, fock_state):
         (fock_state(1, dim=10), small_ladder, SMALL_GRID),
     ]
     # off a symmetric window the distinct |b| come from exact np.unique
-    b_abs = phasespace._closed_form(params, asymmetric).b_abs
+    b_abs = phasespace.closed_form_window(params, asymmetric).b_abs
     p_axis = asymmetric.axes()[1]
     assert np.array_equal(b_abs, np.unique(np.abs(2.0 * p_axis.astype(np.longdouble))))
     base = _cold(fock_state(1), params, SMALL_GRID)
@@ -533,8 +559,7 @@ def test_cache_key_separates_inputs(params, fock_state):
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
     plan = phasespace._closed_form(params, SMALL_GRID)
-    arrays = (plan.k0, plan.k1, plan.dk, *plan.terms,
-              plan.xi, plan.b_abs, plan.inverse, plan.negative_b)
+    arrays = (plan.k0, plan.k1, plan.dk, *plan.terms, plan.inverse, plan.negative_b)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -606,7 +631,7 @@ def _dense_term_table(params, grid):
     """The (n_r N, N^2) table with its zero half, by the scalar loop over
     (n, m, s, k): row (x, D), column (n, m) row-major."""
     ld = np.longdouble
-    xi = phasespace._closed_form(params, grid).xi
+    xi = phasespace.closed_form_window(params, grid).xi
     big_n = params.n_bound
     two_n = 2 * big_n
     k_total = params.k

@@ -540,6 +540,44 @@ def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys, monkeypatch
     assert not out_dir.exists()
 
 
+def test_cli_output_dir_without_write_access_is_config_error(tmp_path, capsys, monkeypatch):
+    # a process running as root passes every permission check, so the
+    # access check is denied here instead; the run must not start
+    def no_run(config):
+        raise AssertionError("run_scenario called for an unwritable output directory")
+
+    monkeypatch.setattr("deformed_lindblad.cli.run_scenario", no_run)
+    monkeypatch.setattr("deformed_lindblad.cli.os.access", lambda path, mode: False)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("t_samples = 0\n" + FAST_GRID)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output directory {out_dir}: Permission denied: {tmp_path}" in err
+    assert not out_dir.exists()
+
+
+def test_cli_reads_the_config_as_utf8_with_or_without_a_bom(tmp_path, capsys):
+    # a leading byte-order mark is not part of the first key; bytes that
+    # are not UTF-8 are a config error naming the file, not a numerical one
+    config_path = tmp_path / "bom.cfg"
+    config_path.write_bytes(b"\xef\xbb\xbftheta = 4.0\nt_samples = 0\n" + FAST_GRID.encode())
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 0
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"# \xe9tat initial\nt_samples = 0\n" + FAST_GRID.encode())
+    assert cli_main(["run", "--config", str(latin), "--output-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config file {latin} is not UTF-8" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_runs_a_tiny_target_mean(tmp_path):
+    # the config accepts any target in [0, n_bound - 1), 1e-300 included
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("scenario = aocs\ntarget_mean_n = 1e-300\nt_samples = 0\n" + FAST_GRID)
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
 def test_shift_cutoff_below_the_top_gap_is_config_error(tmp_path, capsys):
     # shift_table needs the cutoff above every gap; the largest Morse gap
     # at n_bound = 15 is Omega(0) = 29/31
