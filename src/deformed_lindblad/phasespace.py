@@ -459,7 +459,9 @@ def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
     where the nodes up to t_max at the finer step h / 2 would pass the
     _QUADRATURE_BYTES budget, and N, n_r and the distinct |b| count where
     the plan's arrays would pass the _PLAN_BYTES budget.  The first two
-    need the grid's extents only, so they refuse before any array exists.
+    need the grid's extents only, so they refuse before any array exists;
+    the third reads n_r as an integer only, so the r axis (GridSpec.axes'
+    np.linspace) and xi are built after it.
     """
     xi_min = float(_LD(params.k) * np.exp(-_LD(grid.r_max)))
     try:
@@ -482,8 +484,7 @@ def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
             f"{t_max / (step / 2) if step else math.inf:.3g} nodes up to t = {t_max:.4g}, "
             f"past the {budget} that {_QUADRATURE_BYTES >> 20} MiB hold at n_p = {grid.n_p}"
         )
-    r_axis, p_axis = grid.axes()
-    b = 2.0 * p_axis.astype(_LD)
+    b = 2.0 * np.linspace(grid.p_min, grid.p_max, grid.n_p).astype(_LD)
     folded = np.abs(b)
     if grid.p_min == -grid.p_max:
         j = np.arange(len(b))
@@ -497,6 +498,7 @@ def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
             f"{n_b} distinct |b| would take {size} bytes, past its "
             f"{_PLAN_BYTES >> 20} MiB budget"
         )
+    r_axis = np.linspace(grid.r_min, grid.r_max, grid.n_r)
     xi = _LD(params.k) * np.exp(-r_axis.astype(_LD))
     return ClosedFormWindow(xi, b, b_abs, inverse, t_max, step)
 
@@ -525,13 +527,13 @@ def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
 
 
 def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """Re c and Im c of the +D half, shape (2, n_r, N), from the two rows
-    (Re 2h, Im 2h) flattened in row-major (n, m) order.  Each is one
-    sequential sum per r point over the pairs of order D's tail, read
-    contiguously, and goes to (x, D) order, the layout the contraction
-    reads."""
+    """Re c and Im c of the +D half, shape (len(rows), n_r, N), from the
+    rows (Re 2h, Im 2h), or Re 2h alone, flattened in row-major (n, m)
+    order.  Each is one sequential sum per r point over the pairs of order
+    D's tail, read contiguously, and goes to (x, D) order, the layout the
+    contraction reads."""
     big_n = len(terms)
-    c = np.empty((2, len(terms[0]), big_n), dtype=_LD)
+    c = np.empty((len(rows), len(terms[0]), big_n), dtype=_LD)
     for d, tail in enumerate(terms):
         c[:, :, d] = np.dot(tail, rows[:, d * big_n:].T).T
     return c
@@ -566,6 +568,11 @@ def wigner_closed(
     The map is W[h] = 2 Re(c K) of the +D half of the sum, with
     h = (rho + rho^H)/2: one product of h with the plan's term tails gives
     the coefficients c, which contract once with the level-1 Bessel tensor.
+    A real h (Im h = 0, as every t = 0 state of the scenarios) takes one
+    product row and one contraction, Re c Re K; otherwise Re c Re K -+
+    Im c Im K are formed for b >= 0 and b < 0.  Either way the map is
+    formed on the distinct |b| columns in longdouble, rounded to float64
+    once and copied out to the p points with one index.
     That map is returned when (2/pi) max_x sum_D (|Re c_D| + |Im c_D|)
     dk[x, D], a bound on its change from level 0, is within rtol of the
     grid maximum.  Otherwise the level-0 map is contracted too, and W1 is
@@ -591,32 +598,36 @@ def wigner_closed(
             f"anti-Hermitian residue |rho - rho^H| = {skew[n, m]:.3e} at entry "
             f"({n}, {m}) exceeds {HERMITICITY_TOL}; rho is not Hermitian"
         )
-    r_axis, p_axis = grid.axes()
     plan = _closed_form(params, grid)
-    inverse, negative_b = plan.inverse, plan.negative_b
+    r_axis, p_axis = grid.axes()
 
     # rows: Re and Im of 2h.  A Hermitian h has c_neg = conj(c_pos), so
     # W[h] = 2 Re(c_pos K) needs only Re c and Im c of the +D half, from one
-    # real product with the table
+    # real product with the table.  A real h has Im c = +0 exactly (each sum
+    # starts at +0), and x -+ (+0) is x bit for bit, so it takes Re c alone
     re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
     rows = np.reshape([re + re.T, im - im.T], (2, -1))
-    re_c, im_c = _coefficient_product(plan.terms, rows)
+    c = _coefficient_product(plan.terms, rows if rows[1].any() else rows[:1])
     prefactor = _LD(2.0) / _LD(math.pi)
+    # each p point's column of assemble: its |b| column, and for a complex h
+    # the plus half where b < 0
+    columns = plan.inverse if len(c) == 1 else plan.inverse + plan.k1.shape[1] * plan.negative_b
 
     def assemble(k: np.ndarray) -> np.ndarray:
-        # Re c Re K - Im c Im K on the unique |b| columns, then out to p;
-        # negative-b columns take conj(K), which flips the sign of Im K
-        re_k = np.einsum("xd,xbd->xb", re_c, k.real, optimize=False)
-        im_k = np.einsum("xd,xbd->xb", im_c, k.imag, optimize=False)
-        values = ((re_k - im_k) * prefactor)[:, inverse]
-        values[:, negative_b] = ((re_k + im_k) * prefactor)[:, inverse[negative_b]]
-        return values
+        # Re c Re K - Im c Im K, then Re c Re K + Im c Im K, on the distinct
+        # |b| columns: negative-b points take conj(K), which flips the sign
+        # of Im K
+        re_k = np.einsum("xd,xbd->xb", c[0], k.real, optimize=False)
+        if len(c) == 1:
+            return re_k * prefactor
+        im_k = np.einsum("xd,xbd->xb", c[1], k.imag, optimize=False)
+        return np.concatenate([re_k - im_k, re_k + im_k], axis=1) * prefactor
 
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
         # |row . term . K| of its sum against the largest assembled |W|
         x, p = worst
-        k = np.abs(plan.k1[x, inverse[p]])
+        k = np.abs(plan.k1[x, plan.inverse[p]])
         scale = np.abs(rows).max(axis=0)
         largest = max(
             np.max(scale[d * big_n:] * np.abs(tail[x]) * k[d]) for d, tail in enumerate(plan.terms)
@@ -635,13 +646,17 @@ def wigner_closed(
 
     # |Re(c dK)| <= (|Re c| + |Im c|) |dK| term by term, so the bound holds
     # |W1 - W0| at every grid point: when it is within rtol, the comparison
-    # of the two maps would accept W1 too (up to round-off)
-    values = assemble(plan.k1)
-    bound = float(np.max(np.sum((np.abs(re_c) + np.abs(im_c)) * plan.dk, axis=1)) * prefactor)
+    # of the two maps would accept W1 too (up to round-off).  Rounding to
+    # float64 is monotone, so max |W1| read from the rounded map is the
+    # rounded longdouble max: the columns are rounded once, then copied out
+    w1 = assemble(plan.k1)
+    values = w1.astype(float)[:, columns]
+    bound = float(np.max(np.sum(np.abs(c).sum(axis=0) * plan.dk, axis=1)) * prefactor)
     if bound > rtol * max(float(np.max(np.abs(values))), 1e-300):
-        w1 = values
-        values = _refine(lambda level: w1 if level else assemble(plan.k0), rtol, 1, failure)
-    values = np.asarray(values, dtype=float)
+        w1 = w1[:, columns]
+        values = _refine(
+            lambda level: w1 if level else assemble(plan.k0)[:, columns], rtol, 1, failure
+        ).astype(float)
     return WignerGrid(r_axis=r_axis, p_axis=p_axis, values=values, time=time)
 
 

@@ -308,7 +308,9 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
     per grid point with p varying fastest.  Its values are formatted by
     numpy (see `_wigner_csv`): every value with 1e-280 <= |w| < 1 that is
     not within 1e-3 of a 12-digit rounding tie, which is every nonzero
-    Wigner value but about 0.2% of them, never reaches Python's '%'.
+    Wigner value but about 0.2% of them, never reaches Python's '%'.  The
+    header and "{r},{p}," prefix rows are built once per distinct axis pair
+    in the call and kept only for it; each grid refills their value fields.
     Returns the file manifest as (name, byte count) pairs.
     """
     out = Path(out_dir)
@@ -324,8 +326,13 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> list[tuple[str
         lines.append(",".join(f"{value:.12g}" for value in row))
     manifest.append(_write_bytes(out / "series.csv", ("\n".join(lines) + "\n").encode()))
 
+    templates: dict[tuple[bytes, bytes], np.ndarray] = {}
     for grid in result.grids:
-        manifest.append(_write_bytes(out / _snapshot_name(grid.time), _wigner_csv(grid)))
+        key = tuple(np.asarray(axis, dtype=float).tobytes() for axis in (grid.r_axis, grid.p_axis))
+        rows = templates.get(key)
+        if rows is None:
+            rows = templates[key] = _wigner_rows(grid)
+        manifest.append(_write_bytes(out / _snapshot_name(grid.time), _wigner_csv(grid, rows)))
 
     meta_lines = [f"{key} = {value}" for key, value in sorted(result.metadata.items())]
     manifest.append(_write_bytes(out / "metadata.txt", ("\n".join(meta_lines) + "\n").encode()))
@@ -391,27 +398,45 @@ def _fixed_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return fast, np.where(fast, m, 1e11), e
 
 
-def _wigner_csv(grid: WignerGrid) -> bytes:
-    """The bytes of one Wigner CSV.
+def _wigner_rows(grid: WignerGrid) -> np.ndarray:
+    """The rows of a Wigner CSV on the grid's axes, value fields NUL.
 
-    Each line is built in one fixed-width row of a uint8 matrix, absent
-    bytes NUL: the "{r},{p}," prefix, broadcast from the axis texts, then
-    the value's field (`_FIELD_WIDTH`).  Below |w| = 1 "%.12g" has two
-    layouts, "0.000ddd" for e >= -4 and "d.ddde-XX" below, so every byte has
-    a fixed column; digits come from table lookups of three 4-digit groups.
-    Values outside the fast path (`_fixed_digits`) are formatted by one '%'
-    call and scattered into their rows.  The file is the non-NUL bytes.
+    One fixed-width row of a uint8 matrix per line, absent bytes NUL: the
+    header "r,p,w", then per grid point the "{r},{p}," prefix, broadcast
+    from the axis texts, and `_FIELD_WIDTH` bytes for the value, last.
     """
     r_text = np.array([f"{r:.12g}," for r in np.asarray(grid.r_axis, float).tolist()], bytes)
     p_text = np.array([f"{p:.12g}," for p in np.asarray(grid.p_axis, float).tolist()], bytes)
-    values = np.asarray(grid.values, dtype=float).ravel()
     prefix = r_text.itemsize + p_text.itemsize
-    rows = np.zeros((1 + values.size, prefix + _FIELD_WIDTH), dtype=np.uint8)
+    rows = np.zeros((1 + r_text.size * p_text.size, prefix + _FIELD_WIDTH), dtype=np.uint8)
     rows[0, :6] = np.frombuffer(b"r,p,w\n", dtype=np.uint8)
     points = rows[1:].reshape(r_text.size, p_text.size, rows.shape[1])
     points[:, :, : r_text.itemsize] = r_text.view(np.uint8).reshape(r_text.size, 1, -1)
     points[:, :, r_text.itemsize : prefix] = p_text.view(np.uint8).reshape(1, p_text.size, -1)
+    return rows
 
+
+def _wigner_csv(grid: WignerGrid, rows: np.ndarray) -> bytes:
+    """The bytes of one Wigner CSV, in rows from `_wigner_rows` on the
+    grid's axes: the grid's `_value_fields` are copied into the rows once,
+    and the file is the non-NUL bytes.  Every byte of each field is
+    written, so rows shared by grids on one axis pair carry nothing from
+    one grid to the next."""
+    rows[1:, -_FIELD_WIDTH:] = _value_fields(np.asarray(grid.values, dtype=float).ravel()).T
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _value_fields(values: np.ndarray) -> np.ndarray:
+    """The "%.12g" text of each value and a newline, NUL-padded, as the
+    columns of a contiguous (`_FIELD_WIDTH`, n) uint8 buffer, built one
+    byte position (row) at a time.
+
+    Below |w| = 1 "%.12g" has two layouts, "0.000ddd" for e >= -4 and
+    "d.ddde-XX" below, so every byte has a fixed position; digits come from
+    table lookups of three 4-digit groups.  Values outside the fast path
+    (`_fixed_digits`) are formatted by one '%' call and scattered into
+    their fields.
+    """
     fast, m, e = _fixed_digits(values)
     high = np.floor(m / 1e8)
     middle = np.floor(m / 1e4)
@@ -424,21 +449,21 @@ def _wigner_csv(grid: WignerGrid) -> bytes:
     digits = words.view(np.uint8)
     scientific = e < -4
     layout = _EXPONENT_BYTES[-e].view(np.uint8).reshape(-1, 8)
-    field = rows[1:, prefix:]
-    field[:, 0] = np.where(values < 0, ord("-"), 0)
-    field[:, 1] = np.where(scientific, digits[:, 0], ord("0"))
-    field[:, 2] = np.where(scientific & (digits[:, 1] == 0), 0, ord("."))
-    field[:, 3:6] = layout[:, :3]
-    field[:, 6] = np.where(scientific, 0, digits[:, 0])
-    field[:, 7:18] = digits[:, 1:]
-    field[:, 18:23] = layout[:, 3:]
-    field[:, 23] = ord("\n")
+    field = np.empty((_FIELD_WIDTH, values.size), dtype=np.uint8)
+    field[0] = np.where(values < 0, ord("-"), 0)
+    field[1] = np.where(scientific, digits[:, 0], ord("0"))
+    field[2] = np.where(scientific & (digits[:, 1] == 0), 0, ord("."))
+    field[3:6] = layout[:, :3].T
+    field[6] = np.where(scientific, 0, digits[:, 0])
+    field[7:18] = digits[:, 1:].T
+    field[18:23] = layout[:, 3:].T
+    field[23] = ord("\n")
 
     slow = np.flatnonzero(~fast)
     text = ("%.12g\n" * slow.size % tuple(values[slow].tolist())).encode().split()
     width = _FIELD_WIDTH - 1
-    field[slow, :width] = np.array(text, f"S{width}").view(np.uint8).reshape(slow.size, width)
-    return rows.tobytes().translate(None, b"\0")
+    field[:width, slow] = np.array(text, f"S{width}").view(np.uint8).reshape(slow.size, width).T
+    return field
 
 
 def _write_bytes(path: Path, data: bytes) -> tuple[str, int]:

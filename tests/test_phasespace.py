@@ -512,6 +512,37 @@ def test_extent_refusals_come_before_any_window_array(params, monkeypatch):
         phasespace.closed_form_window(params, GridSpec(r_max=800.0))
 
 
+def _two_row_map(rho, params, grid):
+    """The level-1 map as two contractions on the |b| columns, their
+    difference and sum copied out to the p points in longdouble, then
+    rounded: the reference for wigner_closed's rounded column copy-out."""
+    plan = phasespace._closed_form(params, grid)
+    re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
+    rows = np.reshape([re + re.T, im - im.T], (2, -1))
+    re_c, im_c = phasespace._coefficient_product(plan.terms, rows)
+    prefactor = np.longdouble(2.0) / np.longdouble(math.pi)
+    re_k = np.einsum("xd,xbd->xb", re_c, plan.k1.real, optimize=False)
+    im_k = np.einsum("xd,xbd->xb", im_c, plan.k1.imag, optimize=False)
+    values = ((re_k - im_k) * prefactor)[:, plan.inverse]
+    negative = plan.negative_b
+    values[:, negative] = ((re_k + im_k) * prefactor)[:, plan.inverse[negative]]
+    return values.astype(float)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(), GridSpec(r_min=-1.0, r_max=6.0, n_r=15, p_min=-2.0, p_max=6.5, n_p=16),
+], ids=["default", "asymmetric"])
+def test_column_copy_out_equals_the_two_row_map(params, model, rho_docs, grid):
+    # the real docs state takes one product row and the complex aocs state
+    # two; each map is the two-row reference bit for bit, on the mirrored
+    # default window and on an asymmetric one with an even n_p
+    complex_rho = to_density(aocs(0.9 + 0.7j, model))
+    assert not np.any(rho_docs.imag) and np.any(complex_rho.imag - complex_rho.imag.T)
+    for rho in (rho_docs, complex_rho):
+        got = wigner_closed(rho, params, grid).values
+        assert np.array_equal(got, _two_row_map(rho, params, grid))
+
+
 def test_refused_bound_refines_to_the_same_map(params, fock_state, monkeypatch):
     # |8> on SMALL_GRID: the bound reads 2.41e-8 of max |W| against a true
     # level-0/1 change of 3.67e-9.  At rtol = 1e-7 the bound accepts the

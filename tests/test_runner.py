@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from deformed_lindblad import (
     ConfigError,
+    GridSpec,
     IntegrationError,
     MorseParams,
     ReservoirParams,
@@ -20,6 +22,7 @@ from deformed_lindblad import (
     rate_table,
     run_scenario,
     to_density,
+    wigner_closed,
     write_outputs,
 )
 from deformed_lindblad.cli import main as cli_main
@@ -31,6 +34,7 @@ from deformed_lindblad.runner import (
     SimulationConfig,
     _fixed_digits,
     _wigner_csv,
+    _wigner_rows,
 )
 
 FAST_GRID = "r_min = -2\nr_max = 10\nn_r = 31\np_min = -6\np_max = 6\nn_p = 31\n"
@@ -174,6 +178,28 @@ def test_plan_past_the_byte_budget_is_config_error(tmp_path, capsys, lines, plan
     err = capsys.readouterr().err
     assert f"config error: the closed-form plan for {plan}, past its 1024 MiB budget" in err
     assert not out_dir.exists()
+
+
+def test_huge_n_r_is_refused_before_its_r_axis():
+    # the plan-bytes check reads n_r as an integer: n_r = 10^9 (8 GB of r
+    # axis in float64) is refused by the config and by wigner_closed before
+    # any array of n_r points exists
+    grid = GridSpec(n_r=10**9)
+    rho = np.zeros((15, 15), dtype=complex)
+    rho[0, 0] = 1.0
+    refusals = [
+        (ConfigError, lambda: SimulationConfig(n_r=10**9)),
+        (ValueError, lambda: wigner_closed(rho, MorseParams(15), grid)),
+    ]
+    for error, call in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=r"on n_r = 1000000000 r points"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_window_at_the_closed_forms_reach_runs(tmp_path):
@@ -457,11 +483,32 @@ def test_wigner_csv_matches_percent_on_adversarial_values():
     ]
     for grid in grids:
         with np.errstate(all="raise"):
-            written = _wigner_csv(grid)
+            written = _wigner_csv(grid, _wigner_rows(grid))
         expected = _percent_csv(grid)
         if written != expected:
             bad = [(w, e) for w, e in zip(written.split(b"\n"), expected.split(b"\n")) if w != e]
             raise AssertionError(f"{len(bad)} lines differ, first {bad[:3]}")
+
+
+def test_grids_sharing_prefix_rows_leak_no_field_bytes(tmp_path):
+    # three grids on one axis pair in one call share its prefix rows: fast
+    # values, then values that all fall back to '%' (shorter texts), then
+    # fast values again.  Each file must be its own grid's '%' text, so no
+    # field bytes carry over from one grid to the next
+    r_axis = np.array([-2.0, 0.5, 3.25])
+    p_axis = np.array([-1.5, 0.0, 1.5])
+    rng = np.random.default_rng(11)
+    fast = [rng.uniform(-0.3, 0.3, size=(3, 3)) * 10.0 ** -rng.integers(0, 12, size=(3, 3))
+            for _ in range(2)]
+    percent = np.array([[0.0, -0.0, 1.0], [np.nan, -np.inf, 1e16], [2.5, -7.0, 0.0]])
+    grids = [WignerGrid(r_axis=r_axis, p_axis=p_axis, values=v, time=t)
+             for t, v in zip((0.0, 1.0, 2.0), (fast[0], percent, fast[1]))]
+    assert np.all(_fixed_digits(fast[0].ravel())[0]) and np.all(_fixed_digits(fast[1].ravel())[0])
+    assert not np.any(_fixed_digits(percent.ravel())[0])
+    write_outputs(ScenarioResult(config=SimulationConfig(), metadata={}, grids=grids, states=[]),
+                  tmp_path)
+    for grid in grids:
+        assert (tmp_path / f"wigner_t{grid.time:g}.csv").read_bytes() == _percent_csv(grid)
 
 
 @pytest.mark.parametrize("scenario", ["docs", "aocs", "even_cat"])
