@@ -217,54 +217,62 @@ def rate_table(model: OscillatorModel, reservoir: ReservoirParams) -> RateTable:
     return RateTable(K2=half_gamma * nbar, K4=half_gamma * (nbar + 1.0), delta2=d2, delta4=d4)
 
 
-def check_shift_cutoff(model: OscillatorModel, cutoff: float) -> None:
-    """Refuse a shift cutoff at or below the largest gap: each gap's principal
-    value needs the cutoff above its pole."""
-    top_gap = float(np.max(gap_frequencies(model)))
-    if not cutoff > top_gap:
+def check_shift_cutoff(model: OscillatorModel, reservoir: ReservoirParams) -> np.ndarray:
+    """Refuse a shift cutoff c the shifts cannot take, else return the part
+    of delta4 - delta2 that grows like c^3, per gap Omega: -gamma_scale /
+    (2 pi) times the principal value over w in (0, c) of w^3 / (Omega - w),
+    Omega^3 ln(Omega / (c - Omega)) - c (c^2/3 + Omega c/2 + Omega^2).  c
+    must exceed the largest gap, each principal value's pole, and keep that
+    part finite (below about 8.1e102 at the default gamma_scale)."""
+    gaps = gap_frequencies(model)
+    cutoff = float(reservoir.shift_cutoff)
+    if not cutoff > np.max(gaps):
         raise ValueError(
-            f"shift_cutoff must exceed the largest gap {top_gap} omega0 "
+            f"shift_cutoff must exceed the largest gap {float(np.max(gaps))} omega0 "
             f"({model.dim} levels), got {cutoff}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cube = gaps**3 * np.log(gaps / (cutoff - gaps)) - cutoff * (
+            cutoff * cutoff / 3.0 + gaps * cutoff / 2.0 + gaps**2
+        )
+        spontaneous = -(reservoir.gamma_scale / (2.0 * np.pi) * cube)
+    if not np.all(np.isfinite(spontaneous)):
+        raise ValueError(
+            f"shift_cutoff {cutoff} is too large: the spontaneous shift delta4, which "
+            f"grows like its cube, is not finite at gamma_scale {reservoir.gamma_scale}"
+        )
+    return spontaneous
 
 
-def shift_table(
-    model: OscillatorModel, reservoir: ReservoirParams
-) -> tuple[np.ndarray, np.ndarray]:
+def shift_table(model: OscillatorModel, reservoir: ReservoirParams) -> tuple[np.ndarray, np.ndarray]:
     """Frequency shifts (delta2, delta4) of every gap, as principal values.
 
     delta2 and delta4 are -gamma_scale / (2 pi) times the principal value
     over w in (0, c), c the cutoff, of T(w) / (Omega - w), resp.
     (T(w) + w^3) / (Omega - w), at each gap Omega(n), T(w) = w^3 nbar(w).
-    The w^3 part is Omega^3 ln(Omega / (c - Omega)) - c (c^2/3 + Omega c/2
-    + Omega^2), which grows like c^3; delta2 converges.  T is below 1e-22
-    of its peak past theta w = 64, so delta2 integrates over (0, u),
-    u = min(c, 64 / theta), and is the same at every cutoff past 64 / theta.
-    For each gap below u, T(Omega) is subtracted from T(w) and
+    The w^3 part grows like c^3 (check_shift_cutoff); delta2 converges.  T
+    is below 1e-22 of its peak past theta w = 64, so delta2 integrates over
+    (0, u), u = min(c, 64 / theta), and is the same at every cutoff past
+    64 / theta.  For each gap below u, T(Omega) is subtracted from T(w) and
     T(Omega) ln(Omega / (u - Omega)) added back; a gap at or past u has no
     pole inside (0, u).  Within Omega / 4 of a gap, where the subtraction
     cancels (0/0 on the gap itself), the quotient is taken with its factor
     w - Omega divided out exactly, so a node on or next to a gap costs no
-    digits.  What remains is one composite Gauss-Legendre rule
-    of 21 panels of 32 nodes.  Its integrand's only singularities are the
-    poles of nbar at w = 2 pi i k / theta, k != 0, and a panel is at most
-    64 / (21 theta) < pi / theta wide, so they lie over 4 half-widths off
-    the axis and the rule's error (about 8.4^-64) is far below rounding.
-    delta1 and delta3 are these read at the gap below with the opposite
-    sign (see RateTable).  Requires a shift_cutoff above the largest gap;
-    without one, rate_table fills the deltas with zeros.
+    digits.  What remains is one composite Gauss-Legendre rule of 21 panels
+    of 32 nodes.  Its integrand's only singularities are the poles of nbar
+    at w = 2 pi i k / theta, k != 0, and a panel is at most 64 / (21 theta)
+    < pi / theta wide, so they lie over 4 half-widths off the axis and the
+    rule's error (about 8.4^-64) is far below rounding.  delta1 and delta3
+    are these read at the gap below with the opposite sign (see RateTable).
+    A cutoff check_shift_cutoff refuses raises its ValueError; without a
+    cutoff, rate_table fills the deltas with zeros.
     """
     if reservoir.shift_cutoff is None:
         raise ValueError("shift_table requires a shift_cutoff")
-    cutoff = float(reservoir.shift_cutoff)
-    check_shift_cutoff(model, cutoff)
+    spontaneous = check_shift_cutoff(model, reservoir)
     gaps = gap_frequencies(model)
     theta = reservoir.theta
-    scale = reservoir.gamma_scale / (2.0 * np.pi)
-    cube = gaps**3 * np.log(gaps / (cutoff - gaps)) - cutoff * (
-        cutoff**2 / 3.0 + gaps * cutoff / 2.0 + gaps**2
-    )
-    reach = min(cutoff, 64.0 / theta)
+    reach = min(float(reservoir.shift_cutoff), 64.0 / theta)
     thermal = np.zeros_like(gaps)
     if reach > 0.0:  # at theta = inf, nbar and with it T vanish
         x, weights = np.polynomial.legendre.leggauss(32)
@@ -288,8 +296,8 @@ def shift_table(
         np.divide(w**3 * nbar - pole[:, None], -step, out=regular, where=~near)
         thermal = regular @ np.tile(half * weights, 21)
         thermal[below] += pole[below] * np.log(gaps[below] / (reach - gaps[below]))
-    delta2 = -scale * thermal
-    return delta2, delta2 - scale * cube
+    delta2 = -reservoir.gamma_scale / (2.0 * np.pi) * thermal
+    return delta2, delta2 + spontaneous
 
 
 def jump_amplitudes(model: OscillatorModel, eta_values: Sequence[float]) -> np.ndarray:
@@ -650,43 +658,40 @@ def integrate(
     )
 
 
-def steady_state(
-    model: OscillatorModel,
-    rates: RateTable,
-    eta_values: Sequence[float],
-) -> np.ndarray:
-    """Stationary state: the null vector of the population block.
-
-    The k = 0 block of the generator is a real birth-death chain on the
-    populations, and the stationary state is diagonal.  Its null vector is
-    solved for directly, with the ground-state row of the block replaced by
-    the normalisation sum(p) = 1.  Dropping the ground row rather than the
-    top one keeps the top rung's own balance equation, which fixes the
-    smallest populations (about 1e-13 of the ground state's at theta = 4)
-    relative to their neighbours; without it they come out as differences
-    of much larger fluxes and lose their relative accuracy.  The result is
-    then checked: the generator residual ||d rho/dt||_max must fall below
-    STEADY_RESIDUAL_TOL AND the relative rate |dp_n/dt| / p_n below
-    STEADY_RELATIVE_TOL on every level with p_n > 0, or RuntimeError names
-    the residual reached.  Levels whose population underflows to zero
-    (extreme cold) have no relative rate; the absolute residual covers them.
-    """
-    if not np.any(rates.K4[:-1]):
+def _birth_death_populations(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Stationary populations of the birth-death chain with rate up[n] from
+    n to n+1 and down[n] back: the product of the rung ratios up / down,
+    summed in logs and normalised.  up = 0 (a cold reservoir's underflowed
+    absorption, or a gap with no coupling) gives log 0 = -inf and zero
+    population above it.  With no down rate there is no flux to balance."""
+    if not np.any(down):
         raise ValueError("steady state requires nonzero damping")
-    gen = build_generator(model, rates, eta_values)
-    _, _, chain = gen.block(0)
-    system = chain.real.copy()
-    system[0, :] = 1.0
-    rhs = np.zeros(model.dim)
-    rhs[0] = 1.0
-    populations = np.linalg.solve(system, rhs)
-    rho = np.diag(populations / np.sum(populations)).astype(complex)
+    ratios = np.divide(up, down, out=np.zeros_like(up), where=up > 0.0)
+    with np.errstate(divide="ignore"):
+        log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
+    p = np.exp(log_p - np.max(log_p))
+    return p / np.sum(p)
 
+
+def steady_state(model: OscillatorModel, rates: RateTable, eta_values: Sequence[float]) -> np.ndarray:
+    """Stationary state: the rung balance of the generator's population chain.
+
+    The k = 0 block of the generator is a birth-death chain on the
+    populations, with rates 2 K2(n) g(n)^2 up and 2 K4(n) g(n)^2 down across
+    gap n (the diagonals of below and above), and the stationary state is
+    diagonal with its _birth_death_populations.  The generator residual
+    ||d rho/dt||_max must then fall below STEADY_RESIDUAL_TOL AND the
+    relative rate |dp_n/dt| / p_n below STEADY_RELATIVE_TOL on every level
+    with p_n > 0, or RuntimeError names the residual reached.  A level
+    whose population underflows (extreme cold) or lies above an uncoupled
+    gap (eta = 0) is zero; the absolute residual covers it.
+    """
+    gen = build_generator(model, rates, eta_values)
+    p = _birth_death_populations(np.diagonal(gen.below)[1:].real, np.diagonal(gen.above)[:-1].real)
+    rho = np.diag(p).astype(complex)
     derivative = gen.apply(rho)
     residual = float(np.max(np.abs(derivative)))
-    p = np.diag(rho).real
-    occupied = p > 0.0
-    relative = float(np.max(np.abs(np.diag(derivative).real[occupied]) / p[occupied]))
+    relative = float(np.max(np.abs(np.diag(derivative).real[p > 0.0]) / p[p > 0.0]))
     if not (residual < STEADY_RESIDUAL_TOL and relative < STEADY_RELATIVE_TOL):
         raise RuntimeError(
             f"steady state residual {residual:.3e} (tolerance {STEADY_RESIDUAL_TOL}), "
@@ -700,18 +705,11 @@ def detailed_balance_populations(rates: RateTable) -> np.ndarray:
 
     Upward flux from n equals downward flux from n+1 when p(n+1)/p(n) =
     K2(n)/K4(n), absorption over emission across gap n: the Boltzmann factor
-    over that gap.  This is an independent cross-check route for the evolved
-    steady state, not a substitute for it.  Without damping there is no flux
+    over that gap.  This is the same product steady_state takes, read from
+    the rates rather than the generator.  Without damping there is no flux
     to balance: ValueError, as from steady_state.
     """
-    if not np.any(rates.K4[:-1]):
-        raise ValueError("steady state requires nonzero damping")
-    ratios = rates.K2[:-1] / rates.K4[:-1]
-    # a cold reservoir's K2 underflows to 0: log 0 = -inf gives p = 0 above
-    with np.errstate(divide="ignore"):
-        log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
-    p = np.exp(log_p - np.max(log_p))
-    return p / np.sum(p)
+    return _birth_death_populations(rates.K2[:-1], rates.K4[:-1])
 
 
 def purity(rho: np.ndarray) -> float:

@@ -110,10 +110,10 @@ class SimulationConfig:
             )
         try:
             params = self.morse_params()
-            self.reservoir()
+            reservoir = self.reservoir()
             closed_form_window(params, self.grid())
             if self.shift_cutoff is not None:
-                check_shift_cutoff(morse_model(params), self.shift_cutoff)
+                check_shift_cutoff(morse_model(params), reservoir)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the alpha solver reaches means in [0, n_bound - 1) only

@@ -392,6 +392,44 @@ def test_alpha_solver_refreshes_a_reference_that_lost_levels():
         assert abs(alpha - reference_alpha(target, builder, model, cap)) <= 1e-8 * alpha
 
 
+def test_alpha_solver_refuses_a_non_finite_state(model):
+    def broken(a, m):
+        return np.full(m.dim, np.nan, dtype=complex)
+
+    with pytest.raises(ValueError, match=r"non-finite state at alpha = 1\.0"):
+        alpha_for_mean_n(2.0, broken, model)
+
+
+def test_alpha_solver_refuses_a_state_that_lost_its_lowest_levels(model):
+    # past alpha = 1 the builder drops levels 0 and 1, the two the solve
+    # reads s(alpha) from
+    def dropping(a, m):
+        c = aocs(a, m)
+        if a > 1.0:
+            c[:2] = 0.0
+            c /= np.linalg.norm(c)
+        return c
+
+    with pytest.raises(ValueError, match=r"lost level 0 or 1 to underflow"):
+        alpha_for_mean_n(4.0, dropping, model)
+
+
+def test_alpha_solver_returns_the_reference_alpha_on_its_own_mean(model):
+    counting, seen = counted(aocs)
+    assert alpha_for_mean_n(mean_excitation(aocs(1.0, model)), counting, model) == 1.0
+    assert seen == [1.0]
+
+
+def test_alpha_solver_names_the_infimum_of_a_support_above_the_ground(model):
+    def raised(a, m):
+        c = aocs(a, m)
+        c[:2] = 0.0
+        return c / np.linalg.norm(c)
+
+    with pytest.raises(ValueError, match=r"the infimum of <n> is 2, the lowest level"):
+        alpha_for_mean_n(1.5, raised, model)
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_alpha_solver_rejects_bad_targets_before_building(model, target):
     counting, seen = counted(aocs)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -825,12 +826,12 @@ def test_steady_state_requires_damping(model, etas):
 
 
 def test_steady_state_reports_residual_breach(model, rates, etas, monkeypatch):
-    solve = np.linalg.solve
+    balance = dissipator._birth_death_populations
 
-    def perturbed(a, b):
-        return solve(a, b) * (1.0 + 1e-6 * np.arange(len(b)))
+    def perturbed(up, down):
+        return balance(up, down) * (1.0 + 1e-6 * np.arange(len(up) + 1))
 
-    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    monkeypatch.setattr(dissipator, "_birth_death_populations", perturbed)
     with pytest.raises(RuntimeError, match=r"steady state residual \d\.\d+e-\d+"):
         steady_state(model, rates, etas)
 
@@ -863,6 +864,37 @@ def test_steady_state_extreme_cold(model, etas, theta):
     assert occupied[0]
     assert np.max(np.abs(populations[occupied] / predicted[occupied] - 1.0)) <= 1e-12
     assert np.all(predicted[~occupied] < 1e-300)
+
+
+def test_steady_state_leaves_zero_above_an_uncoupled_gap(model, rates, etas):
+    # eta(5) = 0 cuts the chain at gap 5: no flux reaches levels 6 and up,
+    # so they hold zero population (not 0/0), and the levels below keep the
+    # full chain's relative balance
+    cut = np.array(etas, dtype=float)
+    cut[5] = 0.0
+    populations = np.diag(steady_state(model, rates, cut)).real
+    assert np.all(populations[6:] == 0.0)
+    predicted = detailed_balance_populations(rates)[:6]
+    assert np.max(np.abs(populations[:6] / (predicted / predicted.sum()) - 1.0)) <= 1e-12
+
+
+def test_steady_state_of_a_sixty_level_ladder():
+    params = MorseParams(60)
+    model = morse_model(params)
+    table = rate_table(model, ReservoirParams(theta=4.0))
+    populations = np.diag(steady_state(model, table, eta_values(params))).real
+    assert np.all(populations > 0.0)
+    assert np.max(np.abs(populations / detailed_balance_populations(table) - 1.0)) <= 1e-12
+
+
+def test_shifts_leave_the_steady_state_unchanged(model, etas):
+    # shifts enter the coherences only; the population chain is the same
+    plain, shifted = (
+        steady_state(model, rate_table(model, ReservoirParams(4.0, 0.5, cutoff)), etas)
+        for cutoff in (None, 40.0)
+    )
+    assert np.array_equal(np.diag(plain), np.diag(shifted))
+    assert not np.any(shifted - np.diag(np.diag(shifted)))
 
 
 def test_purity_values(model, rates, etas, rho_docs):
@@ -927,6 +959,20 @@ def test_shift_cutoff_below_pole_rejected(model):
     bad = ReservoirParams(theta=4.0, shift_cutoff=0.5)
     with pytest.raises(ValueError, match="cutoff"):
         shift_table(model, bad)
+
+
+@pytest.mark.parametrize("cutoff", [1e103, 1e154, 1e200])
+def test_a_cutoff_whose_shifts_overflow_is_refused(model, cutoff):
+    # the spontaneous shift grows like the cutoff cubed: a table that would
+    # hold -inf (or overflow the cutoff's square) raises ValueError instead
+    reservoir = ReservoirParams(theta=4.0, shift_cutoff=cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (shift_table, rate_table):
+            with pytest.raises(ValueError, match=re.escape(f"shift_cutoff {cutoff} is too large")):
+                build(model, reservoir)
+    # below the overflow the table is finite
+    assert np.all(np.isfinite(shift_table(model, replace(reservoir, shift_cutoff=1e102))[1]))
 
 
 def test_shift_sign_structure(model):

@@ -639,6 +639,18 @@ def test_shift_cutoff_below_the_top_gap_is_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("cutoff", ["1e103", "1e154", "1e200"])
+def test_a_cutoff_whose_shifts_overflow_is_config_error(tmp_path, capsys, cutoff):
+    # delta4 grows like the cutoff cubed: past about 8.1e102 it is not
+    # finite, and past about 1.34e154 the square alone overflows a float
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(with_fast_grid(f"scenario = aocs\nshift_cutoff = {cutoff}\nt_samples = 0"))
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--output-dir", str(out_dir)]) == 2
+    assert f"config error: shift_cutoff {float(cutoff)} is too large" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_unreachable_even_cat_target_is_config_error(tmp_path, capsys):
     # even_cat populates even levels only: at n_bound = 10 its <n> stays
     # below 8, so 8 and 8.5 are refused as config (exit 2) before any solve
