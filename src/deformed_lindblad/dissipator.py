@@ -682,16 +682,19 @@ def steady_state(model: OscillatorModel, rates: RateTable, eta_values: Sequence[
     diagonal with its _birth_death_populations.  The generator residual
     ||d rho/dt||_max must then fall below STEADY_RESIDUAL_TOL AND the
     relative rate |dp_n/dt| / p_n below STEADY_RELATIVE_TOL on every level
-    with p_n > 0, or RuntimeError names the residual reached.  A level
-    whose population underflows (extreme cold) or lies above an uncoupled
-    gap (eta = 0) is zero; the absolute residual covers it.
+    with a normal p_n (at least the smallest normal float), or RuntimeError
+    names the residual reached.  A level whose population underflows
+    (extreme cold) or lies above an uncoupled gap (eta = 0) is zero, and a
+    subnormal one has lost bits of its rate products; the absolute residual
+    covers both.
     """
     gen = build_generator(model, rates, eta_values)
     p = _birth_death_populations(np.diagonal(gen.below)[1:].real, np.diagonal(gen.above)[:-1].real)
     rho = np.diag(p).astype(complex)
     derivative = gen.apply(rho)
     residual = float(np.max(np.abs(derivative)))
-    relative = float(np.max(np.abs(np.diag(derivative).real[p > 0.0]) / p[p > 0.0]))
+    normal = p >= np.finfo(float).tiny
+    relative = float(np.max(np.abs(np.diag(derivative).real[normal]) / p[normal]))
     if not (residual < STEADY_RESIDUAL_TOL and relative < STEADY_RELATIVE_TOL):
         raise RuntimeError(
             f"steady state residual {residual:.3e} (tolerance {STEADY_RESIDUAL_TOL}), "

@@ -11,15 +11,17 @@ Two independent routes to the same function:
 
   valid for arbitrary complex order (bessel_k_complex_order is one point of
   the same kernel); higher D follow by the upward order recurrence.  The
-  sum is linear in rho, and its term table and Bessel tensor depend on
-  (params, grid) only: one cached plan per pair holds them, with the
-  tensor at two trapezoid steps, h and h / 2.  A snapshot maps the
-  Hermitian part of rho as 2 Re(c K): one real product with the table
-  gives c, which contracts once with the finer tensor on the distinct
-  |p| columns, one per mirrored pair p, -p on a symmetric window.  A bound
-  on the change from the coarser step, read from c and the plan, accepts
-  that map; where it cannot, the two maps are compared, and the map is
-  returned or refused on that comparison alone.
+  sum is linear in rho.  Each of its weights is a polynomial in the Bessel
+  argument xi with exact rational coefficients, so its coefficient table
+  depends on params only and its xi powers and Bessel tensor on (params,
+  grid): one cached plan per pair holds them, with the tensor at two
+  trapezoid steps, h and h / 2.  A snapshot maps the Hermitian part of rho
+  as 2 Re(c K): rho multiplies into the coefficients first, the xi powers
+  then give c on the r axis, and c contracts once with the finer tensor on
+  the distinct |p| columns, one per mirrored pair p, -p on a symmetric
+  window.  A bound on the change from the coarser step, read from c and
+  the plan, accepts that map; where it cannot, the two maps are compared,
+  and the map is returned or refused on that comparison alone.
 * wigner_direct_oracle builds the coordinate-space kernel
   rho(r + y/2, r - y/2) from the wavefunctions and Fourier-transforms in y
   with refinement-controlled Gauss-Legendre quadrature.  It is the testing
@@ -324,35 +326,35 @@ def _k_tensor_level(
     return k
 
 
-def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rho-independent weights of the closed-form Bessel sum, per r point.
+def _term_coefficients(params: MorseParams) -> tuple[np.ndarray, ...]:
+    """Rho- and r-independent coefficients of the closed-form Bessel sum.
 
-    terms[D][x, (n - D) N + m] is the weight of rho_nm at r point x and
-    Bessel order +D for D = 0..N-1.  For the ordered level pair (n, m) the
-    inner sums run over j = 0..m and k = 0..n with Bessel order
-    D = (n - m) + s where s = j - k, so D runs over 0..n only: in row-major
-    (n, m) order the pairs that reach order D are the contiguous tail
-    n >= D, and only that tail is stored, one C-contiguous array per D whose
-    row x the product with the rows of rho reads in memory order.  Along a
-    fixed anti-diagonal s the sign (-xi)^(j+k) = (-1)^s xi^(j+k) is
-    constant, so each group
+    The weight of rho_nm at Bessel order +D (D = 0..N-1) and Bessel
+    argument xi is the polynomial
+
+        T_D(xi)[n, m] = sum_i coefficients[D][i, (n - D) N + m] xi^(D + 2 + 2i)
+
+    for i < N - D.  For the ordered level pair (n, m) the inner sums run over
+    j = 0..m and k = 0..n with Bessel order D = (n - m) + s where s = j - k,
+    so D runs over 0..n only: in row-major (n, m) order the pairs that reach
+    order D are the contiguous tail n >= D, and only those columns are
+    stored, one C-contiguous array per D.  Along a fixed anti-diagonal s the
+    sign (-xi)^(j+k) = (-1)^s xi^(j+k) is constant, so each group
 
         G_s(xi) = sum_k C(2N-m, m-s-k) C(2N-n, n-k) xi^(s+2k) / ((s+k)! k!)
 
-    is a sum of positive terms.  Each weight is a ratio of exact integers
+    is a sum of positive terms, for k = max(0, -s) .. n - D.  With the pair
+    prefactor (-1)^s N_n N_m xi^(2N-n-m), term k carries xi^e with
+    e = 2N + D - 2n + 2k, which is row i = N - 1 - n + k; the rows a pair
+    does not reach are zero.  Each weight is a ratio of exact integers
     whose numerator and denominator are each rounded once to longdouble
-    (numpy's correctly rounded conversion of Python ints) and then
-    divided, and Horner in xi^2 runs k from n - D down to
-    k_start = max(0, -s) for every pair of a tail at once: weights[t, j] is
-    what step t (of N - D) adds to pair j, so every pair ends on k_start at
-    the last step, and a pair with fewer terms starts with zero weights,
-    which leave its value exactly zero until its first term.  Swapping
-    (n, m) maps s to -s and negates D with identical magnitudes, so the
-    weight of rho_nm at order -D is the weight of rho_mn at +D: the table
-    holds D >= 0 only.  For a Hermitian rho the -D half of the sum is then
-    the complex conjugate of the +D half, and wigner_closed assembles 2 Re
-    of the +D half.  Both halves reach order D = 0, so its tail is halved
-    (exact in binary).
+    (numpy's correctly rounded conversion of Python ints) and then divided,
+    then multiplied by N_n N_m.  Swapping (n, m) maps s to -s and negates D
+    with identical magnitudes, so the weight of rho_nm at order -D is the
+    weight of rho_mn at +D: the table holds D >= 0 only.  For a Hermitian
+    rho the -D half of the sum is then the complex conjugate of the +D half,
+    and wigner_closed assembles 2 Re of the +D half.  Both halves reach
+    order D = 0, so its coefficients are halved (exact in binary).
 
     Everything is longdouble: the alternating sums over s and over orders
     cancel to one part in 1e9 of their largest terms on parts of the default
@@ -380,39 +382,26 @@ def _term_tails(params: MorseParams, xi: np.ndarray) -> tuple[np.ndarray, ...]:
     denominators = np.array(
         [[factorial[j] * factorial[k] for k in levels] for j in levels], dtype=object
     ).astype(_LD)
-    # powers[e] = xi^e for the pair prefactor xi^(2N-n-m) and the lowest
-    # power xi^|s| of G_s
-    powers = np.array([xi ** _LD(e) for e in range(2 * big_n + 1)])
-    xi_sq = (xi * xi)[:, None]
-    terms = []
+    coefficients = []
     for d in levels:
-        steps = big_n - d
         n = np.repeat(np.arange(d, big_n), big_n)
-        m = np.tile(np.arange(big_n), steps)
+        m = np.tile(np.arange(big_n), big_n - d)
         s = d - n + m
-        k = np.maximum(0, -s) + (steps - 1 - np.arange(steps)[:, None])
-        used = k <= n - d
+        pair = norms[n] * norms[m]
+        pair[s % 2 == 1] *= -1
+        if d == 0:
+            pair *= 0.5
+        k = np.arange(big_n - d)[:, None] - (big_n - 1) + n
+        used = (k >= np.maximum(0, -s)) & (k <= n - d)
         n_used, m_used, k_used = (np.broadcast_to(v, used.shape)[used] for v in (n, m, k))
-        weights = np.zeros(used.shape, dtype=_LD)
-        weights[used] = (
+        table = np.zeros(used.shape, dtype=_LD)
+        table[used] = (
             (comb_m[m_used, n_used - d - k_used] * comb_n[n_used, k_used]).astype(_LD)
             / denominators[d - n_used + m_used + k_used, k_used]
         )
-        tail = np.zeros((len(xi), big_n * steps), dtype=_LD)
-        for t in range(steps):
-            # pairs with n < N - 1 - t have had zero weights only so far
-            start = (steps - 1 - t) * big_n
-            active = tail[:, start:]
-            active *= xi_sq
-            active += weights[t, start:]
-        tail *= powers[np.abs(s)].T
-        pair = norms[n] * norms[m] * powers[2 * big_n - n - m].T
-        pair[:, s % 2 == 1] *= -1
-        tail *= pair
-        if d == 0:
-            tail *= 0.5
-        terms.append(tail)
-    return tuple(terms)
+        table *= pair
+        coefficients.append(table)
+    return tuple(coefficients)
 
 
 @dataclass(frozen=True)
@@ -420,16 +409,20 @@ class _ClosedForm:
     """Everything in the closed-form map that does not depend on rho.
 
     inverse (the window's) maps each p point to its |b| column and
-    negative_b marks the points with b < 0.  terms are the packed tails of
-    _term_tails, and k0 and k1 the Bessel tensor (_k_tensor_level) at the
-    window's steps h (level 0) and h / 2 (level 1).  dk[x, D] = max over b
-    of |K1 - K0| at r point x and order D; with a snapshot's coefficients
-    it bounds that map's change from level 0 to 1.
+    negative_b marks the points with b < 0.  coefficients are the
+    xi-polynomials of _term_coefficients, and powers[D][x, i] =
+    xi_x^(D + 2 + 2i) their powers on the r axis, so powers[D] @
+    coefficients[D] is the weight of each pair of order D at each r point.
+    k0 and k1 are the Bessel tensor (_k_tensor_level) at the window's steps
+    h (level 0) and h / 2 (level 1).  dk[x, D] = max over b of |K1 - K0| at
+    r point x and order D; with a snapshot's coefficients it bounds that
+    map's change from level 0 to 1.
     """
 
     inverse: np.ndarray
     negative_b: np.ndarray
-    terms: tuple[np.ndarray, ...]
+    coefficients: tuple[np.ndarray, ...]
+    powers: tuple[np.ndarray, ...]
     k0: np.ndarray
     k1: np.ndarray
     dk: np.ndarray
@@ -491,7 +484,10 @@ def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
         folded = folded[np.maximum(j, j[::-1])]
     b_abs, inverse = np.unique(folded, return_inverse=True)
     big_n, n_b = params.n_bound, len(b_abs)
-    size = np.dtype(_LD).itemsize * grid.n_r * big_n * (big_n * (big_n + 1) // 2 + 4 * n_b + 1)
+    size = np.dtype(_LD).itemsize * (
+        big_n * (big_n * (big_n + 1) * (2 * big_n + 1) // 6)
+        + grid.n_r * (big_n * (big_n + 1) // 2 + 4 * n_b * big_n + big_n)
+    )
     if size > _PLAN_BYTES:
         raise ValueError(
             f"the closed-form plan for N = {big_n} on n_r = {grid.n_r} r points and "
@@ -503,39 +499,45 @@ def closed_form_window(params: MorseParams, grid: GridSpec) -> ClosedFormWindow:
     return ClosedFormWindow(xi, b, b_abs, inverse, t_max, step)
 
 
-# One plan per (params, grid), shared by every snapshot on it: the tails take
-# 8 n_r N^2 (N + 1) bytes, each tensor level 32 n_r n_b N bytes and dk
-# 16 n_r N, with n_b the number of distinct |b| (61 on the default window)
-# and 16-byte longdoubles: 10.1 MiB at the default 121 x 121 window and
-# N = 15, 85 MiB at 401 x 401.  closed_form_window refuses one past _PLAN_BYTES.
+# One plan per (params, grid), shared by every snapshot on it: the
+# coefficients take 16 N^2 (N + 1) (2N + 1) / 6 bytes, the powers
+# 8 n_r N (N + 1), each tensor level 32 n_r n_b N bytes and dk 16 n_r N,
+# with n_b the number of distinct |b| (61 on the default window) and
+# 16-byte longdoubles: 7.3 MiB at the default 121 x 121 window and N = 15,
+# 75 MiB at 401 x 401.  closed_form_window refuses one past _PLAN_BYTES.
 @functools.lru_cache(maxsize=2)
 def _closed_form(params: MorseParams, grid: GridSpec) -> _ClosedForm:
     """The read-only closed-form plan for (params, grid), built once."""
     xi, b, b_abs, inverse, t_max, step = closed_form_window(params, grid)
-    k0, k1 = (_k_tensor_level(xi, b_abs, params.n_bound - 1, t_max, h) for h in (step, step / 2))
+    big_n = params.n_bound
+    k0, k1 = (_k_tensor_level(xi, b_abs, big_n - 1, t_max, h) for h in (step, step / 2))
+    # xi^e for e = 0..2N; order D reads e = D + 2, D + 4, .., 2N - D
+    powers = np.array([xi ** _LD(e) for e in range(2 * big_n + 1)])
     plan = _ClosedForm(
         inverse=inverse,
         negative_b=b < 0.0,
-        terms=_term_tails(params, xi),
+        coefficients=_term_coefficients(params),
+        powers=tuple(powers[d + 2:2 * big_n - d + 1:2].T.copy() for d in range(big_n)),
         k0=k0,
         k1=k1,
         dk=np.abs(k1 - k0).max(axis=1),
     )
-    for array in (inverse, plan.negative_b, *plan.terms, k0, k1, plan.dk):
+    for array in (inverse, plan.negative_b, *plan.coefficients, *plan.powers, k0, k1, plan.dk):
         array.setflags(write=False)
     return plan
 
 
-def _coefficient_product(terms: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+def _coefficient_product(plan: _ClosedForm, rows: np.ndarray) -> np.ndarray:
     """Re c and Im c of the +D half, shape (len(rows), n_r, N), from the
     rows (Re 2h, Im 2h), or Re 2h alone, flattened in row-major (n, m)
-    order.  Each is one sequential sum per r point over the pairs of order
-    D's tail, read contiguously, and goes to (x, D) order, the layout the
-    contraction reads."""
-    big_n = len(terms)
-    c = np.empty((len(rows), len(terms[0]), big_n), dtype=_LD)
-    for d, tail in enumerate(terms):
-        c[:, :, d] = np.dot(tail, rows[:, d * big_n:].T).T
+    order.  Per order D the rows of its pairs multiply into the xi
+    coefficients first, once for the whole window, and the r axis then
+    enters through one product with the xi powers; c goes to (x, D) order,
+    the layout the contraction reads."""
+    big_n = len(plan.coefficients)
+    c = np.empty((len(rows), len(plan.powers[0]), big_n), dtype=_LD)
+    for d, (table, powers) in enumerate(zip(plan.coefficients, plan.powers)):
+        c[:, :, d] = np.dot(powers, np.dot(table, rows[:, d * big_n:].T)).T
     return c
 
 
@@ -566,8 +568,9 @@ def wigner_closed(
     """Wigner function from the analytic bound-state sum.
 
     The map is W[h] = 2 Re(c K) of the +D half of the sum, with
-    h = (rho + rho^H)/2: one product of h with the plan's term tails gives
-    the coefficients c, which contract once with the level-1 Bessel tensor.
+    h = (rho + rho^H)/2: one product of h with the plan's xi coefficients,
+    then one with its xi powers, gives the coefficients c on the r axis,
+    which contract once with the level-1 Bessel tensor.
     A real h (Im h = 0, as every t = 0 state of the scenarios) takes one
     product row and one contraction, Re c Re K; otherwise Re c Re K -+
     Im c Im K are formed for b >= 0 and b < 0.  Either way the map is
@@ -585,8 +588,8 @@ def wigner_closed(
     and so does an anti-Hermitian residue max |rho - rho^H| above
     HERMITICITY_TOL, the bound validate_density holds every state to.
 
-    The plan (term tails, Bessel tensor at levels 0 and 1) depends on
-    (params, grid) only; later calls on the same pair reuse it.
+    The plan (xi coefficients and powers, Bessel tensor at levels 0 and 1)
+    depends on (params, grid) only; later calls on the same pair reuse it.
     """
     grid = grid or GridSpec()
     big_n = params.n_bound
@@ -607,7 +610,7 @@ def wigner_closed(
     # starts at +0), and x -+ (+0) is x bit for bit, so it takes Re c alone
     re, im = rho.real.astype(_LD), rho.imag.astype(_LD)
     rows = np.reshape([re + re.T, im - im.T], (2, -1))
-    c = _coefficient_product(plan.terms, rows if rows[1].any() else rows[:1])
+    c = _coefficient_product(plan, rows if rows[1].any() else rows[:1])
     prefactor = _LD(2.0) / _LD(math.pi)
     # each p point's column of assemble: its |b| column, and for a complex h
     # the plus half where b < 0
@@ -625,12 +628,14 @@ def wigner_closed(
 
     def failure(estimate, worst, residual, error):
         # conditioning at the worst point: the largest single term
-        # |row . term . K| of its sum against the largest assembled |W|
+        # |row . term . K| of its sum against the largest assembled |W|,
+        # with the point's terms rebuilt from its row of the xi powers
         x, p = worst
         k = np.abs(plan.k1[x, plan.inverse[p]])
         scale = np.abs(rows).max(axis=0)
         largest = max(
-            np.max(scale[d * big_n:] * np.abs(tail[x]) * k[d]) for d, tail in enumerate(plan.terms)
+            np.max(scale[d * big_n:] * np.abs(np.dot(powers[x], table)) * k[d])
+            for d, (table, powers) in enumerate(zip(plan.coefficients, plan.powers))
         )
         ratio = float(largest * prefactor) / max(float(np.max(np.abs(estimate))), 1e-300)
         mantissa = -math.log10(float(np.finfo(_LD).eps))

@@ -209,10 +209,11 @@ def test_window_beyond_every_support_maps_to_zero(params):
     assert np.max(np.abs(wigner_closed(rho, params, grid).values)) < 1e-45
 
 
-@pytest.mark.parametrize("n_bound", [10, 15, 20, 30])
+@pytest.mark.parametrize("n_bound", [10, 15, 20, 30, 35])
 def test_closed_matches_oracle_across_ladder_sizes(n_bound):
-    # the closed form loses digits as N grows (about 4e-14 of max |W| at
-    # N = 10, 3e-7 at N = 30); the oracle gate must hold across the sweep
+    # the closed form loses digits as N grows (about 7e-15 of max |W| at
+    # N = 10, 1.6e-8 at N = 30 and 6.5e-7 at N = 35); the oracle gate must
+    # hold across the sweep
     params = MorseParams(n_bound)
     cap = (math.pi / 2 - 1e-9) / params.chi
     alpha = alpha_for_mean_n(
@@ -347,7 +348,7 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state, monkeypatch
     with pytest.raises(BesselAccuracyError, match="stabilize") as exc:
         wigner_closed(rho, params, SMALL_GRID)
     # the message names the cause: one term of the sum is about 1e12 x max |W|
-    # (measured 1.06e12), which leaves fewer digits than rtol = 1e-8 needs
+    # (measured 7.05e11), which leaves fewer digits than rtol = 1e-8 needs
     found = re.search(r"largest single term is (\S+) x max \|W\|, which leaves (\S+) of",
                       str(exc.value))
     assert found, str(exc.value)
@@ -399,7 +400,7 @@ def test_level_one_bound_dominates_the_level_change(params, fock_state, rho_docs
     for rho in (rho_docs, rho_aocs, rho_cat, *(fock_state(n) for n in range(14))):
         re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
         rows = np.reshape([re + re.T, im - im.T], (2, -1))
-        re_c, im_c = phasespace._coefficient_product(plan.terms, rows)
+        re_c, im_c = phasespace._coefficient_product(plan, rows)
         maps = []
         for k in (plan.k0, plan.k1):
             # negative-b points take conj(K)
@@ -461,12 +462,13 @@ def test_window_past_the_node_budget_raises_before_quadrature(params, fock_state
     "n_bound, grid", [(200, GridSpec()), (15, GridSpec(n_r=4001, n_p=4001))]
 )
 def test_plan_past_the_byte_budget_raises_before_building(monkeypatch, n_bound, grid):
-    # 7.8e9 bytes of term tails at N = 200, two 3.8e9-byte Bessel tensor
-    # levels on 4001 x 4001: each plan is refused before any array of it
+    # 8.6e9 bytes of xi coefficients at N = 200, two 3.8e9-byte Bessel
+    # tensor levels on 4001 x 4001: each plan is refused before any array
+    # of it
     def no_build(*args):
         raise AssertionError("plan build reached")
 
-    monkeypatch.setattr(phasespace, "_term_tails", no_build)
+    monkeypatch.setattr(phasespace, "_term_coefficients", no_build)
     monkeypatch.setattr(phasespace, "_k_tensor_level", no_build)
     builds = phasespace._closed_form.cache_info()
     rho = np.zeros((n_bound, n_bound), dtype=complex)
@@ -481,7 +483,7 @@ def test_plan_budget_counts_the_plans_bytes(params, monkeypatch, grid):
     # the size closed_form_window checks is the bytes of the plan's arrays:
     # a budget of exactly that admits the plan, one byte less refuses it
     plan = phasespace._closed_form(params, grid)
-    size = sum(a.nbytes for a in (*plan.terms, plan.k0, plan.k1, plan.dk))
+    size = sum(a.nbytes for a in (*plan.coefficients, *plan.powers, plan.k0, plan.k1, plan.dk))
     monkeypatch.setattr(phasespace, "_PLAN_BYTES", size)
     n_b = len(phasespace.closed_form_window(params, grid).b_abs)
     monkeypatch.setattr(phasespace, "_PLAN_BYTES", size - 1)
@@ -519,7 +521,7 @@ def _two_row_map(rho, params, grid):
     plan = phasespace._closed_form(params, grid)
     re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
     rows = np.reshape([re + re.T, im - im.T], (2, -1))
-    re_c, im_c = phasespace._coefficient_product(plan.terms, rows)
+    re_c, im_c = phasespace._coefficient_product(plan, rows)
     prefactor = np.longdouble(2.0) / np.longdouble(math.pi)
     re_k = np.einsum("xd,xbd->xb", re_c, plan.k1.real, optimize=False)
     im_k = np.einsum("xd,xbd->xb", im_c, plan.k1.imag, optimize=False)
@@ -590,7 +592,8 @@ def test_cache_key_separates_inputs(params, fock_state):
 def test_cached_arrays_are_read_only(params, fock_state):
     wigner_closed(fock_state(0), params, SMALL_GRID)
     plan = phasespace._closed_form(params, SMALL_GRID)
-    arrays = (plan.k0, plan.k1, plan.dk, *plan.terms, plan.inverse, plan.negative_b)
+    arrays = (plan.k0, plan.k1, plan.dk, *plan.coefficients, *plan.powers, plan.inverse,
+              plan.negative_b)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -599,7 +602,7 @@ def test_cached_arrays_are_read_only(params, fock_state):
 
 def _term_reference(params, r, n, m, d):
     """Weight of rho_nm at r and Bessel order +d from the G_s formula of the
-    _term_tails docstring: exact combinatorics, 50-digit xi powers."""
+    _term_coefficients docstring: exact combinatorics, 50-digit xi powers."""
     if d > n:
         return mpmath.mpf(0)
     mpmath.mp.dps = 50
@@ -623,16 +626,28 @@ def _term_reference(params, r, n, m, d):
     return entry / 2 if d == 0 else entry
 
 
+def _weights_per_r(plan):
+    """Each order's weights per r point, powers[D] @ coefficients[D]: the
+    tail n >= D of the term table, shape (n_r, (N - D) N)."""
+    return [np.dot(powers, table) for table, powers in zip(plan.coefficients, plan.powers)]
+
+
 def test_term_table_layout_against_exact_reference(params):
-    # tail D of the table holds the weights of rho_nm for n >= D in
-    # row-major (n, m) order, stored C-contiguously so the product reads
-    # each r point's row in memory order
-    terms = phasespace._closed_form(params, SMALL_GRID).terms
+    # order D's coefficients hold the xi polynomials of rho_nm for n >= D in
+    # row-major (n, m) order, one row per power xi^(D + 2 + 2i), stored
+    # C-contiguously so the product reads each row in memory order; its
+    # powers hold xi^(D + 2 + 2i) per r point
+    plan = phasespace._closed_form(params, SMALL_GRID)
     big_n = params.n_bound
-    assert len(terms) == big_n
-    for d, tail in enumerate(terms):
-        assert tail.shape == (SMALL_GRID.n_r, big_n * (big_n - d))
-        assert tail.flags.c_contiguous
+    assert len(plan.coefficients) == len(plan.powers) == big_n
+    xi = phasespace.closed_form_window(params, SMALL_GRID).xi
+    for d, (table, powers) in enumerate(zip(plan.coefficients, plan.powers)):
+        assert table.shape == (big_n - d, big_n * (big_n - d))
+        assert powers.shape == (SMALL_GRID.n_r, big_n - d)
+        assert table.flags.c_contiguous and powers.flags.c_contiguous
+        exponents = (d + 2 + 2 * np.arange(big_n - d)).astype(np.longdouble)
+        assert np.array_equal(powers, xi[:, None] ** exponents)
+    terms = _weights_per_r(plan)
     r_axis = SMALL_GRID.axes()[0]
     cases = [
         (0, 0, 0, 0),       # halved D = 0
@@ -692,17 +707,37 @@ def _dense_term_table(params, grid):
     return terms
 
 
+def _weight_roundings(n_bound):
+    """Relative roundings along each term of a weight, in the scalar loop
+    and in the polynomial table together: the budget of their difference.
+
+    Each weight is a sum of same-sign terms, so an evaluation that makes at
+    most k roundings along every term is within gamma_k = k u / (1 - k u) of
+    the exact weight, u = eps(longdouble) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., chs. 3 and 5); an xi power counts 2, as
+    powl is within one ulp.  The loop makes 3 in the ratio of integers, 4 in
+    each norm, 2 in the pair prefactor's products, 2 per Horner step of up
+    to N - 1, N - 1 from the rounded xi^2 raised to N - 1, and 6 in its two
+    xi powers and the products that apply them: 3N + 16.  The table makes 3
+    in the ratio, 8 in the norms and 2 in their products, 3 in the xi power
+    and its product, and N - 1 in the sum over powers: N + 15.
+    """
+    return (3 * n_bound + 16) + (n_bound + 15)
+
+
 @pytest.mark.parametrize("n_bound", [10, 15])
 def test_packed_tails_equal_the_dense_loop(n_bound):
-    # the vectorised build keeps every entry's operation sequence: each tail
-    # equals the scalar loop's nonzero part bit for bit, and the part it
-    # leaves out is exactly zero.  np.array_equal, not tobytes(): longdouble
-    # padding bytes are not initialised
+    # each order's weights from the polynomial table, powers[D] @
+    # coefficients[D], equal the scalar loop's nonzero part within the sum
+    # of both rounding budgets (at most 4.9 u measured), and the part
+    # the table leaves out (n < D) is exactly zero in the loop
     params = MorseParams(n_bound)
     dense = _dense_term_table(params, SMALL_GRID).reshape(SMALL_GRID.n_r, n_bound, -1)
-    terms = phasespace._closed_form(params, SMALL_GRID).terms
+    terms = _weights_per_r(phasespace._closed_form(params, SMALL_GRID))
+    tol = _weight_roundings(n_bound) * np.finfo(np.longdouble).eps
     for d, tail in enumerate(terms):
-        assert np.array_equal(tail, dense[:, d, d * n_bound:]), d
+        reference = dense[:, d, d * n_bound:]
+        assert np.all(np.abs(tail - reference) <= tol * np.abs(reference)), d
         assert np.all(tail != 0), d
         assert not np.any(dense[:, d, :d * n_bound]), d
 
@@ -721,60 +756,67 @@ def _ld_nearest_reference(value):
 def test_term_weights_are_correctly_rounded_above_2_64():
     # at N = 30 the denominator 8! 29! of the pair (n, m) = (29, 8) rounds
     # twice when split into base-2^53 digits; the table takes the nearest
-    # longdouble of numerator and denominator, so the column equals the
-    # scalar Horner loop over correctly rounded weights bit for bit
+    # longdouble of numerator and denominator, so the pair's order-0
+    # coefficients equal the correctly rounded ratios times its halved,
+    # signed norms bit for bit, in rows i = N - 1 - n + k
     params = MorseParams(30)
     n, m = 29, 8
     denominator = math.factorial(8) * math.factorial(29)
     assert _ld_int_reference(denominator) != _ld_nearest_reference(denominator)
-    ld = np.longdouble
-    r_axis = SMALL_GRID.axes()[0]
-    xi = ld(params.k) * np.exp(-r_axis.astype(ld))
-    two_n, k_total, s = 2 * params.n_bound, params.k, m - n
+    big_n, two_n, k_total, s = params.n_bound, 2 * params.n_bound, params.k, m - n
 
     def norm(level):
         top = math.factorial(level) * (k_total - 2 * level - 1)
         return np.sqrt(_ld_nearest_reference(top)
                        / _ld_nearest_reference(math.factorial(k_total - level - 1)))
 
-    value = np.zeros(len(xi), dtype=ld)
-    for k in range(n, -s - 1, -1):
+    expected = np.zeros(big_n, dtype=np.longdouble)
+    for k in range(-s, n + 1):
         coef = _ld_nearest_reference(
             math.comb(two_n - m, m - s - k) * math.comb(two_n - n, n - k)
         ) / _ld_nearest_reference(math.factorial(s + k) * math.factorial(k))
-        value = value * (xi * xi) + coef
-    value *= xi ** ld(-s)
-    expected = -norm(n) * norm(m) * xi ** ld(two_n - n - m) * value * 0.5
-    column = phasespace._term_tails(params, xi)[0][:, n * params.n_bound + m]
+        expected[big_n - 1 - n + k] = coef * (norm(n) * norm(m) * -0.5)
+    column = phasespace._term_coefficients(params)[0][:, n * big_n + m]
     assert np.array_equal(column, expected)
 
 
 @pytest.mark.parametrize("state", ["rho_docs", "rho_aocs", "rho_cat"])
 def test_tail_product_equals_the_dense_product(request, params, model, rates, etas, state):
-    # summing each order over its tail only skips exact zeros of a
-    # sequential sum, so Re c and Im c are those of the dense product, for
-    # the real initial state and for the evolved one with complex coherences
+    # Re c and Im c of the polynomial product against the dense product,
+    # for the real initial state and for the evolved one with complex
+    # coherences.  Each is a sum of row . weight over the pairs.  The dense
+    # product adds the N^2 roundings of its dot product to its weights'
+    # budget; the polynomial one adds (N - D) N for the rows into the
+    # coefficients and N - D for the sum over powers, less the N - 1 its
+    # weights' budget already counts, so at most N^2 + 1.  By the
+    # dot-product bound the two differ by at most gamma_k sum |row| |weight|
+    # with k the sum of both budgets
     rho0 = request.getfixturevalue(state)
+    big_n = params.n_bound
     dense = _dense_term_table(params, SMALL_GRID)
-    terms = phasespace._closed_form(params, SMALL_GRID).terms
+    plan = phasespace._closed_form(params, SMALL_GRID)
+    k = _weight_roundings(big_n) + 2 * big_n**2 + 1
     for rho in integrate(rho0, model, rates, etas, 1.0, 1e-3, [0.0, 1.0]).states:
         re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
         rows = np.reshape([re + re.T, im - im.T], (2, -1))
-        expected = np.dot(dense, rows.T).T.reshape(2, SMALL_GRID.n_r, params.n_bound)
-        assert np.array_equal(phasespace._coefficient_product(terms, rows), expected)
+        expected = np.dot(dense, rows.T).T.reshape(2, SMALL_GRID.n_r, big_n)
+        scale = np.dot(np.abs(dense), np.abs(rows).T).T.reshape(expected.shape)
+        got = phasespace._coefficient_product(plan, rows)
+        assert np.all(np.abs(got - expected) <= k * np.finfo(np.longdouble).eps * scale)
 
 
 def test_cached_sizes_match_the_documented_formulas(params):
-    # 8 n_r N^2 (N + 1) bytes for the table's tails, 32 n_r n_b N for each
-    # of the two tensor levels and 16 n_r N for dk, with 16-byte
-    # longdouble; n_b = 61 on the default window, one column per mirrored
-    # pair
+    # 16 N^2 (N + 1) (2N + 1) / 6 bytes for the xi coefficients,
+    # 8 n_r N (N + 1) for their powers, 32 n_r n_b N for each of the two
+    # tensor levels and 16 n_r N for dk, with 16-byte longdouble; n_b = 61
+    # on the default window, one column per mirrored pair
     grid = GridSpec()
     big_n = params.n_bound
     half = np.dtype(np.longdouble).itemsize // 2
     plan = phasespace._closed_form(params, grid)
-    table = sum(tail.nbytes for tail in plan.terms)
-    assert table == half * grid.n_r * big_n**2 * (big_n + 1)
+    table = sum(a.nbytes for a in plan.coefficients)
+    assert table == 2 * half * big_n**2 * (big_n + 1) * (2 * big_n + 1) // 6
+    assert sum(a.nbytes for a in plan.powers) == half * grid.n_r * big_n * (big_n + 1)
     for tensor in (plan.k0, plan.k1):
         assert tensor.nbytes == 4 * half * grid.n_r * 61 * big_n
     assert plan.dk.nbytes == 2 * half * grid.n_r * big_n

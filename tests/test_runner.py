@@ -164,13 +164,14 @@ def test_window_past_the_node_budget_is_config_error(tmp_path, capsys, r_min):
 @pytest.mark.parametrize(
     "lines, plan",
     [
-        ("n_bound = 200", "N = 200 on n_r = 121 r points and 61 distinct |b| would take 7877584000 bytes"),
-        ("n_r = 4001\nn_p = 4001", "N = 15 on n_r = 4001 r points and 2001 distinct |b| would take 7801950000 bytes"),
+        ("n_bound = 200", "N = 200 on n_r = 121 r points and 61 distinct |b| would take 8731217600 bytes"),
+        ("n_r = 4001\nn_p = 4001", "N = 15 on n_r = 4001 r points and 2001 distinct |b| would take 7694700720 bytes"),
     ],
 )
 def test_plan_past_the_byte_budget_is_config_error(tmp_path, capsys, lines, plan):
-    # the closed-form plan would take 7.9e9 bytes: term tails at N = 200,
-    # two Bessel tensor levels on 4001 x 4001; both are refused before any run
+    # the closed-form plan would take 8.7e9 bytes (xi coefficients at
+    # N = 200) or 7.7e9 (two Bessel tensor levels on 4001 x 4001); both are
+    # refused before any run
     config_path = tmp_path / "big.cfg"
     config_path.write_text(f"t_samples = 0\n{lines}\n")
     out_dir = tmp_path / "out"
