@@ -62,6 +62,16 @@ theta = 4 and gamma_scale = 5; and 0.192 (k = 28) at 30 levels with the
 default reservoir.  At 15 levels with the default reservoir none is above
 round-off.  Such runs cross EIG_ABORT_FLOOR early (an even cat at
 theta = 0.5, gamma_scale = 5 reaches -37.7 at t = 0.5) and overflow later.
+
+Large shift cutoffs make the blocks too stiff for one double-precision
+exponential: the packed blocks' largest 1-norm ||L||_1 is 9.0 at 15
+levels and the default reservoir, 1.0e5 at cutoff 40, 2.0e8 at 500 and
+1.6e9 at 1e3, and the Pade kernel is accurate to 2 eps max(1, h ||L||_1)
+of max |U| over an interval h.  integrate refuses, before any exponential,
+an interval where that exceeds TRACE_ABORT, so with their default samples
+the docs and aocs runs raise above cutoff 412 and the even cat above 454,
+where cutoffs 1e3 to 1e5 used to return exponentials off by 1.1e-7 to
+0.14 of max |U|.
 """
 
 from __future__ import annotations
@@ -187,7 +197,10 @@ class RateTable:
 class IntegrationError(RuntimeError):
     """A density-matrix invariant broke during time evolution.
 
-    invariant names it: "finite", "trace", "hermiticity" or "eigenvalue".
+    invariant names it: "finite", "trace", "hermiticity" or "eigenvalue"
+    for a snapshot, or "exponential" for a sample interval integrate
+    refuses before propagating, because the exponential kernel cannot
+    resolve it (drift is then the kernel's accuracy, time the interval's end).
     """
 
     def __init__(self, message: str, time: float, drift: float, invariant: str):
@@ -469,7 +482,8 @@ def validate_density(
     that breaks an invariant raises, with the invariants checked in that
     order, so each state raises what it would raise alone.  Returns the
     largest trace and Hermiticity errors and the least eigenvalue over the
-    stack.
+    stack as max_trace_error, max_hermiticity_error and min_eigenvalue, the
+    names metadata.txt prints them under.
     """
     stack = np.asarray(rho)
     stack = stack.reshape((-1,) + stack.shape[-2:])
@@ -510,19 +524,19 @@ def validate_density(
             time=t, drift=float(min_eig[first]), invariant="eigenvalue",
         )
     return {
-        "trace_error": float(trace_err.max(initial=0.0)),
-        "hermiticity_error": float(herm_err.max(initial=0.0)),
+        "max_trace_error": float(trace_err.max(initial=0.0)),
+        "max_hermiticity_error": float(herm_err.max(initial=0.0)),
         "min_eigenvalue": float(min_eig.min(initial=np.inf)),
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionResult:
-    """Snapshots at the requested sample times plus run diagnostics."""
+    """integrate's snapshots, one per sample time in the caller's order, and
+    the validate_density values over all of them."""
 
-    times: list[float]
     states: list[np.ndarray]
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict[str, float]
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
@@ -559,6 +573,28 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
+def _refuse_unresolved(packed: np.ndarray, samples: list[float]) -> None:
+    """Raise IntegrationError for the first sample interval h whose stack the
+    Pade kernel cannot resolve: one whose accuracy, 2 eps max(1, h ||L_p||_1)
+    of max |U| (Higham 2005), exceeds TRACE_ABORT for the packed matrix L_p
+    of largest 1-norm.  L_p holds coherence orders p and dim - p.  A
+    generator that overflowed to NaN has a NaN norm and is refused too."""
+    norms = np.abs(packed).sum(axis=-2).max(axis=-1)
+    p = int(np.argmax(norms))  # the first NaN, if any
+    dim = packed.shape[-1]
+    for start, end in zip([0.0] + samples, samples):
+        norm = (end - start) * float(norms[p])  # a Python float: inf, not a warning
+        accuracy = 2.0 * np.finfo(float).eps * np.maximum(1.0, norm)
+        if not accuracy <= TRACE_ABORT:
+            orders = " and ".join(str(k) for k in sorted({p, dim - p} - {dim}))
+            raise IntegrationError(
+                f"the exponential cannot resolve interval {start} to {end}: "
+                f"coherence orders {orders} have ||h L||_1 = {norm:.3e}, so its accuracy "
+                f"2 eps max(1, ||h L||_1) = {accuracy:.3e} is not within {TRACE_ABORT}",
+                time=end, drift=float(accuracy), invariant="exponential",
+            )
+
+
 def integrate(
     rho0: np.ndarray,
     model: OscillatorModel,
@@ -566,7 +602,7 @@ def integrate(
     eta_values: Sequence[float],
     t_final: float,
     dt: float,
-    sample_times: Sequence[float] | None = None,
+    sample_times: Sequence[float],
 ) -> EvolutionResult:
     """Exact propagation to each sample time, every coherence order at once.
 
@@ -584,29 +620,37 @@ def integrate(
     mirrors in the second, and each interval is one stacked product of
     that stack with U and conj(U).  Every snapshot is read back out of its
     stack with one index at the end.  Snapshots land exactly on the
-    requested times.
+    sample times, which must be sorted, finite, non-negative and at most
+    t_final; the result holds one state per sample, in their order.
+
+    Before any exponential is taken, an interval the kernel cannot resolve
+    raises IntegrationError (invariant "exponential"), naming the interval,
+    the coherence orders of the worst matrix and its 1-norm ||h L||_1: the
+    kernel's accuracy 2 eps max(1, ||h L||_1) must stay within TRACE_ABORT,
+    so h ||L||_1 up to about 2.25e8 (||L||_1 is 9.0 at the defaults and
+    1.6e9 at a shift cutoff of 1e3).  A generator with a NaN entry has a
+    NaN norm and is refused the same way.
 
     rates keeps the (U, conj U) stack of its last call, keyed by the bytes
     of the generator's same, below and above arrays and the tuple of
     distinct interval lengths.  A call with the same key reuses it instead
     of calling _expm_stack, so its states are bitwise those under a fresh
     table; a rates array edited in place, other etas, another model or
-    other intervals change the key, and the new stack replaces the old.
+    other intervals change the key, and the new stack replaces the old.  A
+    refused stack is never kept, so a repeated call raises again.
 
     dt is accepted and must be finite and positive, for callers and configs
     written for a fixed-step integrator, but sets no step.  All snapshots
     are then checked in one validate_density pass (finiteness, trace,
-    Hermiticity, eigenvalue floor); the earliest breach, such as an
-    interval too long for the exponential, raises IntegrationError.
-    Overflow in later intervals stays silent: it only yields non-finite
-    snapshots after the one that raises.
+    Hermiticity, eigenvalue floor), whose values the result's diagnostics
+    are; the earliest breach raises IntegrationError.  Overflow in later
+    intervals stays silent: it only yields non-finite snapshots after the
+    one that raises.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not t_final >= 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
-    if sample_times is None:
-        sample_times = [0.0, t_final] if t_final > 0.0 else [0.0]
     samples = [float(t) for t in sample_times]
     if not all(0.0 <= t < np.inf for t in samples) or sorted(samples) != samples:
         raise ValueError(f"sample times must be finite, sorted and non-negative: {samples}")
@@ -631,8 +675,10 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = rates._propagators.get(key)
         if stacks is None:
+            blocks = gen.packed()
+            _refuse_unresolved(blocks, samples)
             rates._propagators.clear()
-            stacks = _expm_stack(np.multiply.outer(np.array(steps), gen.packed()))
+            stacks = _expm_stack(np.multiply.outer(np.array(steps), blocks))
             stacks = np.stack([stacks, stacks.conj()], axis=1)
             stacks.setflags(write=False)
             rates._propagators[key] = stacks
@@ -646,16 +692,7 @@ def integrate(
             t = target
             snapshots[i] = packed
     states = np.take(snapshots.reshape(len(samples), -1), layout.scatter, axis=1).reshape(-1, dim, dim)
-    checks = validate_density(states, samples)
-    return EvolutionResult(
-        times=samples,
-        states=list(states),
-        diagnostics={
-            "max_trace_error": checks["trace_error"],
-            "max_hermiticity_error": checks["hermiticity_error"],
-            "min_eigenvalue": checks["min_eigenvalue"],
-        },
-    )
+    return EvolutionResult(states=list(states), diagnostics=validate_density(states, samples))
 
 
 def _birth_death_populations(up: np.ndarray, down: np.ndarray) -> np.ndarray:

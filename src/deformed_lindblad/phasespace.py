@@ -38,9 +38,11 @@ to nine orders of magnitude, so ordinary doubles leave only six to seven
 correct digits.  The closed-form pipeline therefore runs in extended
 precision (x86 80-bit long double) with exact integer combinatorics, which
 restores agreement with the direct-integral oracle to well below the
-comparison tolerances.  On platforms where numpy's longdouble is plain
-float64 the closed form still works, with accuracy degraded to the
-conditioning limit.
+comparison tolerances.  The precision is named once, _LD and its complex
+partner _CLD.  Where numpy's longdouble is plain float64 the accuracy
+drops to the conditioning limit: on a 21 x 21 grid the default docs and
+aocs snapshots come within 1.0e-8 and 3.2e-8 of max |W| of the oracle,
+and the default even cat raises BesselAccuracyError.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
 ]
 
 _LD = np.longdouble
+_CLD = np.clongdouble
 
 # log-integrand drop below the peak at which the Bessel integral is truncated
 _TAIL_DROP = 45.0
@@ -234,7 +237,7 @@ def _k_quadrature(
 
     K_{a - ib}(xi) = int_0^inf exp(-xi cosh t) (cosh(at) cos(bt) - i sinh(at)
     sin(bt)) dt by the trapezoidal rule with nodes j step from 0 past
-    t_max, as a clongdouble array of shape (len(xi), len(b), len(orders)).
+    t_max, as a _CLD array of shape (len(xi), len(b), len(orders)).
     The integrand is entire and even in t, so the node t = 0 takes half
     weight and the rule converges geometrically as the step shrinks.  The
     two exponentials exp(-xi cosh t +- a t) are kept together so neither
@@ -254,7 +257,7 @@ def _k_quadrature(
     cos_b = np.cos(b[:, None, None] * t) * w
     sin_b = np.sin(b[:, None, None] * t) * w
     n_x = len(xi)
-    k = np.empty((n_x, len(b), len(a)), dtype=np.clongdouble)
+    k = np.empty((n_x, len(b), len(a)), dtype=_CLD)
     # about 24 MB of integrand and per-block sums (16 bytes a value) per chunk
     chunk = max(1, int(24e6 // (16 * len(a) * (t.size + len(b) * blocks))))
     for start in range(0, n_x, chunk):
@@ -311,15 +314,15 @@ def _k_tensor_level(
 ) -> np.ndarray:
     """K_{D - i b}(xi) for D = 0..d_max on the (xi, b) grid.
 
-    Returns a clongdouble array of shape (len(xi), len(b_abs), d_max + 1).
+    Returns a _CLD array of shape (len(xi), len(b_abs), d_max + 1).
     Only orders 0 and 1 come from the quadrature; the rest follow by the
     upward recurrence K_{nu+1} = K_{nu-1} + (2 nu / xi) K_nu at nu = D - ib
     (DLMF 10.29.1), the stable direction for K, which grows with the order.
     No convergence control here: the caller compares two steps on the
     quantity it assembles.
     """
-    k = np.empty((len(xi), len(b_abs), d_max + 1), dtype=np.clongdouble)
-    k[..., :2] = _k_quadrature(xi, b_abs, np.arange(min(d_max, 1) + 1), t_max, step)
+    k = np.empty((len(xi), len(b_abs), d_max + 1), dtype=_CLD)
+    k[..., :2] = _k_quadrature(xi, b_abs, np.array([0, 1]), t_max, step)
     two_over_xi = (2.0 / xi)[:, None]
     for d in range(2, d_max + 1):
         k[..., d] = k[..., d - 2] + two_over_xi * ((d - 1) - 1j * b_abs) * k[..., d - 1]

@@ -264,7 +264,7 @@ def run_scenario(config: SimulationConfig) -> ScenarioResult:
     grid_spec = config.grid()
     grids = [
         wigner_closed(rho, params, grid_spec, time=t)
-        for t, rho in zip(evolution.times, evolution.states)
+        for t, rho in zip(samples, evolution.states)
     ]
 
     meta = {name: _format_config_value(getattr(config, name)) for name in _PARSERS}

@@ -98,7 +98,7 @@ def test_criterion_2_harmonic_limit_oracle():
     times = [0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0]
     result = dl.integrate(rho0, model, rates, np.ones(30), 40.0, 1e-3, times)
     worst = 0.0
-    for t, rho in zip(result.times, result.states):
+    for t, rho in zip(times, result.states, strict=True):
         want = nbar + (n0 - nbar) * math.exp(-0.1 * t)
         worst = max(worst, abs(dl.mean_occupation(rho) - want) / want)
     ok = report(2, worst < 1e-4, f"max relative deviation {worst:.2e} (tol 1e-4)")

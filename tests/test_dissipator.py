@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
 import numpy as np
@@ -30,6 +30,7 @@ from deformed_lindblad import (
 )
 from deformed_lindblad import dissipator
 from deformed_lindblad.dissipator import (
+    EvolutionResult,
     _expm_stack,
     _packed_layout,
     build_generator,
@@ -580,14 +581,64 @@ def test_long_interval_reaches_the_steady_state(model, reservoir, etas, rho_aocs
 
 @pytest.mark.parametrize("t_final", [1e300, 1e308])
 def test_overlong_interval_fails_loudly(model, reservoir, etas, rho_aocs, t_final):
-    # the squarings over- or underflow; that must surface as a broken
-    # invariant, never as an OverflowError or a RuntimeWarning (an error
-    # under this suite's filterwarnings); a fresh table, so they run here
+    # the squarings would over- or underflow; the interval is refused before
+    # any exponential, never with an OverflowError or a RuntimeWarning (an
+    # error under this suite's filterwarnings), and at 1e308 its ||h L||_1
+    # is inf; a fresh table, so they run here
     rates = rate_table(model, reservoir)
     with pytest.raises(IntegrationError) as info:
         integrate(rho_aocs, model, rates, etas, t_final, 1e-3, [0.0, 1.0, t_final])
     assert info.value.time == t_final
-    assert info.value.invariant in ("finite", "trace")
+    assert info.value.invariant == "exponential"
+    assert f"cannot resolve interval 1.0 to {t_final}:" in str(info.value)
+
+
+@pytest.mark.parametrize("cutoff", [1e3, 1e5])
+def test_shift_cutoffs_past_the_kernel_raise_before_any_exponential(
+    model, etas, rho_aocs, kernel_calls, cutoff
+):
+    # the packed blocks' ||L||_1 is 1.6e9 at cutoff 1e3 and 1.6e15 at 1e5,
+    # so a unit interval puts the kernel's accuracy 2 eps ||h L||_1 past
+    # TRACE_ABORT; the kernel returned exponentials off by 1.1e-7 and 0.14
+    # of max |U| there, and every invariant passed.  A refused stack is not
+    # kept, so the second call refuses the same way
+    table = rate_table(model, ReservoirParams(theta=4.0, shift_cutoff=cutoff))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(IntegrationError) as info:
+            integrate(rho_aocs, model, table, etas, 4.0, 1e-3, [0.0, 1.0, 2.0, 4.0])
+        errors.append(info.value)
+    assert kernel_calls == []
+    assert table._propagators == {}
+    first, second = errors
+    assert (first.invariant, first.time) == ("exponential", 1.0)
+    assert re.search(
+        r"interval 0.0 to 1.0: coherence orders 1 and 14 have \|\|h L\|\|_1 = 1.6\d\de\+(09|15)",
+        str(first),
+    )
+    assert (str(second), second.drift) == (str(first), first.drift)
+
+
+def test_a_generator_that_overflowed_is_refused(model, etas, rho_aocs, kernel_calls):
+    # near the largest cutoff the config accepts, the level shifts overflow
+    # and the generator holds NaN; its NaN norm is refused like a long
+    # interval, before any exponential, not found as a NaN snapshot later
+    table = rate_table(model, ReservoirParams(theta=4.0, shift_cutoff=8e102))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as info:
+        integrate(rho_aocs, model, table, etas, 1.0, 1e-3, [0.0, 1.0])
+    assert kernel_calls == []
+    assert (info.value.invariant, info.value.time) == ("exponential", 0.0)
+    assert "||h L||_1 = nan" in str(info.value)
+
+
+def test_evolution_result_holds_the_states_and_their_checks(model, rates, etas, rho_docs):
+    assert [f.name for f in fields(EvolutionResult)] == ["states", "diagnostics"]
+    result = integrate(rho_docs, model, rates, etas, 1.0, 1e-3, [0.0, 1.0])
+    assert result.diagnostics == validate_density(np.array(result.states))
+    with pytest.raises(FrozenInstanceError):
+        result.states = []
+    with pytest.raises(TypeError, match="sample_times"):
+        integrate(rho_docs, model, rates, etas, 1.0, 1e-3)
 
 
 def test_integrate_with_shifts_matches_full_propagator(model, etas, rho_aocs):
@@ -619,10 +670,9 @@ def test_integrate_off_grid_sample_times(model, rates, etas, rho_docs, rk4_oracl
     # sample times need not relate to dt: each interval is bridged exactly
     times = [0.0004, 0.0105]
     result = integrate(rho_docs, model, rates, etas, 0.0105, 1e-3, times)
-    assert result.times == times
     assert result.diagnostics["max_trace_error"] < 1e-12
     reference = rk4_oracle(build_generator(model, rates, etas), rho_docs, times, 1e-4)
-    for got, want in zip(result.states, reference):
+    for got, want in zip(result.states, reference, strict=True):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -631,9 +681,8 @@ def test_integrate_matches_rk4_oracle(model, rates, etas, rho_docs, rho_aocs, rh
     gen = build_generator(model, rates, etas)
     for rho0 in (rho_docs, rho_aocs, rho_cat):
         result = integrate(rho0, model, rates, etas, 4.0, 1e-3, times)
-        assert result.times == times
         reference = rk4_oracle(gen, rho0, times, 1e-3)
-        for got, want in zip(result.states, reference):
+        for got, want in zip(result.states, reference, strict=True):
             assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -655,8 +704,8 @@ def test_harmonic_mean_occupation_rate(reservoir):
 
 
 def test_integrate_zero_time(rho_docs, model, rates, etas):
-    result = integrate(rho_docs, model, rates, etas, t_final=0.0, dt=1e-3)
-    assert result.times == [0.0]
+    result = integrate(rho_docs, model, rates, etas, 0.0, 1e-3, [0.0])
+    assert len(result.states) == 1
     assert np.array_equal(result.states[0], rho_docs)
 
 
@@ -669,7 +718,7 @@ def test_harmonic_relaxation_analytic(reservoir):
     nbar = 1.0 / math.expm1(weak.theta)
     times = [0.0, 5.0, 10.0, 20.0, 40.0]
     result = integrate(rho0, model, table, np.ones(30), 40.0, 1e-3, times)
-    for t, rho in zip(result.times, result.states):
+    for t, rho in zip(times, result.states, strict=True):
         want = nbar + (n0 - nbar) * math.exp(-0.1 * t)
         assert mean_occupation(rho) == pytest.approx(want, rel=1e-4)
 
@@ -702,19 +751,19 @@ def test_step_halving_agreement(rho_docs, model, rates, etas):
 
 def test_integrate_validates_input_shape(model, rates, etas):
     with pytest.raises(ValueError, match="shape"):
-        integrate(np.eye(4, dtype=complex) / 4, model, rates, etas, 1.0, 1e-3)
+        integrate(np.eye(4, dtype=complex) / 4, model, rates, etas, 1.0, 1e-3, [1.0])
     with pytest.raises(ValueError, match="dt"):
-        integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, -1e-3)
+        integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, -1e-3, [1.0])
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be finite"):
-            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, bad)
+            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, bad, [1.0])
     with pytest.raises(ValueError, match="sorted"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [1.0, 0.5])
     with pytest.raises(ValueError, match="sample_times must contain at least one time"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [])
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="t_final must be >= 0"):
-            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, bad, 1e-3)
+            integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, bad, 1e-3, [0.0])
     with pytest.raises(ValueError, match="last sample time 2.0 exceeds t_final 1.0"):
         integrate(np.eye(15, dtype=complex) / 15, model, rates, etas, 1.0, 1e-3, [0.0, 2.0])
 
@@ -1160,7 +1209,7 @@ def test_shifts_leave_populations_untouched(model, etas):
 def test_validate_density_raises(model, rates, etas):
     good = np.eye(15, dtype=complex) / 15
     checks = validate_density(good)
-    assert checks["trace_error"] < 1e-14
+    assert checks["max_trace_error"] < 1e-14
     with pytest.raises(IntegrationError, match="trace"):
         validate_density(good * 1.01)
     lopsided = good.copy()
@@ -1174,7 +1223,7 @@ def test_validate_density_raises(model, rates, etas):
     with pytest.raises(IntegrationError, match=r"entry \(2, 3\) is not finite .* at t = 0\.5"):
         validate_density(broken, time=0.5)
     with pytest.raises(IntegrationError, match=r"entry \(2, 3\) is not finite .* at t = 0\.0"):
-        integrate(broken, model, rates, etas, 1.0, 1e-3)
+        integrate(broken, model, rates, etas, 1.0, 1e-3, [0.0, 1.0])
 
 
 def test_validate_density_on_a_stack_equals_the_per_state_calls(model, rates, etas, rho_cat):
@@ -1184,19 +1233,14 @@ def test_validate_density_on_a_stack_equals_the_per_state_calls(model, rates, et
     def worst(states):
         alone = [validate_density(rho) for rho in states]
         return {
-            "trace_error": max(c["trace_error"] for c in alone),
-            "hermiticity_error": max(c["hermiticity_error"] for c in alone),
+            "max_trace_error": max(c["max_trace_error"] for c in alone),
+            "max_hermiticity_error": max(c["max_hermiticity_error"] for c in alone),
             "min_eigenvalue": min(c["min_eigenvalue"] for c in alone),
         }
 
     times = [0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
     result = integrate(rho_cat, model, rates, etas, 4.0, 1e-3, times)
-    expected = worst(result.states)
-    assert result.diagnostics == {
-        "max_trace_error": expected["trace_error"],
-        "max_hermiticity_error": expected["hermiticity_error"],
-        "min_eigenvalue": expected["min_eigenvalue"],
-    }
+    assert result.diagnostics == worst(result.states)
     states = result.states + [random_density(15, seed) for seed in range(5)]
     for stack in (np.array(states), np.asfortranarray(states)):
         assert validate_density(stack, [0.0] * len(states)) == worst(states)

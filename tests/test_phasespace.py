@@ -25,6 +25,7 @@ from deformed_lindblad import (
 )
 from deformed_lindblad import phasespace
 from deformed_lindblad.dissipator import HERMITICITY_TOL
+from deformed_lindblad.runner import DEFAULT_T_SAMPLES
 
 SMALL_GRID = GridSpec(n_r=21, n_p=21)
 # the widest momentum window the tests map (b = 2|p| up to 38) on r <= 16,
@@ -196,6 +197,25 @@ def test_asymmetric_momentum_window(params, model):
     direct = wigner_direct_oracle(rho, params, grid)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(closed.values - direct.values)) < 1e-7 * scale
+
+
+@pytest.mark.parametrize("state", ["rho_docs", "rho_cat", 8])
+def test_wide_momentum_window_matches_oracle_at_the_default_rtol(request, params, fock_state, state):
+    # on WIDE_GRID the Bessel recurrence runs at |b| up to 38 and xi down
+    # to 3.5e-6, where it loses digits (about 2e-8 of K_14); the maps keep
+    # 4.1e-13 (docs), 1.9e-10 (even cat) and 1.6e-9 (|8>) of max |W|
+    rho = fock_state(state) if isinstance(state, int) else request.getfixturevalue(state)
+    closed = wigner_closed(rho, params, WIDE_GRID)
+    direct = wigner_direct_oracle(rho, params, WIDE_GRID)
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(closed.values - direct.values)) < 1e-6 * scale
+
+
+def test_wide_momentum_window_refuses_a_high_level(params, fock_state):
+    # |12> has too few digits left on WIDE_GRID at rtol = 1e-8: it is
+    # refused, not returned with the recurrence's error in it
+    with pytest.raises(BesselAccuracyError, match="stabilize"):
+        wigner_closed(fock_state(12), params, WIDE_GRID)
 
 
 def test_window_beyond_every_support_maps_to_zero(params):
@@ -372,6 +392,41 @@ def test_top_level_state_needs_relaxed_tolerance(params, fock_state, monkeypatch
     with pytest.raises(BesselAccuracyError, match="stabilize"):
         wigner_closed(rho, params, SMALL_GRID)
     assert quadratures == []
+
+
+# Each default snapshot's outcome when longdouble is plain float64 (as on
+# MSVC builds and macOS arm64), on SMALL_GRID: "returns" within 1e-6 of the
+# oracle (docs up to 1.0e-8 and aocs up to 3.2e-8 of max |W|) or "raises"
+# BesselAccuracyError (even cat: residuals 4.5e-8 to 4.0e-7)
+FLOAT64_OUTCOMES = {"docs": ["returns"] * 4, "aocs": ["returns"] * 4, "even_cat": ["raises"] * 4}
+
+
+def test_float64_closed_form_returns_within_the_oracle_gate_or_raises(
+    params, model, rates, etas, rho_docs, rho_aocs, rho_cat, monkeypatch
+):
+    monkeypatch.setattr(phasespace, "_LD", np.float64)
+    monkeypatch.setattr(phasespace, "_CLD", np.complex128)
+    phasespace._closed_form.cache_clear()
+    outcomes = {}
+    try:
+        assert phasespace._closed_form(params, SMALL_GRID).k1.dtype == np.complex128
+        for name, rho0 in (("docs", rho_docs), ("aocs", rho_aocs), ("even_cat", rho_cat)):
+            samples = list(DEFAULT_T_SAMPLES[name])
+            evolved = integrate(rho0, model, rates, etas, samples[-1], 1e-3, samples).states
+            outcomes[name] = []
+            for t, rho in zip(samples, evolved, strict=True):
+                try:
+                    closed = wigner_closed(rho, params, SMALL_GRID, time=t)
+                except BesselAccuracyError:
+                    outcomes[name].append("raises")
+                    continue
+                direct = wigner_direct_oracle(rho, params, SMALL_GRID)
+                scale = np.max(np.abs(direct.values))
+                assert np.max(np.abs(closed.values - direct.values)) < 1e-6 * scale
+                outcomes[name].append("returns")
+    finally:
+        phasespace._closed_form.cache_clear()
+    assert outcomes == FLOAT64_OUTCOMES
 
 
 def _cold(rho, params, grid):
