@@ -172,17 +172,21 @@ class RateTable:
     at n = 0 (where they multiply the structural zero g(-1)), so every
     table, an edited one too, keeps the identities trace conservation needs.
 
-    A table also keeps integrate's last propagator stack (read only), so
-    the propagations of one study under one table exponentiate once; see
-    integrate for its key.  Every new table starts without one,
-    dataclasses.replace included, and a table holds at most one.
+    A table also keeps the generator its last integrate or steady_state
+    call used, keyed by the bytes of everything build_generator builds it
+    from: model.dim, model.f2, the etas, K2, K4, delta2 and delta4.  The
+    calls of one study under one table therefore build it once, and the
+    generator keeps their propagators (see integrate); an array edited in
+    place, other etas or another model miss and rebuild it.  Every new
+    table starts without one, dataclasses.replace included, and a table
+    holds at most one.
     """
 
     K2: np.ndarray
     K4: np.ndarray
     delta2: np.ndarray
     delta4: np.ndarray
-    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _generator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     K1 = property(lambda self: _gap_below(self.K4))
     K3 = property(lambda self: _gap_below(self.K2))
@@ -255,6 +259,32 @@ def check_shift_cutoff(model: OscillatorModel, reservoir: ReservoirParams) -> np
             f"grows like its cube, is not finite at gamma_scale {reservoir.gamma_scale}"
         )
     return spontaneous
+
+
+def check_generator_shifts(
+    model: OscillatorModel, reservoir: ReservoirParams, eta_values: Sequence[float]
+) -> None:
+    """Refuse a shift cutoff check_shift_cutoff refuses, or one at which the
+    generator's shift terms (_shift_terms) are not finite.
+
+    The terms are the products build_generator forms, taken with delta4 as
+    its spontaneous part and delta2 as zero, so no quadrature runs.  The
+    products near the float range only where |delta4| is near 1e300, and
+    there the thermal delta2, which is independent of the cutoff past
+    64 / theta, is below half an ulp of delta4 unless theta is below about
+    1e-95: delta4 is then its spontaneous part bit for bit, and the check
+    refuses exactly the cutoffs whose generator is not finite.
+    """
+    spontaneous = check_shift_cutoff(model, reservoir)
+    g = jump_amplitudes(model, eta_values)
+    with np.errstate(all="ignore"):
+        terms = _shift_terms(g * g, np.outer(g, g), np.zeros_like(spontaneous), spontaneous)
+    if not all(np.isfinite(term).all() for term in terms):
+        raise ValueError(
+            f"shift_cutoff {float(reservoir.shift_cutoff)} is too large: the generator's "
+            "shift terms, which grow like its cube, are not finite at gamma_scale "
+            f"{reservoir.gamma_scale}"
+        )
 
 
 def shift_table(model: OscillatorModel, reservoir: ReservoirParams) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +369,16 @@ class _Generator:
                   + above[m, n] rho_{m+1,n+1},
     with below read for m, n >= 1 and above for m, n <= dim-2.  The shift
     terms are folded in at build time; they are zero without shifts.
+    build_generator makes the arrays read only, so a generator stays the
+    one it was built as, and it keeps the (U, conj U) stack of its last
+    propagators call, keyed by the interval lengths alone (read only; at
+    most one).
     """
 
     same: np.ndarray
     below: np.ndarray
     above: np.ndarray
+    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self.same * rho
@@ -386,6 +421,27 @@ class _Generator:
         packed[p, j + 1, j] = self.below[rows[p, j + 1], cols[p, j + 1]]
         packed[p, j, j + 1] = self.above[rows[p, j], cols[p, j]]
         return packed
+
+    def propagators(self, samples: list[float]) -> dict[float, np.ndarray]:
+        """The (2, P, dim, dim) stack of U = exp(h L_p) and conj(U) per
+        distinct interval length h between 0 and the sorted samples.
+
+        A call whose lengths match the last stack's returns it; otherwise
+        _refuse_unresolved runs first, so a refused stack is never kept,
+        and one _expm_stack call computes the new stack, which replaces
+        the old.
+        """
+        steps = tuple(sorted({b - a for a, b in zip([0.0] + samples, samples) if b > a}))
+        stacks = self._propagators.get(steps)
+        if stacks is None:
+            blocks = self.packed()
+            _refuse_unresolved(blocks, samples)
+            self._propagators.clear()
+            stacks = _expm_stack(np.multiply.outer(np.array(steps), blocks))
+            stacks = np.stack([stacks, stacks.conj()], axis=1)
+            stacks.setflags(write=False)
+            self._propagators[steps] = stacks
+        return dict(zip(steps, stacks))
 
 
 @dataclass(frozen=True)
@@ -436,35 +492,74 @@ def _packed_layout(dim: int) -> _Layout:
     return layout
 
 
+def _shift_terms(
+    g2: np.ndarray, pair: np.ndarray, d2: np.ndarray, d4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generator's three real shift products: the level-shift difference
+    of rho_mn, and the delta2 and delta4 differences across gaps m and n
+    times g(m) g(n) (pair), which enter below and above."""
+    level_shift = d2 * g2 + _gap_below(-d4 * g2)
+    return (
+        level_shift[:, None] - level_shift[None, :],
+        (d2[:, None] - d2[None, :]) * pair,
+        (d4[:, None] - d4[None, :]) * pair,
+    )
+
+
 def build_generator(
     model: OscillatorModel, rates: RateTable, eta_values: Sequence[float]
 ) -> _Generator:
-    """Assemble the generator once; reuse across many applications."""
+    """Assemble a fresh generator, its arrays read only.
+
+    It runs under np.errstate(all="ignore"), so no input makes it warn: a
+    rate or shift past the float range leaves non-finite entries, which
+    integrate refuses and SimulationConfig keeps shift cutoffs from
+    reaching (check_generator_shifts).  integrate and steady_state take the
+    table's kept generator (RateTable) rather than calling this again.
+    """
     if rates.dim != model.dim:
         raise ValueError(
             f"rate table dimension {rates.dim} != model dimension {model.dim}"
         )
-    g = jump_amplitudes(model, eta_values)
-    g2 = g * g
-    pair = np.outer(g, g)                          # g(m) g(n)
-    k2, k4, d2, d4 = rates.K2, rates.K4, rates.delta2, rates.delta4
+    k2, k4 = rates.K2, rates.K4
+    with np.errstate(all="ignore"):
+        g = jump_amplitudes(model, eta_values)
+        g2 = g * g
+        pair = np.outer(g, g)                      # g(m) g(n)
+        # each level loses through its own gap and the gap below
+        energies = np.diag(hamiltonian(model))
+        omega_diff = energies[:, None] - energies[None, :]
+        loss = k2 * g2 + _gap_below(k4 * g2)
+        shift_diff, shift_up, shift_down = _shift_terms(g2, pair, rates.delta2, rates.delta4)
+        # the gain across gaps m and n: absorption feeds rho_{m+1,n+1} from
+        # rho_mn, one level down and right in below, and emission the reverse
+        up = (k2[:, None] + k2[None, :]) * pair + 1j * shift_up
+        below = np.zeros_like(up)
+        below[1:, 1:] = up[:-1, :-1]
+        gen = _Generator(
+            same=-1j * omega_diff - (loss[:, None] + loss[None, :]) - 1j * shift_diff,
+            below=below,
+            above=(k4[:, None] + k4[None, :]) * pair - 1j * shift_down,
+        )
+    for array in (gen.same, gen.below, gen.above):
+        array.setflags(write=False)
+    return gen
 
-    # each level loses through its own gap and the gap below
-    energies = np.diag(hamiltonian(model))
-    omega_diff = energies[:, None] - energies[None, :]
-    loss = k2 * g2 + _gap_below(k4 * g2)
-    level_shift = d2 * g2 + _gap_below(-d4 * g2)
-    shift_diff = level_shift[:, None] - level_shift[None, :]
-    # the gain across gaps m and n: absorption feeds rho_{m+1,n+1} from
-    # rho_mn, one level down and right in below, and emission the reverse
-    up = (k2[:, None] + k2[None, :]) * pair + 1j * ((d2[:, None] - d2[None, :]) * pair)
-    below = np.zeros_like(up)
-    below[1:, 1:] = up[:-1, :-1]
-    return _Generator(
-        same=-1j * omega_diff - (loss[:, None] + loss[None, :]) - 1j * shift_diff,
-        below=below,
-        above=(k4[:, None] + k4[None, :]) * pair - 1j * ((d4[:, None] - d4[None, :]) * pair),
+
+def _table_generator(
+    model: OscillatorModel, rates: RateTable, eta_values: Sequence[float]
+) -> _Generator:
+    """rates' kept generator of (model, rates, eta_values), built anew when
+    the bytes it is built from changed (see RateTable)."""
+    key = (model.dim, model.f2.tobytes(), np.asarray(eta_values, dtype=float).tobytes()) + tuple(
+        array.tobytes() for array in (rates.K2, rates.K4, rates.delta2, rates.delta4)
     )
+    gen = rates._generator.get(key)
+    if gen is None:
+        gen = build_generator(model, rates, eta_values)
+        rates._generator.clear()
+        rates._generator[key] = gen
+    return gen
 
 
 def validate_density(
@@ -631,12 +726,14 @@ def integrate(
     1.6e9 at a shift cutoff of 1e3).  A generator with a NaN entry has a
     NaN norm and is refused the same way.
 
-    rates keeps the (U, conj U) stack of its last call, keyed by the bytes
-    of the generator's same, below and above arrays and the tuple of
-    distinct interval lengths.  A call with the same key reuses it instead
-    of calling _expm_stack, so its states are bitwise those under a fresh
-    table; a rates array edited in place, other etas, another model or
-    other intervals change the key, and the new stack replaces the old.  A
+    The generator is the one rates keeps (see RateTable), built only when
+    its inputs' bytes changed, and it keeps the (U, conj U) stack of its
+    last call, keyed by the tuple of distinct interval lengths
+    (_Generator.propagators).  A call under the same generator and lengths
+    reuses both instead of calling build_generator and _expm_stack, so its
+    states are bitwise those under a fresh table; a rates array edited in
+    place, other etas or another model rebuild the generator, other
+    intervals recompute the stack, and the new one replaces the old.  A
     refused stack is never kept, so a repeated call raises again.
 
     dt is accepted and must be finite and positive, for callers and configs
@@ -661,7 +758,7 @@ def integrate(
             f"last sample time {samples[-1]} exceeds t_final {t_final}"
         )
 
-    gen = build_generator(model, rates, eta_values)
+    gen = _table_generator(model, rates, eta_values)
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(
@@ -670,19 +767,8 @@ def integrate(
 
     dim = model.dim
     layout = _packed_layout(dim)
-    steps = sorted({b - a for a, b in zip([0.0] + samples, samples) if b > a})
-    key = (gen.same.tobytes(), gen.below.tobytes(), gen.above.tobytes(), tuple(steps))
     with np.errstate(over="ignore", invalid="ignore"):
-        stacks = rates._propagators.get(key)
-        if stacks is None:
-            blocks = gen.packed()
-            _refuse_unresolved(blocks, samples)
-            rates._propagators.clear()
-            stacks = _expm_stack(np.multiply.outer(np.array(steps), blocks))
-            stacks = np.stack([stacks, stacks.conj()], axis=1)
-            stacks.setflags(write=False)
-            rates._propagators[key] = stacks
-        propagators = dict(zip(steps, stacks))
+        propagators = gen.propagators(samples)
         packed = np.append(rho.ravel(), 0.0)[layout.gather][..., None]
         snapshots = np.empty((len(samples),) + packed.shape, dtype=complex)
         t = 0.0
@@ -723,9 +809,10 @@ def steady_state(model: OscillatorModel, rates: RateTable, eta_values: Sequence[
     names the residual reached.  A level whose population underflows
     (extreme cold) or lies above an uncoupled gap (eta = 0) is zero, and a
     subnormal one has lost bits of its rate products; the absolute residual
-    covers both.
+    covers both.  The generator is the one rates keeps (see RateTable), so
+    a study's integrate calls and its steady state build it once.
     """
-    gen = build_generator(model, rates, eta_values)
+    gen = _table_generator(model, rates, eta_values)
     p = _birth_death_populations(np.diagonal(gen.below)[1:].real, np.diagonal(gen.above)[:-1].real)
     rho = np.diag(p).astype(complex)
     derivative = gen.apply(rho)

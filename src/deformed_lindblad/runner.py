@@ -28,7 +28,7 @@ from .dissipator import (
     DEFAULT_GAMMA_SCALE,
     IntegrationError,
     ReservoirParams,
-    check_shift_cutoff,
+    check_generator_shifts,
     integrate,
     purity,
     rate_table,
@@ -113,7 +113,7 @@ class SimulationConfig:
             reservoir = self.reservoir()
             closed_form_window(params, self.grid())
             if self.shift_cutoff is not None:
-                check_shift_cutoff(morse_model(params), reservoir)
+                check_generator_shifts(morse_model(params), reservoir, eta_values(params))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the alpha solver reaches means in [0, n_bound - 1) only

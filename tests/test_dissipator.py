@@ -30,10 +30,12 @@ from deformed_lindblad import (
 )
 from deformed_lindblad import dissipator
 from deformed_lindblad.dissipator import (
+    DEFAULT_GAMMA_SCALE,
     EvolutionResult,
     _expm_stack,
     _packed_layout,
     build_generator,
+    check_generator_shifts,
     validate_density,
 )
 
@@ -401,59 +403,96 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def generator_builds(monkeypatch):
+    """The generators build_generator returned, one per call."""
+    builds = []
+
+    def counted(*args):
+        builds.append(build_generator(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(dissipator, "build_generator", counted)
+    return builds
+
+
 def test_second_call_on_one_table_reuses_its_propagators(
-    model, reservoir, etas, rho_aocs, rho_cat, kernel_calls
+    model, reservoir, etas, rho_aocs, rho_cat, kernel_calls, generator_builds
 ):
-    # a relaxation study: several initial states under one table and one
-    # sample set exponentiate once, with the states of a fresh table
+    # a relaxation study: several initial states and the steady state under
+    # one table and one sample set build the generator and exponentiate
+    # once, with the states of a fresh table
     table = rate_table(model, reservoir)
     first = integrate(rho_aocs, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
     second = integrate(rho_cat, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
-    assert len(kernel_calls) == 1
+    steady = steady_state(model, table, etas)
+    assert (len(generator_builds), len(kernel_calls)) == (1, 1)
     for result, rho0 in ((first, rho_aocs), (second, rho_cat)):
-        # a new table with the same content exponentiates again
+        # a new table with the same content builds and exponentiates again
         fresh = integrate(rho0, model, rate_table(model, reservoir), etas, 4.0, 1e-3, RELAXATION_TIMES)
         for got, want in zip(result.states, fresh.states, strict=True):
             assert np.array_equal(got, want)
         assert result.diagnostics == fresh.diagnostics
-    assert len(kernel_calls) == 3
+    assert np.array_equal(steady, steady_state(model, rate_table(model, reservoir), etas))
+    assert (len(generator_builds), len(kernel_calls)) == (4, 3)
 
 
-@pytest.mark.parametrize("change", ["K4 in place", "etas", "samples"])
-def test_a_changed_generator_or_sample_set_recomputes(model, reservoir, etas, rho_cat, kernel_calls, change):
+@pytest.mark.parametrize("change", ["K4 in place", "etas", "model", "samples"])
+def test_a_changed_generator_or_sample_set_recomputes(
+    model, reservoir, etas, rho_cat, kernel_calls, generator_builds, change
+):
     table = rate_table(model, reservoir)
     integrate(rho_cat, model, table, etas, 4.0, 1e-3, RELAXATION_TIMES)
-    call_etas, times = etas, RELAXATION_TIMES
+    call_model, call_etas, times = model, etas, RELAXATION_TIMES
     if change == "K4 in place":
         table.K4[3] *= 1.5
     elif change == "etas":
         call_etas = 0.9 * np.asarray(etas)
+    elif change == "model":
+        call_model = OscillatorModel(model.dim, harmonic_deformation())
     else:
         times = [0.0, 0.3, 1.0, 4.0]
-    got = integrate(rho_cat, model, table, call_etas, 4.0, 1e-3, times)
+    got = integrate(rho_cat, call_model, table, call_etas, 4.0, 1e-3, times)
+    # the sample set alone changes the stack, not the generator
+    assert len(generator_builds) == (1 if change == "samples" else 2)
     assert len(kernel_calls) == 2
-    # replace() copies the (edited) arrays into a table without propagators
-    want = integrate(rho_cat, model, replace(table), call_etas, 4.0, 1e-3, times)
+    (kept,) = table._generator.values()
+    assert kept is generator_builds[-1]
+    # replace() copies the (edited) arrays into a table without a generator
+    want = integrate(rho_cat, call_model, replace(table), call_etas, 4.0, 1e-3, times)
     assert len(kernel_calls) == 3
     for a, b in zip(got.states, want.states, strict=True):
         assert np.array_equal(a, b)
 
 
 def test_a_table_keeps_one_read_only_propagator_stack(model, reservoir, etas, rho_cat):
+    # on the one generator the table keeps, itself read only
     table = rate_table(model, reservoir)
-    assert table._propagators == {}
-    assert "_propagators" not in repr(table)
+    assert table._generator == {}
+    assert "_generator" not in repr(table)
     for times in ([0.0, 1.0], [0.5, 2.0, 4.0], [0.0, 1.0]):
         integrate(rho_cat, model, table, etas, 4.0, 1e-3, times)
-        assert len(table._propagators) == 1
-        (key, stack), = table._propagators.items()
-        steps = key[-1]
+        (gen,) = table._generator.values()
+        for array in (gen.same, gen.below, gen.above):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gen.same[0, 0] = 0.0
+        assert "_propagators" not in repr(gen)
+        (steps, stack), = gen._propagators.items()
         assert steps == tuple(sorted({b - a for a, b in zip([0.0] + times, times) if b > a}))
         assert stack.shape == (len(steps), 2, (model.dim + 2) // 2, model.dim, model.dim)
         assert not stack.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0, 0, 0] = 0.0
-    assert replace(table)._propagators == {}
+    assert replace(table)._generator == {}
+
+
+def test_build_generator_returns_a_fresh_read_only_generator(model, rates, etas):
+    first, second = build_generator(model, rates, etas), build_generator(model, rates, etas)
+    assert first is not second and rates._generator == {}
+    for a, b in zip((first.same, first.below, first.above), (second.same, second.below, second.above)):
+        assert np.array_equal(a, b) and not a.flags.writeable
+    assert first._propagators == {}
 
 
 def test_growing_coherences_raise_the_same_error_on_a_hit(model, etas, rho_cat, kernel_calls):
@@ -609,7 +648,8 @@ def test_shift_cutoffs_past_the_kernel_raise_before_any_exponential(
             integrate(rho_aocs, model, table, etas, 4.0, 1e-3, [0.0, 1.0, 2.0, 4.0])
         errors.append(info.value)
     assert kernel_calls == []
-    assert table._propagators == {}
+    (gen,) = table._generator.values()
+    assert gen._propagators == {}
     first, second = errors
     assert (first.invariant, first.time) == ("exponential", 1.0)
     assert re.search(
@@ -620,11 +660,12 @@ def test_shift_cutoffs_past_the_kernel_raise_before_any_exponential(
 
 
 def test_a_generator_that_overflowed_is_refused(model, etas, rho_aocs, kernel_calls):
-    # near the largest cutoff the config accepts, the level shifts overflow
-    # and the generator holds NaN; its NaN norm is refused like a long
+    # past the largest cutoff the config accepts, the level shifts overflow
+    # and the generator holds NaN, without a RuntimeWarning (an error under
+    # this suite's filterwarnings); its NaN norm is refused like a long
     # interval, before any exponential, not found as a NaN snapshot later
     table = rate_table(model, ReservoirParams(theta=4.0, shift_cutoff=8e102))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as info:
+    with pytest.raises(IntegrationError) as info:
         integrate(rho_aocs, model, table, etas, 1.0, 1e-3, [0.0, 1.0])
     assert kernel_calls == []
     assert (info.value.invariant, info.value.time) == ("exponential", 0.0)
@@ -1029,6 +1070,40 @@ def test_a_cutoff_whose_shifts_overflow_is_refused(model, cutoff):
                 build(model, reservoir)
     # below the overflow the table is finite
     assert np.all(np.isfinite(shift_table(model, replace(reservoir, shift_cutoff=1e102))[1]))
+
+
+def largest_accepted_cutoff(model, etas, theta, gamma_scale):
+    """The largest float cutoff check_generator_shifts accepts, by bisection
+    on the bit patterns of the floats between 1e3 and 1e200."""
+
+    def accepted(bits):
+        cutoff = float(np.int64(bits).view(np.float64))
+        try:
+            check_generator_shifts(model, ReservoirParams(theta, gamma_scale, cutoff), etas)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = (int(np.float64(c).view(np.int64)) for c in (1e3, 1e200))
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+@pytest.mark.parametrize("theta, gamma_scale", [(4.0, DEFAULT_GAMMA_SCALE), (0.05, 5.0), (np.inf, 0.5)])
+def test_the_config_refuses_exactly_the_cutoffs_whose_generator_overflows(
+    model, etas, theta, gamma_scale
+):
+    # the check forms the generator's shift products without delta2's
+    # quadrature; at the last accepted float the built generator is finite,
+    # one float up it is not, and neither build warns
+    cutoff = largest_accepted_cutoff(model, etas, theta, gamma_scale)
+    assert 3e102 < cutoff < 7e102
+    for c, finite in ((cutoff, True), (np.nextafter(cutoff, np.inf), False)):
+        gen = build_generator(model, rate_table(model, ReservoirParams(theta, gamma_scale, c)), etas)
+        assert all(np.isfinite(a).all() for a in (gen.same, gen.below, gen.above)) == finite
 
 
 def test_shift_sign_structure(model):

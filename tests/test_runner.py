@@ -652,6 +652,24 @@ def test_a_cutoff_whose_shifts_overflow_is_config_error(tmp_path, capsys, cutoff
     assert not out_dir.exists()
 
 
+def test_a_cutoff_whose_generator_overflows_is_config_error_without_warnings(tmp_path):
+    # at 8e102 delta4 is finite but its products with g(n)^2 in the
+    # generator are not: the config refuses it, and numpy prints nothing
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(with_fast_grid("scenario = aocs\nshift_cutoff = 8e102\nt_samples = 0"))
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformed_lindblad.cli", "run", "--config", str(config_path),
+         "--output-dir", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "config error: shift_cutoff 8e+102 is too large: the generator's shift terms" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out_dir.exists()
+
+
 def test_cli_unreachable_even_cat_target_is_config_error(tmp_path, capsys):
     # even_cat populates even levels only: at n_bound = 10 its <n> stays
     # below 8, so 8 and 8.5 are refused as config (exit 2) before any solve
